@@ -36,6 +36,10 @@ from .waves import make_wave, sample_wave, validate_wave, wave_l2
 __all__ = ["main"]
 
 
+class _InputError(Exception):
+    """A malformed input file (exit 2, like other I/O failures)."""
+
+
 def _fmt(x) -> str:
     """One float, 17 significant digits (round-trip exact)."""
     return format(float(x), ".17g")
@@ -94,7 +98,10 @@ def _load_state(args) -> tuple:
         K = args.K if args.K is not None else 256
         return fx.coeffs(K), fx.sign
     if args.input:
-        u = HardyCoeffs.from_json(Path(args.input).read_text())
+        try:
+            u = HardyCoeffs.from_json(Path(args.input).read_text())
+        except ValueError as exc:
+            raise _InputError(f"cannot read {args.input}: {exc}") from None
         if args.sign is None:
             raise CslabError("--input requires an explicit --sign")
         if args.K is not None and args.K != u.K:
@@ -322,10 +329,28 @@ def _build_parser():
 
     p = sub("verify", _cmd_verify, help="run the acceptance criteria")
     p.add_argument("--only", default=None,
-                   help="run only criteria whose number or slug matches")
+                   help="run only the criterion with this number or slug")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser, registry
+
+
+def _config_error(overrides, sub) -> str | None:
+    """Why a --config payload cannot stand for the flags of ``sub``, or None."""
+    if not isinstance(overrides, dict):
+        return "config must be a JSON object"
+    actions = {a.dest: a for a in sub._actions}
+    bad = set(overrides) - set(actions)
+    if bad:
+        return f"unknown config keys {sorted(bad)}"
+    for key, value in overrides.items():
+        kind = actions[key].type
+        if value is None or kind not in (int, float):
+            continue
+        allowed = int if kind is int else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            return f"config key {key!r} must be {kind.__name__}, got {value!r}"
+    return None
 
 
 def main(argv=None) -> int:
@@ -340,17 +365,15 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         sub = registry[args.command]
-        known = {a.dest for a in sub._actions}
-        bad = set(overrides) - known
-        if bad:
-            print(f"error: unknown config keys {sorted(bad)}",
-                  file=sys.stderr)
+        problem = _config_error(overrides, sub)
+        if problem is not None:
+            print(f"error: {problem}", file=sys.stderr)
             return 2
         sub.set_defaults(**overrides)
         args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, _InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CslabError as exc:

@@ -14,9 +14,9 @@ The evolving orthonormal basis g_n^t solves d/dt g = B_{u(t)} g with
 g|0 = f_n, an eigenvector of the Lax operator of u(0); B is the
 skew-adjoint half of the Lax pair.  Its matrix is never formed: B is
 applied to the tracked columns by FFT convolutions, and u at the RK4 stage
-times is re-derived from the stored trajectory (exact co-integration when
-every step was recorded, cubic interpolation in the rotating frame
-otherwise).  The resulting basis obeys explicit phase laws
+times is re-derived from a trajectory recorded at every step with the
+same Lawson stages, so the two are co-integrated exactly.  The resulting
+basis obeys explicit phase laws
 (e.g. <u(t)|g_n^t> = <u0|f_n> e^{-i lambda_n^2 t}) that serve as
 end-to-end integrator checks.
 """
@@ -39,7 +39,7 @@ from .errors import (
     OutsideTheory,
     UnderResolved,
 )
-from .hardy import HardyCoeffs, _fft_convolve
+from .hardy import HardyCoeffs, _fft_convolve, nonlinearity
 from .lax import build_lax, spectral_decompose, _check_sign
 
 __all__ = [
@@ -62,14 +62,13 @@ _TAIL_REL_DEFAULT = 1e-8
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Integration parameters; scheme is fixed to integrating-factor RK4."""
+    """Integration parameters of the integrating-factor (Lawson) RK4 scheme."""
 
     sign: str
     K: int
     T: float
     dt: float = 1e-4
     record_every: int = 1
-    scheme: str = "lawson_rk4"
     blowup_threshold: float = _BLOWUP_DEFAULT
     tail_rel_tol: float = _TAIL_REL_DEFAULT
 
@@ -81,8 +80,6 @@ class EvolveConfig:
             raise InvalidParameter("need dt > 0 and T >= 0")
         if self.record_every < 1:
             raise InvalidParameter("record_every must be >= 1")
-        if self.scheme != "lawson_rk4":
-            raise InvalidParameter(f"unknown scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -101,12 +98,31 @@ class Trajectory:
         return np.vstack([s.coeffs for s in self.states])
 
 
-def _nonlinear(c: NDArray[np.complex128], s2i: complex) -> NDArray[np.complex128]:
-    """+/- 2i (D Pi(|u|^2)) u on a raw coefficient vector."""
-    K = c.shape[0]
-    w = _fft_convolve(c, np.conj(c[::-1]))[K - 1:]
-    dw = np.arange(K) * w
-    return s2i * _fft_convolve(dw, c)[:K]
+def _lawson_setup(cfg: EvolveConfig):
+    """(n_steps, h, s2i, E1, E2): the step-size rule and the linear propagators.
+
+    The step count is round(T/dt) with h adjusted to land exactly on T;
+    E1 and E2 advance the linear part by h/2 and h, and s2i = +/- 2i is the
+    sign of the nonlinear term.
+    """
+    n_steps = max(1, int(round(cfg.T / cfg.dt))) if cfg.T > 0 else 0
+    h = cfg.T / n_steps if n_steps else cfg.dt
+    s2i = 2j if cfg.sign == "focusing" else -2j
+    E1 = np.exp(-1j * np.arange(cfg.K, dtype=float) ** 2 * (h / 2.0))
+    return n_steps, h, s2i, E1, E1 * E1
+
+
+def _lawson_stages(c: NDArray[np.complex128], h: float, s2i: complex,
+                   E1: NDArray[np.complex128], E2: NDArray[np.complex128]):
+    """Stage states (U2, U3, U4) at t+h/2, t+h/2, t+h of one Lawson step from c,
+    with the slopes (k1, k2, k3) taken at c, U2 and U3."""
+    k1 = s2i * nonlinearity(c)
+    u2 = E1 * (c + (h / 2.0) * k1)
+    k2 = s2i * nonlinearity(u2)
+    u3 = E1 * c + (h / 2.0) * k2
+    k3 = s2i * nonlinearity(u3)
+    u4 = E2 * c + h * E1 * k3
+    return (u2, u3, u4), (k1, k2, k3)
 
 
 def _tail_rel(c: NDArray[np.complex128], frac: int = 8) -> float:
@@ -147,23 +163,12 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
                     "advisory bound 2 (linear part is exact regardless)",
                     cfg.dt * (K - 1) ** 2)
 
-    n_steps = max(1, int(round(cfg.T / cfg.dt))) if cfg.T > 0 else 0
-    h = cfg.T / n_steps if n_steps else cfg.dt
-    s2i = 2j if cfg.sign == "focusing" else -2j
-    n2 = np.arange(K, dtype=float) ** 2
-    E1 = np.exp(-1j * n2 * (h / 2.0))
-    E2 = E1 * E1
-
+    n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
     times = [0.0]
     states = [HardyCoeffs(c.copy())]
     for i in range(n_steps):
-        k1 = _nonlinear(c, s2i)
-        u2 = E1 * (c + (h / 2.0) * k1)
-        k2 = _nonlinear(u2, s2i)
-        u3 = E1 * c + (h / 2.0) * k2
-        k3 = _nonlinear(u3, s2i)
-        u4 = E2 * c + h * E1 * k3
-        k4 = _nonlinear(u4, s2i)
+        (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2)
+        k4 = s2i * nonlinearity(u4)
         c = E2 * c + (h / 6.0) * (E2 * k1 + 2.0 * E1 * (k2 + k3) + k4)
         if np.max(np.abs(c)) > cfg.blowup_threshold:
             raise BlowupDetected(f"|u_hat| exceeded {cfg.blowup_threshold:.1e} "
@@ -258,41 +263,22 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     return c
 
 
-def _conv_cols(kernel: NDArray[np.complex128],
-               F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Truncated analytic Toeplitz action T_kernel on each column of F."""
-    K, m = F.shape
-    L = 1
-    while L < 2 * K - 1:
-        L *= 2
-    out = np.fft.ifft(np.fft.fft(kernel, L)[:, None] * np.fft.fft(F, L, axis=0), axis=0)
-    return out[:K, :]
-
-
-def _corr_cols(kernel: NDArray[np.complex128],
-               F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Anti-analytic action T_{conj(kernel)} on columns: correlation tail."""
-    K, m = F.shape
-    rev = np.conj(kernel[::-1])
-    L = 1
-    while L < 2 * K - 1:
-        L *= 2
-    out = np.fft.ifft(np.fft.fft(rev, L)[:, None] * np.fft.fft(F, L, axis=0), axis=0)
-    return out[K - 1: 2 * K - 1, :]
-
-
 def _apply_b_cols(u: NDArray[np.complex128], F: NDArray[np.complex128],
                   sign: str) -> NDArray[np.complex128]:
     """B_u applied to the columns of F without forming the matrix.
 
     B_u = T_u T_{dx conj u} - T_{dx u} T_{conj u} + i (T_u T_{conj u})^2
     in the focusing case; the first two terms swap signs in the defocusing
-    one.  All four Toeplitz actions are exact truncated convolutions.
+    one.  All four Toeplitz actions are exact truncated convolutions: T_k
+    keeps the head of k * G, and T_{conj k} the tail of conj(k reversed) * G.
     """
-    du = 1j * np.arange(u.shape[0]) * u
-    first = _conv_cols(u, _corr_cols(du, F))
-    second = _conv_cols(du, _corr_cols(u, F))
-    P = lambda G: _conv_cols(u, _corr_cols(u, G))  # noqa: E731
+    K = u.shape[0]
+    du = 1j * np.arange(K) * u
+    T = lambda k, G: _fft_convolve(k, G)[:K]  # noqa: E731
+    Tbar = lambda k, G: _fft_convolve(np.conj(k[::-1]), G)[K - 1:]  # noqa: E731
+    first = T(u, Tbar(du, F))
+    second = T(du, Tbar(u, F))
+    P = lambda G: T(u, Tbar(u, G))  # noqa: E731
     quad = 1j * P(P(F))
     if sign == "focusing":
         return first - second + quad
@@ -315,45 +301,15 @@ class EvolvedBasis:
     sign: str = "defocusing"
 
 
-def _stage_states(c: NDArray[np.complex128], h: float, s2i: complex,
-                  E1: NDArray[np.complex128], E2: NDArray[np.complex128]):
-    """Lawson stage values (U1..U4, at t, t+h/2, t+h/2, t+h) for one step."""
-    k1 = _nonlinear(c, s2i)
-    u2 = E1 * (c + (h / 2.0) * k1)
-    k2 = _nonlinear(u2, s2i)
-    u3 = E1 * c + (h / 2.0) * k2
-    k3 = _nonlinear(u3, s2i)
-    u4 = E2 * c + h * E1 * k3
-    return c, u2, u3, u4
-
-
-def _interp_state(mat_rot: NDArray[np.complex128], times: NDArray[np.float64],
-                  t: float, n2: NDArray[np.float64]) -> NDArray[np.complex128]:
-    """Cubic Lagrange interpolation of the rotating-frame trajectory at t."""
-    n = times.shape[0]
-    j = int(np.searchsorted(times, t))
-    lo = min(max(j - 2, 0), max(n - 4, 0))
-    idx = np.arange(lo, min(lo + 4, n))
-    ts = times[idx]
-    out = np.zeros(mat_rot.shape[1], dtype=np.complex128)
-    for a, ia in enumerate(idx):
-        w = 1.0
-        for b, ib in enumerate(idx):
-            if a != b:
-                w *= (t - ts[b]) / (ts[a] - ts[b])
-        out += w * mat_rot[ia]
-    return np.exp(-1j * n2 * t) * out
-
-
 def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBasis:
     """Integrate d/dt g = B_{u(t)} g for the columns of f_init along traj.
 
-    When the trajectory was recorded every step, the RK4 stages of g reuse
-    the exact Lawson stage states of u (true co-integration, preserving the
-    scheme's fourth order); for sparser recordings u is interpolated at
-    stage times by rotating-frame cubic Lagrange.  B is skew-adjoint, so
-    the column norms are conserved; a deviation beyond 1e-5 raises
-    BasisDrift.
+    The trajectory must be recorded at every step (record_every = 1,
+    InvalidParameter otherwise): the RK4 stages of g reuse the Lawson stage
+    states of u, rebuilt with evolve's own step size and propagators (true
+    co-integration, preserving the scheme's fourth order).  B is
+    skew-adjoint, so the column norms are conserved; a deviation beyond
+    1e-5 raises BasisDrift.
     """
     F = np.asarray(f_init, dtype=np.complex128)
     if F.ndim == 1:
@@ -362,35 +318,26 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     if F.shape[0] != K:
         raise DimensionMismatch("f_init rows must match the truncation K")
     cfg = traj.cfg
+    if cfg.record_every != 1:
+        raise InvalidParameter(
+            f"evolve_basis needs a trajectory recorded at every step, "
+            f"got record_every={cfg.record_every}")
     sign = cfg.sign
-    s2i = 2j if sign == "focusing" else -2j
-    n2 = np.arange(K, dtype=float) ** 2
+    n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
 
     L0 = build_lax(traj.states[0], sign).matrix
     lams = np.real(np.einsum("km,km->m", np.conj(F), L0 @ F)
                    / np.einsum("km,km->m", np.conj(F), F))
 
     times = traj.times
-    n_span = len(times) - 1
     cols = np.empty((len(times), K, F.shape[1]), dtype=np.complex128)
     cols[0] = F
     G = F.copy()
     u_mat = traj.coeff_matrix()
-    exact = cfg.record_every == 1
-    rot = u_mat * np.exp(1j * n2[None, :] * times[:, None]) if not exact else None
 
-    for i in range(n_span):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        h = t1 - t0
-        E1 = np.exp(-1j * n2 * (h / 2.0))
-        E2 = E1 * E1
-        if exact:
-            u1, u2, u3, u4 = _stage_states(u_mat[i], h, s2i, E1, E2)
-        else:
-            u1 = u_mat[i]
-            u2 = _interp_state(rot, times, t0 + h / 2.0, n2)
-            u3 = u2
-            u4 = u_mat[i + 1]
+    for i in range(n_steps):
+        u1 = u_mat[i]
+        u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2)[0]
         l1 = _apply_b_cols(u1, G, sign)
         l2 = _apply_b_cols(u2, G + (h / 2.0) * l1, sign)
         l3 = _apply_b_cols(u3, G + (h / 2.0) * l2, sign)
@@ -398,7 +345,7 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
         G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         dev = float(np.max(np.abs(np.linalg.norm(G, axis=0) - 1.0)))
         if dev > 1e-5:
-            raise BasisDrift(f"basis norm drifted by {dev:.3e} at t = {t1:.6f}")
+            raise BasisDrift(f"basis norm drifted by {dev:.3e} at t = {times[i + 1]:.6f}")
         cols[i + 1] = G
 
     pair0 = np.einsum("km,k->m", np.conj(F), u_mat[0])

@@ -11,8 +11,8 @@ trace of the analytic function u(z) = sum u_hat(n) z^n on the unit disc.
 This module supplies the basic vocabulary: the Szego projection from
 two-sided expansions, the shift S (multiplication by e^{ix}) and its
 adjoint S*, the L2 pairing <u|v> = sum u_hat(n) conj(v_hat(n)), truncated
-Toeplitz matrix blocks, grid synthesis/analysis, Blaschke products, and
-the projected modulus Pi(|u|^2) that drives the nonlinearity.
+Toeplitz matrix blocks, grid synthesis/analysis, Blaschke products, the
+projected modulus Pi(|u|^2), and the flow's nonlinearity (D Pi(|u|^2)) u.
 """
 
 from __future__ import annotations
@@ -43,15 +43,14 @@ __all__ = [
     "inner_product",
     "toeplitz_block",
     "analytic_toeplitz_block",
-    "hilbert_transform",
     "grid_transform",
     "blaschke_to_coeffs",
     "blaschke_eval",
     "projected_modulus_squared",
+    "nonlinearity",
     "hardy_product",
     "derivative",
     "translate",
-    "l2_norm",
     "zero_pad",
 ]
 
@@ -69,6 +68,8 @@ class HardyCoeffs:
         arr = np.asarray(self.coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatch("HardyCoeffs requires a non-empty 1-d vector")
+        if not np.isfinite(arr).all():
+            raise InvalidParameter("HardyCoeffs entries must be finite")
         object.__setattr__(self, "coeffs", arr)
 
     @property
@@ -85,8 +86,12 @@ class HardyCoeffs:
 
     @classmethod
     def from_json(cls, text: str) -> "HardyCoeffs":
-        pairs = json.loads(text)
-        return cls(np.array([complex(re, im) for re, im in pairs]))
+        """Inverse of to_json; raises ValueError on text of any other shape."""
+        try:
+            vals = [complex(re, im) for re, im in json.loads(text)]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"expected a JSON array of [re, im] pairs ({exc})") from None
+        return cls(np.array(vals, dtype=np.complex128))
 
 
 @dataclass(frozen=True)
@@ -221,13 +226,6 @@ def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
     return _sp_toeplitz(col, row)
 
 
-def hilbert_transform(f: FullCoeffs) -> FullCoeffs:
-    """Circle Hilbert transform: multiply frequency n by -i sign(n), sign(0) = 0."""
-    kmax = f.kmax
-    n = np.arange(-kmax, kmax + 1)
-    return FullCoeffs(f.coeffs * (-1j) * np.sign(n))
-
-
 def grid_transform(h, M: int, direction: str = "to_grid", K: int | None = None):
     """Synthesis on / analysis from the uniform M-point grid x_m = 2 pi m / M.
 
@@ -296,18 +294,22 @@ def blaschke_to_coeffs(psi: BlaschkeProduct, K: int) -> HardyCoeffs:
     return HardyCoeffs(full[:K].copy())
 
 
-def _next_pow2(n: int) -> int:
-    m = 1
-    while m < n:
-        m *= 2
-    return m
-
-
 def _fft_convolve(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Exact linear convolution via zero-padded FFT (length la + lb - 1)."""
-    la, lb = a.shape[0], b.shape[0]
-    L = _next_pow2(la + lb - 1)
-    return np.fft.ifft(np.fft.fft(a, L) * np.fft.fft(b, L))[: la + lb - 1]
+    """Exact linear convolution along axis 0 via zero-padded FFT (length la + lb - 1).
+
+    ``a`` is a 1-d kernel; ``b`` may carry trailing columns, each of which
+    is convolved with ``a``.  The transform length is the next power of two.
+    """
+    n = a.shape[0] + b.shape[0] - 1
+    L = 1 << (n - 1).bit_length()
+    fa = np.fft.fft(a, L)
+    fb = np.fft.fft(b, L, axis=0)
+    return np.fft.ifft(fa.reshape(fa.shape + (1,) * (fb.ndim - 1)) * fb, axis=0)[:n]
+
+
+def _pi_modulus_squared(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Pi(|u|^2) on a raw coefficient vector: the correlation of c with itself."""
+    return _fft_convolve(c, np.conj(c[::-1]))[c.shape[0] - 1:]
 
 
 def projected_modulus_squared(u: HardyCoeffs) -> HardyCoeffs:
@@ -317,16 +319,18 @@ def projected_modulus_squared(u: HardyCoeffs) -> HardyCoeffs:
     norm.  Computed by one zero-padded FFT correlation of the coefficient
     vector with itself, which is exact (no circular aliasing).
     """
-    c = u.coeffs
+    return HardyCoeffs(_pi_modulus_squared(u.coeffs).copy())
+
+
+def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """(D Pi(|u|^2)) u on a raw coefficient vector, truncated to K.
+
+    D multiplies the coefficients of Pi(|u|^2) by n; the product with u is
+    one more exact zero-padded convolution.  The flow's nonlinear term is
+    this times +2i (focusing) or -2i (defocusing).
+    """
     K = c.shape[0]
-    corr = _fft_convolve(c, np.conj(c[::-1]))
-    return HardyCoeffs(corr[K - 1:].copy())
-
-
-def modulus_squared_full(u: HardyCoeffs) -> FullCoeffs:
-    """All coefficients of |u|^2 on the band -(K-1) ... K-1."""
-    c = u.coeffs
-    return FullCoeffs(_fft_convolve(c, np.conj(c[::-1])))
+    return _fft_convolve(np.arange(K) * _pi_modulus_squared(c), c)[:K]
 
 
 def hardy_product(u: HardyCoeffs, v: HardyCoeffs) -> HardyCoeffs:
@@ -346,10 +350,6 @@ def translate(u: HardyCoeffs, a: float) -> HardyCoeffs:
     """Spatial translation u(x - a): u_hat(n) -> u_hat(n) e^{-ina}."""
     n = np.arange(u.K)
     return HardyCoeffs(u.coeffs * np.exp(-1j * n * a))
-
-
-def l2_norm(u: HardyCoeffs) -> float:
-    return u.norm()
 
 
 def zero_pad(u: HardyCoeffs, K: int) -> HardyCoeffs:

@@ -80,7 +80,6 @@ class BBlock:
     matrix: NDArray[np.complex128]
     sign: str
     K: int
-    buffer: int
 
 
 @dataclass(frozen=True)
@@ -153,12 +152,12 @@ def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
     return LaxBlock(matrix=mat, sign=sign, K=K)
 
 
-def build_b(u: HardyCoeffs, sign: str, buffer: int | None = None) -> BBlock:
+def build_b(u: HardyCoeffs, sign: str) -> BBlock:
     """K x K block of the flow generator B_u (see module docstring).
 
     The squared term i (T_u T_ubar)^2 is only block-exact up to couplings
-    through modes >= K; ``buffer`` records the sub-block (default K/4)
-    on which identities involving this matrix should be evaluated.
+    through modes >= K, so identities involving this matrix are evaluated
+    on a buffered sub-block (see check_spectral_identities).
     """
     _check_sign(sign)
     K = u.K
@@ -169,9 +168,7 @@ def build_b(u: HardyCoeffs, sign: str, buffer: int | None = None) -> BBlock:
     if sign == DEFOCUSING:
         core = -core
     mat = core + 1j * (P @ P)
-    if buffer is None:
-        buffer = K // 4
-    return BBlock(matrix=mat, sign=sign, K=K, buffer=buffer)
+    return BBlock(matrix=mat, sign=sign, K=K)
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:

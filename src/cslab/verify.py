@@ -2,19 +2,16 @@
 
 Each ``criterion_N`` function exercises the public package API at pinned
 parameters and returns a :class:`CriterionResult` whose checks carry the
-measured values next to the bounds they are held to.  ``run_verify`` drives
-all of them (optionally in parallel, capped by the ``CSLAB_THREADS``
-environment variable) and prints a pass/fail table; ``tests/test_acceptance``
+measured values next to the bounds they are held to.  ``run_verify`` runs
+them in order and prints a pass/fail table; ``tests/test_acceptance``
 asserts on exactly the same runners so the CLI and the test suite can never
 disagree about what passing means.
 """
 from __future__ import annotations
 
-import os
 import sys
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -454,43 +451,27 @@ _CRITERIA = (
 )
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("CSLAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_verify(only: str | None = None, seed: int = DEFAULT_SEED,
                out=None) -> list:
-    """Run the acceptance criteria (all, or those matching ``only``).
+    """Run the acceptance criteria in order: all, or the one named by ``only``.
 
-    Criteria run in parallel when CSLAB_THREADS > 1; results are printed as
-    a deterministic table sorted by criterion number either way.  Returns
-    the list of CriterionResult.
+    ``only`` must equal a criterion's number or its full slug (e.g. "3" or
+    "gap-laws"); anything else raises Inconclusive.  Results are printed as
+    a table in criterion order.  Returns the list of CriterionResult.
     """
     out = out if out is not None else sys.stdout
     selected = [c for c in _CRITERIA
-                if only is None or only == str(c[0]) or only in c[1]]
+                if only is None or only in (str(c[0]), c[1])]
     if not selected:
         raise Inconclusive(f"no acceptance criterion matches {only!r}")
-    def run_one(entry):
-        cid, slug, fn = entry
+    results = []
+    for cid, slug, fn in selected:
         t0 = time.perf_counter()
         try:
-            return fn(seed)
+            results.append(fn(seed))
         except CslabError as exc:
-            return CriterionResult(cid, slug, (), time.perf_counter() - t0,
-                                   error=f"{type(exc).__name__}: {exc}")
-
-    threads = min(_thread_cap(), len(selected))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, selected))
-    else:
-        results = [run_one(c) for c in selected]
-    results.sort(key=lambda r: r.cid)
+            results.append(CriterionResult(cid, slug, (), time.perf_counter() - t0,
+                                           error=f"{type(exc).__name__}: {exc}"))
     for r in results:
         print(r.headline(), file=out)
         for chk in r.checks:

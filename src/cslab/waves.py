@@ -41,19 +41,17 @@ from .errors import (
     PoleOnCircle,
     TruncationOverflow,
 )
-from .hardy import HardyCoeffs, derivative, hardy_product, projected_modulus_squared
+from .hardy import HardyCoeffs, nonlinearity
 
 __all__ = [
     "WaveParams",
     "WaveSampler",
     "solve_wave_constraint",
-    "solve_constraint_for_beta",
     "make_wave",
     "wave_speed",
     "wave_l2",
     "sample_wave",
     "pde_residual",
-    "nonlinear_term",
     "validate_wave",
 ]
 
@@ -109,25 +107,6 @@ def solve_wave_constraint(sign: str, N: int, p: complex, beta: float) -> float:
     if sign == "focusing":
         return N / beta - beta * q
     raise InvalidParameter(f"unknown sign {sign!r}")
-
-
-def solve_constraint_for_beta(sign: str, N: int, p: complex, alpha: float):
-    """Inverse solve: both real roots beta of the pole-family constraint.
-
-    The constraint is quadratic in beta,
-        beta^2/(1-|p|^2) + alpha beta +/- N = 0   (+ defocusing, - focusing);
-    the focusing discriminant is always positive, the defocusing one
-    requires alpha^2 >= 4N/(1-|p|^2) (ConstraintViolation otherwise).
-    """
-    p = _check_pole(p)
-    q = 1.0 / (1.0 - abs(p) ** 2)
-    cconst = float(N) if sign == "defocusing" else -float(N)
-    disc = alpha * alpha - 4.0 * q * cconst
-    if disc < 0.0:
-        raise ConstraintViolation(
-            f"no real beta: discriminant {disc:.3e} < 0 for alpha={alpha!r}")
-    root = math.sqrt(disc)
-    return ((-alpha + root) / (2.0 * q), (-alpha - root) / (2.0 * q))
 
 
 def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
@@ -320,18 +299,6 @@ class WaveSampler:
         return HardyCoeffs(-1j * n * self.wave.c * u.coeffs)
 
 
-def nonlinear_term(u: HardyCoeffs) -> HardyCoeffs:
-    """(D Pi(|u|^2)) * u in coefficient space, truncated to K.
-
-    D multiplies the projected modulus coefficients by n; the product with
-    u is one more exact zero-padded convolution.
-    """
-    w = projected_modulus_squared(u)
-    dw = derivative(w)  # i n w(n); D w has coefficients n w(n) = -i * (i n w(n))
-    dwc = HardyCoeffs(-1j * dw.coeffs)
-    return hardy_product(dwc, u)
-
-
 def pde_residual(u_of_t, sign: str, t: float = 0.0, dt: float = 1e-5,
                  K: int = 256) -> float:
     """Relative residual of i u_t + u_xx +/- 2 D Pi(|u|^2) u at time t.
@@ -352,5 +319,5 @@ def pde_residual(u_of_t, sign: str, t: float = 0.0, dt: float = 1e-5,
         ut = (up - um) / (2.0 * dt)
     n = np.arange(K)
     s = 1.0 if sign == "focusing" else -1.0
-    resid = 1j * ut - n ** 2 * u.coeffs + s * 2.0 * nonlinear_term(u).coeffs
+    resid = 1j * ut - n ** 2 * u.coeffs + s * 2.0 * nonlinearity(u.coeffs)
     return float(np.linalg.norm(resid) / max(1.0, np.linalg.norm(u.coeffs)))

@@ -8,11 +8,13 @@ Argparse-level usage errors (unknown flags, missing required arguments)
 terminate with SystemExit(2), which is asserted separately.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from cslab import HardyCoeffs, Inconclusive, InvalidParameter, run_verify
 from cslab.cli import main
 
 
@@ -126,6 +128,20 @@ def test_config_file_overrides_defaults(tmp_path):
     assert summary["dt"] == 1e-3
 
 
+def test_trajectory_csv_digest_is_pinned(tmp_path):
+    """Byte-identity guard for the stepper: the digest of this trajectory
+    file must not move under refactors.  The file holds only FFT and
+    elementwise results (no LAPACK), so the digest is tied to the installed
+    numpy FFT; a different numpy build may legitimately change it."""
+    out = tmp_path / "e"
+    assert run("evolve", "--fixture", "wave:defocusing:1:0.5:1", "--K", "64",
+               "--T", "0.02", "--dt", "0.001", "--record-every", "1",
+               "--out-dir", str(out)) == 0
+    digest = hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest()
+    assert digest == ("b8768b76d9daab24779d1e10e990f5e2"
+                      "57e54810a538b230e0488cab5265af31")
+
+
 def test_config_rejections(tmp_path):
     bad_key = tmp_path / "bad.json"
     bad_key.write_text(json.dumps({"timestep": 1e-3}))
@@ -137,6 +153,36 @@ def test_config_rejections(tmp_path):
                "--config", str(malformed)) == 2
     assert run("evolve", "--fixture", "plane:1:0.5",
                "--config", str(tmp_path / "missing.json")) == 2
+    wrong_type = tmp_path / "float_k.json"
+    wrong_type.write_text(json.dumps({"K": 16.5}))
+    assert run("evolve", "--fixture", "plane:1:0.5",
+               "--config", str(wrong_type), "--out-dir", str(tmp_path)) == 2
+
+
+def test_malformed_coefficient_file_is_io_error(tmp_path):
+    for i, text in enumerate(("[[1,0],[2]]", "{not json", "[1, 2]")):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        assert run("spectrum", "--input", str(bad), "--sign", "focusing",
+                   "--out-dir", str(tmp_path)) == 2, text
+
+
+def test_non_finite_coefficients_are_refused(tmp_path):
+    with pytest.raises(InvalidParameter):
+        HardyCoeffs(np.array([1.0, np.nan]))
+    bad = tmp_path / "nan.json"
+    bad.write_text("[[1, 0], [NaN, 0]]")
+    assert run("spectrum", "--input", str(bad), "--sign", "focusing",
+               "--out-dir", str(tmp_path)) == 3
+
+
+def test_verify_only_matches_exactly(capsys):
+    with pytest.raises(Inconclusive):
+        run_verify(only="gap")
+    assert run("verify", "--only", "5") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("criterion") for line in lines) == 1
+    assert lines[-1] == "1/1 criteria passed"
 
 
 def test_missing_input_file_is_io_error(tmp_path):

@@ -20,6 +20,7 @@ from cslab import (
     OutsideTheory,
     UnderResolved,
     WaveSampler,
+    build_b,
     build_lax,
     conservation_report,
     evolve,
@@ -27,9 +28,11 @@ from cslab import (
     make_fixture,
     measure_speed,
     phase_law_report,
+    random_decaying,
     sample_wave,
     spectral_decompose,
 )
+from cslab.evolve import _apply_b_cols
 
 
 def _wave_state(name, K):
@@ -44,8 +47,6 @@ def test_config_validation():
         EvolveConfig(sign="defocusing", K=8, T=1.0, dt=0.0)
     with pytest.raises(InvalidParameter):
         EvolveConfig(sign="defocusing", K=8, T=1.0, dt=1e-3, record_every=0)
-    with pytest.raises(InvalidParameter):
-        EvolveConfig(sign="defocusing", K=8, T=1.0, dt=1e-3, scheme="euler")
     with pytest.raises(InvalidParameter):
         EvolveConfig(sign="squeezing", K=8, T=1.0, dt=1e-3)
 
@@ -174,6 +175,27 @@ def test_evolve_basis_shape_guard():
     traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3))
     with pytest.raises(DimensionMismatch):
         evolve_basis(traj, np.eye(32, 2, dtype=complex))
+
+
+def test_evolve_basis_rejects_sparse_recordings():
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3,
+                                   record_every=2))
+    dec = spectral_decompose(build_lax(u0, "defocusing"))
+    with pytest.raises(InvalidParameter):
+        evolve_basis(traj, dec.vectors[:, :2])
+
+
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+def test_b_action_matches_dense_generator(sign):
+    """The FFT action of B on columns against the dense K x K block of B."""
+    K = 128
+    u = random_decaying(11, K, rho=0.8)
+    rng = np.random.default_rng(5)
+    F = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
+    want = build_b(u, sign).matrix @ F
+    got = _apply_b_cols(u.coeffs, F, sign)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_time_sampler_agrees_with_flow():
