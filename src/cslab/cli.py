@@ -37,7 +37,7 @@ __all__ = ["main"]
 
 
 class _InputError(Exception):
-    """A malformed input file (exit 2, like other I/O failures)."""
+    """A usage mistake or a malformed input file (exit 2, like I/O failures)."""
 
 
 def _fmt(x) -> str:
@@ -90,27 +90,25 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def _load_state(args) -> tuple:
-    """(u, sign) from --fixture or --input; exits via parser-style errors."""
-    if args.fixture and args.input:
-        raise CslabError("--fixture and --input are mutually exclusive")
+    """(u, sign) from --fixture or --input; flag mistakes exit 2."""
+    if bool(args.fixture) == bool(args.input):
+        raise _InputError("exactly one of --fixture or --input is required")
     if args.fixture:
         fx = make_fixture(args.fixture, sign=args.sign)
         K = args.K if args.K is not None else 256
         return fx.coeffs(K), fx.sign
-    if args.input:
-        try:
-            u = HardyCoeffs.from_json(Path(args.input).read_text())
-        except ValueError as exc:
-            raise _InputError(f"cannot read {args.input}: {exc}") from None
-        if args.sign is None:
-            raise CslabError("--input requires an explicit --sign")
-        if args.K is not None and args.K != u.K:
-            if args.K < u.K:
-                raise CslabError(
-                    f"--K {args.K} would drop data from a length-{u.K} input")
-            u = zero_pad(u, args.K)
-        return u, args.sign
-    raise CslabError("one of --fixture or --input is required")
+    if args.sign is None:
+        raise _InputError("--input requires an explicit --sign")
+    try:
+        u = HardyCoeffs.from_json(Path(args.input).read_text())
+    except ValueError as exc:
+        raise _InputError(f"cannot read {args.input}: {exc}") from None
+    if args.K is not None and args.K != u.K:
+        if args.K < u.K:
+            raise CslabError(
+                f"--K {args.K} would drop data from a length-{u.K} input")
+        u = zero_pad(u, args.K)
+    return u, args.sign
 
 
 # ----------------------------------------------------------------------

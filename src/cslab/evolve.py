@@ -287,18 +287,15 @@ def _apply_b_cols(u: NDArray[np.complex128], F: NDArray[np.complex128],
 
 @dataclass(frozen=True)
 class EvolvedBasis:
-    """Tracked basis columns g_n^t with their phase records.
+    """Tracked basis columns g_n^t.
 
-    ``columns[i]`` holds the (K, m) matrix at snapshot i; ``phases[i, j]``
-    is the unwrapped phase of <u(t_i)|g_j^{t_i}> (zero where the initial
-    pairing vanishes); eigenvalues are the t=0 Rayleigh quotients.
+    ``columns[i]`` holds the (K, m) matrix at snapshot i; eigenvalues are
+    the t=0 Rayleigh quotients.
     """
 
     times: NDArray[np.float64]
     columns: NDArray[np.complex128]
     eigenvalues: NDArray[np.float64]
-    phases: NDArray[np.float64]
-    sign: str = "defocusing"
 
 
 def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBasis:
@@ -347,16 +344,7 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
         if dev > 1e-5:
             raise BasisDrift(f"basis norm drifted by {dev:.3e} at t = {times[i + 1]:.6f}")
         cols[i + 1] = G
-
-    pair0 = np.einsum("km,k->m", np.conj(F), u_mat[0])
-    phases = np.zeros((len(times), F.shape[1]))
-    for j in range(F.shape[1]):
-        if abs(pair0[j]) > 1e-12:
-            overlap = np.einsum("tkm,tk->tm", np.conj(cols[:, :, j: j + 1]),
-                                u_mat)[:, 0]
-            phases[:, j] = np.unwrap(np.angle(overlap))
-    return EvolvedBasis(times=times, columns=cols, eigenvalues=lams,
-                        phases=phases, sign=sign)
+    return EvolvedBasis(times=times, columns=cols, eigenvalues=lams)
 
 
 def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:

@@ -23,7 +23,7 @@ spectral data by u(z) = <(Id - z M)^{-1} X | Y>, which collapses to an
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,7 +46,7 @@ from .hardy import (
     blaschke_to_coeffs,
     grid_transform,
 )
-from .lax import SpectralDecomposition, build_lax, _check_sign
+from .lax import SpectralDecomposition, build_lax, _check_sign, _matrices_in_basis
 
 __all__ = [
     "FiniteGapPotential",
@@ -341,15 +341,20 @@ def blaschke_eigen_check(u: HardyCoeffs, psi: BlaschkeProduct, sign: str,
 
 @dataclass(frozen=True)
 class ClassifyResult:
-    """Outcome of the finite-gap test: rank m and ladder degree estimate."""
+    """Outcome of the finite-gap test: rank m and ladder degree estimate.
+
+    The ladder walk's member count (seed included) and deepest vector are
+    kept for ``inversion_data``; the base takes no part in equality.
+    """
 
     is_finite_gap: bool
     m: int
     N_estimate: int
+    ladder_members: int
+    ladder_base: NDArray[np.complex128] = field(compare=False, repr=False)
 
 
-def _ladder_walk(L: NDArray[np.complex128], dec: SpectralDecomposition,
-                 walk_tol: float = _WALK_TOL):
+def _ladder_walk(dec: SpectralDecomposition, walk_tol: float = _WALK_TOL):
     """Walk the shift ladder downward from a high reliable eigenvector.
 
     Starting from the eigenvector f at sorted index n_seed (top of the
@@ -368,7 +373,7 @@ def _ladder_walk(L: NDArray[np.complex128], dec: SpectralDecomposition,
     rows = K - K // 4
     w = dec.vectors[:, n_seed].copy()
     nu_seed = float(dec.eigenvalues[n_seed])
-    seed_res = np.linalg.norm((L @ w)[:rows] - nu_seed * w[:rows])
+    seed_res = np.linalg.norm((dec.matrix @ w)[:rows] - nu_seed * w[:rows])
     if seed_res > walk_tol:
         raise Inconclusive(
             f"seed eigenvector residual {seed_res:.3e} exceeds walk tolerance")
@@ -381,7 +386,7 @@ def _ladder_walk(L: NDArray[np.complex128], dec: SpectralDecomposition,
             break
         wn = wn / nrm
         expected = nu_seed - step
-        resid = np.linalg.norm((L @ wn)[:rows] - expected * wn[:rows])
+        resid = np.linalg.norm((dec.matrix @ wn)[:rows] - expected * wn[:rows])
         if resid > walk_tol:
             break
         w = wn
@@ -421,14 +426,14 @@ def classify(dec: SpectralDecomposition, u: HardyCoeffs,
             "reliability edge; increase K or lower the tolerance")
     m = int(bad[-1]) + 2 if bad.size else 1
 
-    L = build_lax(u, dec.sign).matrix
-    n_seed, members, base = _ladder_walk(L, dec)
+    n_seed, members, base = _ladder_walk(dec)
     n_estimate = (n_seed + 1) - members
 
     grid = grid_transform(HardyCoeffs(base), 4 * dec.K, "to_grid")
     unimod_dev = float(np.max(np.abs(np.abs(grid) - 1.0)))
     is_fg = unimod_dev < _UNIMODULAR_TOL
-    return ClassifyResult(is_finite_gap=is_fg, m=m, N_estimate=n_estimate)
+    return ClassifyResult(is_finite_gap=is_fg, m=m, N_estimate=n_estimate,
+                          ladder_members=members, ladder_base=base)
 
 
 @dataclass(frozen=True)
@@ -453,15 +458,6 @@ class InversionData:
     M_red: NDArray[np.complex128] | None = None
 
 
-def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128]):
-    """(X, Y, M) for the columns of F as basis: M[n, p] = <f_p | S f_n>."""
-    SaF = np.vstack([F[1:, :], np.zeros((1, F.shape[1]), dtype=np.complex128)])
-    X = F.conj().T @ u_vec
-    Y = np.conj(F[0, :])
-    M = F.conj().T @ SaF
-    return X, Y, M
-
-
 def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
                    tol: float = 1e-7) -> InversionData:
     """Assemble X, Y, M in the eigenbasis, with finite-gap reduction if possible.
@@ -484,18 +480,17 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
     if not result.is_finite_gap:
         return InversionData(X=X, Y=Y, M=M)
 
-    L = build_lax(u, dec.sign).matrix
-    n_seed, members, base = _ladder_walk(L, dec)
-    n_model = (n_seed + 1) - members
+    members = result.ladder_members
+    n_model = result.N_estimate
     # Rebuild the ladder span exactly by shifting the base upward.
     W = np.empty((dec.K, members), dtype=np.complex128)
-    W[:, 0] = base
+    W[:, 0] = result.ladder_base
     for k in range(1, members):
         W[:, k] = np.concatenate([[0.0], W[:-1, k - 1]])
     if n_model == 0:
         F_red = W[:, :1]
     else:
-        V_low = dec.vectors[:, : n_seed + 1]
+        V_low = dec.vectors[:, : n_model + members]
         B = V_low - W @ (W.conj().T @ V_low)
         U_svd, s, _ = np.linalg.svd(B, full_matrices=False)
         if s[n_model - 1] < 0.5 or (s.shape[0] > n_model and s[n_model] > 1e-6):
@@ -503,7 +498,7 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
                 f"model-space extraction is rank-ambiguous: singular values "
                 f"{s[max(0, n_model - 1):n_model + 1]}")
         model = U_svd[:, :n_model]
-        Lm = model.conj().T @ L @ model
+        Lm = model.conj().T @ dec.matrix @ model
         ritz, rot = np.linalg.eigh((Lm + Lm.conj().T) / 2.0)
         model = model @ rot
         F_red = np.hstack([model, W[:, :1]])

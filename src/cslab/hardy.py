@@ -91,6 +91,8 @@ class HardyCoeffs:
             vals = [complex(re, im) for re, im in json.loads(text)]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"expected a JSON array of [re, im] pairs ({exc})") from None
+        if not vals:
+            raise ValueError("expected a non-empty JSON array of [re, im] pairs")
         return cls(np.array(vals, dtype=np.complex128))
 
 

@@ -22,7 +22,10 @@ geometrically small for decaying symbols.
 Eigenvalues of the truncations converge geometrically in K for symbols
 with geometric coefficient decay, but the top rows of the spectrum are
 polluted by the cut; indices above the reliability cutoff (default
-K - K/8) should never be trusted.
+K - K/8) should never be trusted; a zero buffer (K < 8 by default) is refused.
+One potential has one decomposition, which keeps its Lax matrix: spectral
+consumers read L and the eigenbasis coordinates (``_matrices_in_basis``)
+from it, and S, S* act by index shifts, never as dense matrices.
 """
 
 from __future__ import annotations
@@ -86,6 +89,7 @@ class BBlock:
 class SpectralDecomposition:
     """Eigenvalues (ascending) and phase-fixed eigenvector columns of a LaxBlock.
 
+    ``matrix`` is the diagonalized Lax matrix (the LaxBlock's array, shared).
     ``reliable`` is the index cutoff below which eigen-data may be trusted;
     ``clusters`` lists index ranges [start, stop) of numerically degenerate
     eigenvalues (within CLUSTER_TOL), inside which individual eigenvectors
@@ -94,6 +98,7 @@ class SpectralDecomposition:
 
     eigenvalues: NDArray[np.float64]
     vectors: NDArray[np.complex128]
+    matrix: NDArray[np.complex128]
     sign: str
     K: int
     buffer: int
@@ -136,17 +141,12 @@ class IdentityReport:
                    self.commutator_ls, self.commutator_sb)
 
 
-def toeplitz_pair(u: HardyCoeffs):
-    """(T_u, T_u T_u^H) blocks; the second is the exact block of T_u T_ubar."""
-    Tu = analytic_toeplitz_block(u)
-    return Tu, Tu @ Tu.conj().T
-
-
 def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
-    """K x K block of the Lax operator: diag(0..K-1) -/+ T_u T_ubar."""
+    """K x K block of the Lax operator: diag(0..K-1) -/+ T_u T_ubar (exact)."""
     _check_sign(sign)
     K = u.K
-    _, P = toeplitz_pair(u)
+    Tu = analytic_toeplitz_block(u)
+    P = Tu @ Tu.conj().T
     D = np.diag(np.arange(K, dtype=np.float64))
     mat = D - P if sign == FOCUSING else D + P
     return LaxBlock(matrix=mat, sign=sign, K=K)
@@ -172,16 +172,13 @@ def build_b(u: HardyCoeffs, sign: str) -> BBlock:
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Rotate each column so its first coefficient of modulus > 1e-8 is real > 0."""
-    out = vectors.copy()
-    K, m = out.shape
-    for j in range(m):
-        col = out[:, j]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_TOL)
-        pivot = col[idx[0]] if idx.size else None
-        if pivot is not None and abs(pivot) > 0:
-            out[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    """Rotate each column so its first coefficient of modulus > 1e-8 is real > 0
+    (columns with none stay as they are; hypot rounds like the scalar abs)."""
+    big = np.abs(vectors) > _PHASE_TOL
+    has_pivot = big.any(axis=0)
+    pivots = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
+    pivots = np.where(has_pivot, pivots, 1.0)
+    return vectors * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
 
 
 def _find_clusters(ev: NDArray[np.float64], tol: float = CLUSTER_TOL) -> tuple:
@@ -205,8 +202,9 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
     """
     if buffer is None:
         buffer = L.K // 8
-    if not 0 <= buffer < L.K:
-        raise InvalidParameter(f"buffer {buffer} out of range for K={L.K}")
+    if not 1 <= buffer < L.K:
+        raise InvalidParameter(f"buffer {buffer} out of range for K={L.K}: need "
+                               "1 <= buffer < K (the default K/8 needs K >= 8)")
     try:
         ev, vec = np.linalg.eigh(L.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -214,6 +212,7 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
     return SpectralDecomposition(
         eigenvalues=ev,
         vectors=_fix_phases(vec),
+        matrix=L.matrix,
         sign=L.sign,
         K=L.K,
         buffer=buffer,
@@ -222,10 +221,24 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
 
 
 def shift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Apply S to every column (shift rows down by one, drop the top row)."""
+    """Apply S to a vector or every column (rows down by one, top row zero)."""
     out = np.zeros_like(F)
-    out[1:, :] = F[:-1, :]
+    out[1:] = F[:-1]
     return out
+
+
+def unshift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Apply S* to a vector or every column (rows up by one, bottom row zero)."""
+    out = np.zeros_like(F)
+    out[:-1] = F[1:]
+    return out
+
+
+def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128]):
+    """(X, Y, M) for the columns of F as basis: X[n] = <u|f_n>, Y[n] = <1|f_n>,
+    M[n, p] = <f_p | S f_n>, as in u(z) = <(Id - zM)^{-1} X | Y>."""
+    Fh = F.conj().T
+    return Fh @ u_vec, np.conj(F[0, :]), Fh @ unshift_columns(F)
 
 
 def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs, tol: float = 1e-6) -> GapProfile:
@@ -250,10 +263,6 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs, tol: float = 1e-6) -
                       reliable=R, tol=tol)
 
 
-def _identity_buffer(K: int) -> int:
-    return K // 4
-
-
 def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
                               buffer: int | None = None) -> IdentityReport:
     """Residuals of the exact eigenbasis and commutator identities.
@@ -270,12 +279,13 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
         S* B - B S* - i (S* L^2 - (L + 1)^2 S*) = 0
 
     all evaluated on truncated data over indices below K - buffer
-    (default buffer K/4, sized for the quadratic term of B).  Residuals
-    are plain max-abs values.
+    (default buffer K/4, sized for the quadratic term of B).  L is dec's
+    own matrix and <S f_p|f_n> = conj(M[p, n]) with M from
+    ``_matrices_in_basis``.  Residuals are plain max-abs values.
     """
     K = u.K
     if buffer is None:
-        buffer = _identity_buffer(K)
+        buffer = K // 4
     R = K - buffer
     s = 1.0 if dec.sign == DEFOCUSING else -1.0
 
@@ -283,30 +293,26 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
     F = dec.vectors[:, :R]
     uc = u.coeffs
 
-    x = F.conj().T @ uc                  # x[n] = <u|f_n>
-    y = np.conj(F[0, :])                 # y[n] = <1|f_n>
+    x, y, M = _matrices_in_basis(uc, F)  # x[n] = <u|f_n>, y[n] = <1|f_n>
     mean_u = np.conj(uc[0])              # <1|u>
     r_mean = np.max(np.abs(mean_u * x - s * ev * y))
 
-    SF = shift_columns(F)
-    A = np.einsum("jp,jn->np", SF, np.conj(F))   # A[n,p] = <S f_p | f_n>
-    b = np.conj(uc) @ SF                         # b[p] = <S f_p | u>
-    lhs = (ev[:, None] - ev[None, :] - 1.0) * A
+    b = np.conj(uc) @ shift_columns(F)   # b[p] = <S f_p | u>
+    lhs = (ev[:, None] - ev[None, :] - 1.0) * M.conj().T   # M^H[n,p] = <S f_p|f_n>
     rhs = s * np.outer(x, b)
     r_shift = np.max(np.abs(lhs - rhs))
 
-    # operator identities on the buffered block
-    L = build_lax(u, dec.sign).matrix
+    # operator identities on the buffered block; A S = (S* A^T)^T and
+    # A S* = (S A^T)^T, so products from the right are index shifts too
+    L = dec.matrix
     B = build_b(u, dec.sign).matrix
-    S = np.diag(np.ones(K - 1), -1).astype(np.complex128)
-    Sa = S.conj().T
-    Sstar_u = np.zeros(K, dtype=np.complex128)
-    Sstar_u[:-1] = uc[1:]
-    rank1 = np.outer(uc, np.conj(Sstar_u))      # f -> <f|S*u> u
-    R1 = L @ S - S @ L - S - s * rank1
-    L2 = L @ L
+    rank1 = np.outer(uc, np.conj(unshift_columns(uc)))   # f -> <f|S*u> u
+    R1 = unshift_columns(L.T).T - shift_columns(L)
+    R1[1:, :-1] -= np.eye(K - 1)         # - S
+    R1 -= s * rank1
     Lp1 = L + np.eye(K)
-    R2 = Sa @ B - B @ Sa - 1j * (Sa @ L2 - (Lp1 @ Lp1) @ Sa)
+    R2 = (unshift_columns(B) - shift_columns(B.T).T
+          - 1j * (unshift_columns(L @ L) - shift_columns((Lp1 @ Lp1).T).T))
     r_ls = float(np.max(np.abs(R1[:R, :R])))
     r_sb = float(np.max(np.abs(R2[:R, :R])))
 

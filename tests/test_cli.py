@@ -160,7 +160,7 @@ def test_config_rejections(tmp_path):
 
 
 def test_malformed_coefficient_file_is_io_error(tmp_path):
-    for i, text in enumerate(("[[1,0],[2]]", "{not json", "[1, 2]")):
+    for i, text in enumerate(("[[1,0],[2]]", "{not json", "[1, 2]", "[]")):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(text)
         assert run("spectrum", "--input", str(bad), "--sign", "focusing",
@@ -199,6 +199,18 @@ def test_constraint_failures_exit_3(tmp_path):
     assert run("finitegap", "--sign", "defocusing", "--pole", "0.5,0",
                "--pin-a", "0,0", "--out-dir", str(tmp_path)) == 3  # infeasible
     assert run("verify", "--only", "nonexistent-criterion") == 3
+    assert run("spectrum", "--fixture", "plane:1:2", "--K", "7",
+               "--out-dir", str(tmp_path)) == 3  # no reliability buffer
+
+
+def test_state_flag_mistakes_are_usage_errors(tmp_path):
+    coeffs = tmp_path / "u.json"
+    coeffs.write_text("[[1, 0], [0.5, 0]]")
+    assert run("spectrum", "--fixture", "appendix1", "--input", str(coeffs),
+               "--out-dir", str(tmp_path)) == 2
+    assert run("spectrum", "--out-dir", str(tmp_path)) == 2
+    assert run("evolve", "--input", str(coeffs),
+               "--out-dir", str(tmp_path)) == 2  # no --sign
 
 
 def test_usage_errors_raise_system_exit():

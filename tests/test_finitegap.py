@@ -242,3 +242,27 @@ def test_reconstruct_rejects_points_outside_disc():
     assert reconstruct(data, 0.0) == pytest.approx(u.coeffs[0], abs=1e-10)
     # frozen value: u(1/2) = sqrt(3/4)/(3/4) = 2/sqrt(3)
     assert reconstruct(data, 0.5) == pytest.approx(2 / np.sqrt(3), abs=1e-9)
+
+
+def test_spectral_consumers_reuse_the_decomposition(monkeypatch):
+    """Once dec exists, the identity checks, classification and inversion
+    read its Lax matrix and never assemble L again."""
+    import cslab.finitegap
+    import cslab.lax
+    from cslab import check_spectral_identities
+
+    fx = make_fixture("appendix2")
+    u = fx.coeffs(128)
+    dec = spectral_decompose(build_lax(u, fx.sign), buffer=32)
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("build_lax called after spectral_decompose")
+
+    monkeypatch.setattr(cslab.lax, "build_lax", no_rebuild)
+    monkeypatch.setattr(cslab.finitegap, "build_lax", no_rebuild)
+    assert check_spectral_identities(u, dec).max_residual() < 1e-8
+    cls = classify(dec, u)
+    assert cls.is_finite_gap and cls.N_estimate == 2
+    assert cls.ladder_members + cls.N_estimate == dec.reliable
+    data = inversion_data(u, dec)
+    assert data.reduced_dim == 3

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cslab import (
+    RATIONAL_FIXTURES,
     HardyCoeffs,
     InvalidParameter,
     blaschke_eigen_check,
@@ -32,6 +33,7 @@ from cslab import (
     spectral_decompose,
     translate,
 )
+from cslab.lax import _PHASE_TOL, _fix_phases, shift_columns
 
 
 def test_plane_wave_spectrum_focusing():
@@ -86,6 +88,8 @@ def test_spectral_decompose_buffer_guard():
         spectral_decompose(L, buffer=32)
     with pytest.raises(InvalidParameter):
         spectral_decompose(L, buffer=-1)
+    with pytest.raises(InvalidParameter):
+        spectral_decompose(L, buffer=0)
     dec = spectral_decompose(L, buffer=8)
     assert dec.reliable == 24
     assert dec.eigenvalues.shape == (32,)
@@ -171,3 +175,82 @@ def test_degenerate_cluster_detected_on_appendix2():
     assert any(stop - start == 2 for start, stop in dec.clusters)
     ev = dec.eigenvalues
     assert abs(ev[1]) < 1e-9 and abs(ev[2]) < 1e-9
+
+
+def _dense_identity_oracle(u, dec):
+    """The identity residuals with S, S* as dense matrices and the
+    eigenbasis shift pairing as an explicit einsum (default buffer K/4)."""
+    K = u.K
+    R = K - K // 4
+    s = 1.0 if dec.sign == "defocusing" else -1.0
+    ev = dec.eigenvalues[:R]
+    F = dec.vectors[:, :R]
+    uc = u.coeffs
+    x = F.conj().T @ uc
+    y = np.conj(F[0, :])
+    r_mean = np.max(np.abs(np.conj(uc[0]) * x - s * ev * y))
+    SF = shift_columns(F)
+    A = np.einsum("jp,jn->np", SF, np.conj(F))
+    b = np.conj(uc) @ SF
+    lhs = (ev[:, None] - ev[None, :] - 1.0) * A
+    r_shift = np.max(np.abs(lhs - s * np.outer(x, b)))
+    L = build_lax(u, dec.sign).matrix
+    B = build_b(u, dec.sign).matrix
+    S = np.diag(np.ones(K - 1), -1).astype(np.complex128)
+    Sa = S.conj().T
+    Sstar_u = np.zeros(K, dtype=np.complex128)
+    Sstar_u[:-1] = uc[1:]
+    rank1 = np.outer(uc, np.conj(Sstar_u))
+    R1 = L @ S - S @ L - S - s * rank1
+    Lp1 = L + np.eye(K)
+    R2 = Sa @ B - B @ Sa - 1j * (Sa @ (L @ L) - (Lp1 @ Lp1) @ Sa)
+    return (float(r_mean), float(r_shift),
+            float(np.max(np.abs(R1[:R, :R]))), float(np.max(np.abs(R2[:R, :R]))))
+
+
+def _oracle_cases():
+    for name in RATIONAL_FIXTURES:
+        fx = make_fixture(name)
+        yield name, fx.coeffs(128), fx.sign
+    for seed in (11, 12):
+        for sign in ("focusing", "defocusing"):
+            yield f"random:{seed}:{sign}", random_decaying(seed, 128), sign
+
+
+@pytest.mark.parametrize("name,u,sign", list(_oracle_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_identity_residuals_match_dense_oracle(name, u, sign):
+    """Index-shift S, S* and the shared (X, Y, M) reproduce the dense
+    formulas: bit for bit where the summation order is kept, and within
+    roundoff for the shift pairing, which is summed as a matmul."""
+    dec = spectral_decompose(build_lax(u, sign))
+    rep = check_spectral_identities(u, dec)
+    mean, shift, ls, sb = _dense_identity_oracle(u, dec)
+    assert rep.mean_identity == mean
+    assert rep.commutator_ls == ls
+    assert rep.commutator_sb == sb
+    assert abs(rep.shift_identity - shift) <= 1e-15
+
+
+def _fix_phases_loop(vectors):
+    """Column-by-column reference for the vectorized phase fix."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = np.flatnonzero(np.abs(col) > _PHASE_TOL)
+        pivot = col[idx[0]] if idx.size else None
+        if pivot is not None and abs(pivot) > 0:
+            out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+@pytest.mark.parametrize("K", [64, 512])
+def test_fix_phases_matches_column_loop(K):
+    rng = np.random.default_rng(K)
+    A = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+    _, V = np.linalg.eigh(A + A.conj().T)
+    V[:, 1] *= 1e-9                   # no entry above the pivot tolerance
+    V[:3, 2] = 1e-10                  # pivot further down the column
+    fixed = _fix_phases(V)
+    assert np.array_equal(fixed, _fix_phases_loop(V))
+    assert np.array_equal(fixed[:, 1], V[:, 1])
