@@ -105,7 +105,7 @@ def _load_state(args) -> tuple:
         raise _InputError(f"cannot read {args.input}: {exc}") from None
     if args.K is not None and args.K != u.K:
         if args.K < u.K:
-            raise CslabError(
+            raise _InputError(
                 f"--K {args.K} would drop data from a length-{u.K} input")
         u = zero_pad(u, args.K)
     return u, args.sign

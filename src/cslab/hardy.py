@@ -122,13 +122,6 @@ class FullCoeffs:
             return 0.0 + 0.0j
         return complex(self.coeffs[idx])
 
-    @classmethod
-    def from_hardy(cls, h: HardyCoeffs) -> "FullCoeffs":
-        K = h.K
-        arr = np.zeros(2 * K - 1, dtype=np.complex128)
-        arr[K - 1:] = h.coeffs
-        return cls(arr)
-
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
@@ -296,22 +289,22 @@ def blaschke_to_coeffs(psi: BlaschkeProduct, K: int) -> HardyCoeffs:
     return HardyCoeffs(full[:K].copy())
 
 
-def _fft_convolve(a: NDArray[np.complex128], b: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Exact linear convolution along axis 0 via zero-padded FFT (length la + lb - 1).
+def _conv_length(K: int) -> int:
+    """FFT length for an exact linear convolution of two length-K vectors:
+    the next power of two at or above 2K - 1, so nothing wraps around."""
+    return 1 << (2 * K - 2).bit_length()
 
-    ``a`` is a 1-d kernel; ``b`` may carry trailing columns, each of which
-    is convolved with ``a``.  The transform length is the next power of two.
+
+def _modulus_spectra(c: NDArray[np.complex128]):
+    """(Pi(|u|^2), fft of c): the correlation of c with itself, plus the
+    zero-padded spectrum of c that produced it.
+
+    c and conj(c reversed) go through one stacked transform; each row of a
+    stacked FFT is bit-identical to the row transformed alone.
     """
-    n = a.shape[0] + b.shape[0] - 1
-    L = 1 << (n - 1).bit_length()
-    fa = np.fft.fft(a, L)
-    fb = np.fft.fft(b, L, axis=0)
-    return np.fft.ifft(fa.reshape(fa.shape + (1,) * (fb.ndim - 1)) * fb, axis=0)[:n]
-
-
-def _pi_modulus_squared(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Pi(|u|^2) on a raw coefficient vector: the correlation of c with itself."""
-    return _fft_convolve(c, np.conj(c[::-1]))[c.shape[0] - 1:]
+    K = c.shape[0]
+    fc, fr = np.fft.fft(np.stack([c, np.conj(c[::-1])]), _conv_length(K))
+    return np.fft.ifft(fc * fr)[K - 1:2 * K - 1], fc
 
 
 def projected_modulus_squared(u: HardyCoeffs) -> HardyCoeffs:
@@ -321,25 +314,30 @@ def projected_modulus_squared(u: HardyCoeffs) -> HardyCoeffs:
     norm.  Computed by one zero-padded FFT correlation of the coefficient
     vector with itself, which is exact (no circular aliasing).
     """
-    return HardyCoeffs(_pi_modulus_squared(u.coeffs).copy())
+    return HardyCoeffs(_modulus_spectra(u.coeffs)[0].copy())
 
 
 def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """(D Pi(|u|^2)) u on a raw coefficient vector, truncated to K.
 
     D multiplies the coefficients of Pi(|u|^2) by n; the product with u is
-    one more exact zero-padded convolution.  The flow's nonlinear term is
-    this times +2i (focusing) or -2i (defocusing).
+    one more exact zero-padded convolution, which reuses the spectrum of c
+    taken for Pi(|u|^2) (the same array a fresh transform returns), so the
+    whole takes four FFT calls.  The flow's nonlinear term is this times
+    +2i (focusing) or -2i (defocusing).
     """
     K = c.shape[0]
-    return _fft_convolve(np.arange(K) * _pi_modulus_squared(c), c)[:K]
+    pi, fc = _modulus_spectra(c)
+    return np.fft.ifft(np.fft.fft(np.arange(K) * pi, _conv_length(K)) * fc)[:K]
 
 
 def hardy_product(u: HardyCoeffs, v: HardyCoeffs) -> HardyCoeffs:
     """Truncated product of two analytic symbols (= Pi(uv) cut at K)."""
     if u.K != v.K:
         raise DimensionMismatch("hardy_product: K mismatch")
-    return HardyCoeffs(_fft_convolve(u.coeffs, v.coeffs)[: u.K].copy())
+    L = _conv_length(u.K)
+    prod = np.fft.ifft(np.fft.fft(u.coeffs, L) * np.fft.fft(v.coeffs, L))
+    return HardyCoeffs(prod[: u.K].copy())
 
 
 def derivative(u: HardyCoeffs) -> HardyCoeffs:

@@ -283,6 +283,8 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
     own matrix and <S f_p|f_n> = conj(M[p, n]) with M from
     ``_matrices_in_basis``.  Residuals are plain max-abs values.
     """
+    if u.K != dec.K:
+        raise InvalidParameter("decomposition and potential truncations differ")
     K = u.K
     if buffer is None:
         buffer = K // 4

@@ -14,7 +14,16 @@ import json
 import numpy as np
 import pytest
 
-from cslab import HardyCoeffs, Inconclusive, InvalidParameter, run_verify
+from cslab import (
+    EvolveConfig,
+    HardyCoeffs,
+    Inconclusive,
+    InvalidParameter,
+    evolve,
+    evolve_basis,
+    make_fixture,
+    run_verify,
+)
 from cslab.cli import main
 
 
@@ -142,6 +151,19 @@ def test_trajectory_csv_digest_is_pinned(tmp_path):
                       "57e54810a538b230e0488cab5265af31")
 
 
+def test_evolved_basis_digest_is_pinned():
+    """Byte-identity guard for the B action: the digest of the co-evolved
+    columns must not move under refactors.  The columns start as the first
+    two unit vectors, so, as for the trajectory file, only FFT and
+    elementwise results enter (no LAPACK)."""
+    u0 = make_fixture("wave:defocusing:1:0.5:1").coeffs(64)
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.02, dt=1e-3))
+    basis = evolve_basis(traj, np.eye(64, 2, dtype=complex))
+    digest = hashlib.sha256(basis.columns.tobytes()).hexdigest()
+    assert digest == ("ed4c7f3e7a44d537cfb823bb6c78ab19"
+                      "17b224f755253bc692952743e8a79ab8")
+
+
 def test_config_rejections(tmp_path):
     bad_key = tmp_path / "bad.json"
     bad_key.write_text(json.dumps({"timestep": 1e-3}))
@@ -211,6 +233,8 @@ def test_state_flag_mistakes_are_usage_errors(tmp_path):
     assert run("spectrum", "--out-dir", str(tmp_path)) == 2
     assert run("evolve", "--input", str(coeffs),
                "--out-dir", str(tmp_path)) == 2  # no --sign
+    assert run("spectrum", "--input", str(coeffs), "--sign", "focusing",
+               "--K", "1", "--out-dir", str(tmp_path)) == 2  # drops data
 
 
 def test_usage_errors_raise_system_exit():

@@ -33,6 +33,7 @@ from cslab import (
     spectral_decompose,
 )
 from cslab.evolve import _apply_b_cols
+from cslab.hardy import nonlinearity
 
 
 def _wave_state(name, K):
@@ -196,6 +197,26 @@ def test_b_action_matches_dense_generator(sign):
     want = build_b(u, sign).matrix @ F
     got = _apply_b_cols(u.coeffs, F, sign)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_stepper_fft_call_counts(monkeypatch):
+    """Shared spectra: the nonlinearity makes 4 FFT calls, the B action 9."""
+    calls = []
+
+    def counted(real):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    u = random_decaying(11, 64, rho=0.8).coeffs
+    nonlinearity(u)
+    assert len(calls) == 4
+    calls.clear()
+    _apply_b_cols(u, np.eye(64, 2, dtype=complex), "focusing")
+    assert len(calls) == 9
 
 
 def test_time_sampler_agrees_with_flow():

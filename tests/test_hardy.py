@@ -16,6 +16,7 @@ and the exactness of the zero-padded convolution behind Pi(|u|^2).
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -37,12 +38,17 @@ from cslab import (
     grid_transform,
     hardy_product,
     inner_product,
+    potential_coeffs,
     projected_modulus_squared,
+    random_decaying,
+    random_pole_config,
+    solve_residue_system,
     szego_project,
     toeplitz_block,
     translate,
     zero_pad,
 )
+from cslab.hardy import nonlinearity
 
 
 def _coeff_vectors(max_k=8, scale=1.0):
@@ -131,6 +137,38 @@ def test_projected_modulus_squared_matches_direct_sum(c):
     )
     np.testing.assert_allclose(got, direct, atol=1e-14)
     assert got[0].real == pytest.approx(u.norm() ** 2)
+
+
+def _nonlinearity_direct(c):
+    """(D Pi(|u|^2)) u by its O(K^2) definition: entry k is
+    sum_{n <= k} n Pi(|u|^2)(n) u_hat(k - n)."""
+    K = c.shape[0]
+    pi = np.array([np.sum(c[n:] * np.conj(c[: K - n])) for n in range(K)])
+    return np.array([sum(n * pi[n] * c[k - n] for n in range(k + 1))
+                     for k in range(K)])
+
+
+def _seeded_draws(K):
+    """Broadband decaying draws and finite-gap potentials from seeded pole
+    configurations (signs alternating as in criterion 8)."""
+    for seed in range(4):
+        yield f"decaying:{seed}", random_decaying(seed, K).coeffs
+    for i in range(4):
+        sign = "focusing" if i % 2 == 0 else "defocusing"
+        m0, poles, mults = random_pole_config(1234 + i)
+        fg = solve_residue_system(sign, m0, poles, mults)
+        with warnings.catch_warnings():  # the oracle takes the vector as cut
+            warnings.simplefilter("ignore", AliasWarning)
+            c = potential_coeffs(fg, K).coeffs
+        yield f"poles:{1234 + i}", c
+
+
+def test_nonlinearity_matches_direct_sum():
+    """Independent oracle for the FFT path of the flow's nonlinearity."""
+    for name, c in _seeded_draws(32):
+        want = _nonlinearity_direct(c)
+        got = nonlinearity(c)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
 def test_hardy_product_truncates_polynomial_multiplication():

@@ -116,6 +116,13 @@ def test_identity_report_is_sensitive_to_wrong_potential():
     assert max(rep.mean_identity, rep.shift_identity) > 1e-3
 
 
+def test_identity_check_rejects_mismatched_truncations():
+    fx = make_fixture("appendix1")
+    dec = spectral_decompose(build_lax(fx.coeffs(64), fx.sign))
+    with pytest.raises(InvalidParameter):
+        check_spectral_identities(fx.coeffs(128), dec)
+
+
 def test_defocusing_gap_law_single_draw():
     u = random_decaying(2024, 256)
     dec = spectral_decompose(build_lax(u, "defocusing"), buffer=96)
