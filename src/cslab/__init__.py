@@ -43,9 +43,7 @@ from .hardy import (
     blaschke_to_coeffs,
     derivative,
     grid_transform,
-    hardy_product,
     inner_product,
-    projected_modulus_squared,
     szego_project,
     toeplitz_block,
     translate,
@@ -127,12 +125,11 @@ __all__ = [
     "blaschke_to_coeffs", "build_b", "build_lax", "check_spectral_identities",
     "classify", "conservation_report", "corollary_gap_vanishing_check",
     "derivative", "evolve", "evolve_basis", "gap_profile", "grid_transform",
-    "hardy_product", "inner_product", "inversion_data", "ladder_blaschke",
-    "make_fixture", "make_wave", "measure_speed", "pde_residual",
-    "phase_law_report", "potential_coeffs", "predicted_l2",
-    "projected_modulus_squared", "random_decaying", "random_pole_config",
-    "reconstruct", "residue_residuals", "run_verify", "sample_wave",
-    "solve_residue_system", "solve_wave_constraint", "spectral_decompose",
-    "szego_project", "toeplitz_block", "translate", "validate_wave",
-    "wave_l2", "wave_speed", "zero_pad",
+    "inner_product", "inversion_data", "ladder_blaschke", "make_fixture",
+    "make_wave", "measure_speed", "pde_residual", "phase_law_report",
+    "potential_coeffs", "predicted_l2", "random_decaying",
+    "random_pole_config", "reconstruct", "residue_residuals", "run_verify",
+    "sample_wave", "solve_residue_system", "solve_wave_constraint",
+    "spectral_decompose", "szego_project", "toeplitz_block", "translate",
+    "validate_wave", "wave_l2", "wave_speed", "zero_pad",
 ]

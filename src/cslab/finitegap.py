@@ -16,8 +16,10 @@ conditions
 plus the plane waves C e^{iNx}.  The associated Blaschke product
 psi = z^{m0} prod_j B_j^{m_j} generates a shift ladder of eigenfunctions
 L S^k psi = (nu_u + k) S^k psi, and the potential is recovered from
-spectral data by u(z) = <(Id - z M)^{-1} X | Y>, which collapses to an
-(N+1) x (N+1) solve in a ladder-adapted basis.
+spectral data by u(z) = <(Id - z M)^{-1} X | Y>.  In the full eigenbasis
+M is nilpotent, so the resolvent series terminates and u(z) is the
+polynomial sum_k <M^k X | Y> z^k; in a ladder-adapted basis the formula
+collapses to an (N+1) x (N+1) solve.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ _ZERO_TOL = 1e-10
 _WALK_TOL = 1e-5
 _NORM_DROP_TOL = 1e-6
 _UNIMODULAR_TOL = 1e-4
+_NILPOTENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -442,25 +445,50 @@ class InversionData:
 
     X_n = <u|f_n>, Y_n = <1|f_n> and M_np = <f_p|S f_n> in the full
     eigenbasis (any orthonormal basis reproduces u; completeness gives
-    ||X|| = ||u|| and ||Y|| = 1 exactly at truncation).  When the
-    potential classifies as finite gap of degree N, the ladder-adapted
-    (N+1) x (N+1) reduction is attached: in the basis (model space sorted
-    by eigenvalue, then psi_u), the solution xi of (Id - zM) xi = X
-    vanishes from slot N+1 on, so the leading block reproduces u exactly.
+    ||X|| = ||u|| and ||Y|| = 1 exactly at truncation).  There M is
+    unitarily similar to S* on C^K, hence nilpotent, and the resolvent
+    series terminates: ``moments[k] = <M^k X | Y>`` (= u_hat(k)) are the
+    coefficients of u(z) as a polynomial of degree < K.  The nilpotency is
+    measured, not assumed: ``inversion_data`` raises BasisDrift when
+    ||M^K X|| exceeds 1e-10 max(1, ||X||).  When the potential classifies
+    as finite gap of degree N, the ladder-adapted (N+1) x (N+1) reduction
+    is attached: in the basis (model space sorted by eigenvalue, then
+    psi_u), the solution xi of (Id - zM) xi = X vanishes from slot N+1 on,
+    so the leading block reproduces u exactly.
     """
 
     X: NDArray[np.complex128]
     Y: NDArray[np.complex128]
     M: NDArray[np.complex128]
+    moments: NDArray[np.complex128]
     reduced_dim: int | None = None
     X_red: NDArray[np.complex128] | None = None
     Y_red: NDArray[np.complex128] | None = None
     M_red: NDArray[np.complex128] | None = None
 
 
+def _moments(X, Y, M) -> NDArray[np.complex128]:
+    """The K moments <M^k X | Y>, k < K, by K matvecs; raises BasisDrift
+    unless M^K X vanishes, i.e. unless the resolvent series terminates."""
+    K = X.shape[0]
+    moments = np.empty(K, dtype=np.complex128)
+    v = X
+    for k in range(K):
+        moments[k] = np.vdot(Y, v)
+        v = M @ v
+    residual = float(np.linalg.norm(v))
+    bound = _NILPOTENT_TOL * max(1.0, float(np.linalg.norm(X)))
+    if not residual <= bound:  # negated, so a NaN residual fails too
+        raise BasisDrift(
+            f"||M^K X|| = {residual:.3e} exceeds {bound:.3e}: the basis is "
+            "not unitary and the resolvent series does not terminate")
+    return moments
+
+
 def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
                    tol: float = 1e-7) -> InversionData:
-    """Assemble X, Y, M in the eigenbasis, with finite-gap reduction if possible.
+    """Assemble X, Y, M and the moments <M^k X | Y> in the eigenbasis, with
+    finite-gap reduction if possible.
 
     The reduction needs the model space (psi_u L^2_+)^perp: the ladder
     vectors from the downward walk are projected out of the low spectral
@@ -473,12 +501,13 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
     if u.K != dec.K:
         raise InvalidParameter("decomposition and potential truncations differ")
     X, Y, M = _matrices_in_basis(u.coeffs, dec.vectors)
+    moments = _moments(X, Y, M)
     try:
         result = classify(dec, u, tol)
     except Inconclusive:
-        return InversionData(X=X, Y=Y, M=M)
+        return InversionData(X=X, Y=Y, M=M, moments=moments)
     if not result.is_finite_gap:
-        return InversionData(X=X, Y=Y, M=M)
+        return InversionData(X=X, Y=Y, M=M, moments=moments)
 
     members = result.ladder_members
     n_model = result.N_estimate
@@ -503,7 +532,8 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
         model = model @ rot
         F_red = np.hstack([model, W[:, :1]])
     X_red, Y_red, M_red = _matrices_in_basis(u.coeffs, F_red)
-    return InversionData(X=X, Y=Y, M=M, reduced_dim=F_red.shape[1],
+    return InversionData(X=X, Y=Y, M=M, moments=moments,
+                         reduced_dim=F_red.shape[1],
                          X_red=X_red, Y_red=Y_red, M_red=M_red)
 
 
@@ -512,24 +542,26 @@ def reconstruct(data: InversionData, z: complex,
     """Evaluate u(z) = <(Id - zM)^{-1} X | Y> at a point of the open disc.
 
     Uses the reduced block when present (or as forced by ``use_reduced``).
-    The full system is provably nonsingular for |z| < 1 (the shift adjoint
-    is a contraction), so the determinant guard applies to the reduced
-    block, whose determinant is an honest degree-N polynomial in z.
+    In the full basis the resolvent series terminates (M is nilpotent, as
+    ``inversion_data`` checks), so u(z) is the sum of ``data.moments[k] z^k``,
+    evaluated by Horner in O(K) with no solve.  The reduced block is not
+    nilpotent (its eigenvalues are the poles): it is solved, behind a
+    determinant guard, since its determinant is an honest degree-N
+    polynomial in z.  A non-finite z is refused before any arithmetic.
     """
     z = complex(z)
-    if abs(z) >= 1.0:
-        raise InvalidParameter(f"|z| = {abs(z):.3f} is outside the open disc")
+    if not abs(z) < 1.0:  # negated, so NaN is refused too
+        raise InvalidParameter(f"z = {z} is not a point of the open disc")
     if use_reduced is None:
         use_reduced = data.reduced_dim is not None
-    if use_reduced:
-        if data.reduced_dim is None:
-            raise InvalidParameter("no reduced data available")
-        X, Y, M = data.X_red, data.Y_red, data.M_red
-        A = np.eye(M.shape[0], dtype=np.complex128) - z * M
-        if abs(np.linalg.det(A)) < 1e-14:
-            raise SingularSystem(f"Id - zM singular at z = {z}")
-    else:
-        X, Y, M = data.X, data.Y, data.M
-        A = np.eye(M.shape[0], dtype=np.complex128) - z * M
-    xi = np.linalg.solve(A, X)
-    return complex(np.vdot(Y, xi))
+    if not use_reduced:
+        value = 0j
+        for c in reversed(data.moments.tolist()):
+            value = value * z + c
+        return value
+    if data.reduced_dim is None:
+        raise InvalidParameter("no reduced data available")
+    A = np.eye(data.reduced_dim, dtype=np.complex128) - z * data.M_red
+    if abs(np.linalg.det(A)) < 1e-14:
+        raise SingularSystem(f"Id - zM singular at z = {z}")
+    return complex(np.vdot(data.Y_red, np.linalg.solve(A, data.X_red)))

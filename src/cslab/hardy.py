@@ -46,9 +46,7 @@ __all__ = [
     "grid_transform",
     "blaschke_to_coeffs",
     "blaschke_eval",
-    "projected_modulus_squared",
     "nonlinearity",
-    "hardy_product",
     "derivative",
     "translate",
     "zero_pad",
@@ -307,16 +305,6 @@ def _modulus_spectra(c: NDArray[np.complex128]):
     return np.fft.ifft(fc * fr)[K - 1:2 * K - 1], fc
 
 
-def projected_modulus_squared(u: HardyCoeffs) -> HardyCoeffs:
-    """Pi(|u|^2): non-negative-frequency coefficients of |u|^2, truncated to K.
-
-    Entry n is sum_m u_hat(n+m) conj(u_hat(m)); entry 0 is the squared L2
-    norm.  Computed by one zero-padded FFT correlation of the coefficient
-    vector with itself, which is exact (no circular aliasing).
-    """
-    return HardyCoeffs(_modulus_spectra(u.coeffs)[0].copy())
-
-
 def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """(D Pi(|u|^2)) u on a raw coefficient vector, truncated to K.
 
@@ -329,15 +317,6 @@ def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     K = c.shape[0]
     pi, fc = _modulus_spectra(c)
     return np.fft.ifft(np.fft.fft(np.arange(K) * pi, _conv_length(K)) * fc)[:K]
-
-
-def hardy_product(u: HardyCoeffs, v: HardyCoeffs) -> HardyCoeffs:
-    """Truncated product of two analytic symbols (= Pi(uv) cut at K)."""
-    if u.K != v.K:
-        raise DimensionMismatch("hardy_product: K mismatch")
-    L = _conv_length(u.K)
-    prod = np.fft.ifft(np.fft.fft(u.coeffs, L) * np.fft.fft(v.coeffs, L))
-    return HardyCoeffs(prod[: u.K].copy())
 
 
 def derivative(u: HardyCoeffs) -> HardyCoeffs:

@@ -16,10 +16,13 @@ Solvable oracles used here:
   potential at z = 1/p.  Verified against |<f_0|S f_0>| below.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cslab import (
+    BasisDrift,
     ConstraintViolation,
     HardyCoeffs,
     Inconclusive,
@@ -40,6 +43,7 @@ from cslab import (
     potential_coeffs,
     predicted_l2,
     random_decaying,
+    random_pole_config,
     reconstruct,
     residue_residuals,
     solve_residue_system,
@@ -48,6 +52,10 @@ from cslab import (
 
 RATIONAL = ["appendix1", "appendix2", "wave:defocusing:1:0.5:1",
             "wave:focusing:1:0.5:1", "stationary:1:0.5", "modulated:3:0.5"]
+
+# criterion 9's 64 disc points
+DISC_POINTS = [r * np.exp(1j * (2.0 * np.pi * k / 8.0 + 0.37))
+               for r in np.linspace(0.1125, 0.9, 8) for k in range(8)]
 
 
 # ----------------------------------------------------------------------
@@ -233,12 +241,87 @@ def test_inversion_neumann_degree_one():
         assert reconstruct(data, z) == pytest.approx(want, abs=1e-6)
 
 
+def _inverted_fixtures(K=256):
+    """(name, u, data) for the six rational fixtures and four seeded pole
+    configurations (signs alternating and buffer 96, as in criterion 8)."""
+    for name in RATIONAL:
+        fx = make_fixture(name)
+        u = fx.coeffs(K)
+        yield name, u, inversion_data(u, spectral_decompose(build_lax(u, fx.sign)))
+    for i in range(4):
+        sign = "focusing" if i % 2 == 0 else "defocusing"
+        fg = solve_residue_system(sign, *random_pole_config(1234 + i))
+        u = potential_coeffs(fg, K)
+        dec = spectral_decompose(build_lax(u, sign), buffer=96)
+        yield f"poles:{1234 + i}", u, inversion_data(u, dec)
+
+
+def test_moments_are_the_taylor_coefficients():
+    """<M^k X | Y> = <(S*)^k u | 1> = u_hat(k) in any orthonormal basis."""
+    for name, u, data in _inverted_fixtures():
+        assert np.max(np.abs(data.moments - u.coeffs)) <= 1e-12, name
+
+
+def test_full_path_matches_dense_resolvent_oracle():
+    """The terminating series equals the resolvent it replaces."""
+    for name, u, data in _inverted_fixtures():
+        K = u.K
+        for z in DISC_POINTS:
+            want = np.vdot(data.Y, np.linalg.solve(np.eye(K) - z * data.M, data.X))
+            got = reconstruct(data, z, use_reduced=False)
+            assert abs(got - want) <= 1e-12, (name, z)
+
+
+def test_inversion_refuses_a_non_unitary_basis():
+    """Negative control for the nilpotency guard: with a non-unitary basis
+    M = V^H S* V is not nilpotent and the series would not terminate."""
+    u = make_fixture("appendix1").coeffs(16)
+    dec = spectral_decompose(build_lax(u, "focusing"))
+    rng = np.random.default_rng(5)
+    V = np.eye(16) + 0.3 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    assert np.linalg.cond(V) < 1e6  # invertible
+    with pytest.raises(BasisDrift):
+        inversion_data(u, dataclasses.replace(dec, vectors=V))
+    V = dec.vectors.copy()
+    V[3, 5] = np.nan  # a NaN residual must fail the guard, not pass it
+    with pytest.raises(BasisDrift):
+        inversion_data(u, dataclasses.replace(dec, vectors=V))
+
+
+def test_full_path_makes_no_solve(monkeypatch):
+    """The full path sums the moment series: no determinant, no solve."""
+    fx = make_fixture("appendix2")
+    u = fx.coeffs(128)
+    data = inversion_data(u, spectral_decompose(build_lax(u, fx.sign), buffer=32))
+
+    def no_dense_algebra(*args, **kwargs):
+        raise AssertionError("dense solve on the full path")
+
+    monkeypatch.setattr(np.linalg, "solve", no_dense_algebra)
+    monkeypatch.setattr(np.linalg, "det", no_dense_algebra)
+    for z in DISC_POINTS:
+        assert reconstruct(data, z, use_reduced=False) == pytest.approx(
+            _series_eval(u, z), abs=1e-12)
+    with pytest.raises(AssertionError):  # the patch is live: the reduced block solves
+        reconstruct(data, 0.5, use_reduced=True)
+
+
 def test_reconstruct_rejects_points_outside_disc():
     u = make_fixture("appendix1").coeffs(64)
     dec = spectral_decompose(build_lax(u, "focusing"))
     data = inversion_data(u, dec)
     with pytest.raises(InvalidParameter):
         reconstruct(data, 1.0)
+    # non-finite points compare false against the radius; both paths refuse them
+    fx = make_fixture("appendix2")
+    u2 = fx.coeffs(128)
+    red = inversion_data(u2, spectral_decompose(build_lax(u2, fx.sign), buffer=32))
+    assert red.reduced_dim == 3
+    for z in [float("nan"), complex(0.1, float("nan")), float("inf"),
+              complex(float("inf"), float("nan"))]:
+        for use_reduced in (False, True):
+            with pytest.raises(InvalidParameter):
+                reconstruct(red, z, use_reduced=use_reduced)
     assert reconstruct(data, 0.0) == pytest.approx(u.coeffs[0], abs=1e-10)
     # frozen value: u(1/2) = sqrt(3/4)/(3/4) = 2/sqrt(3)
     assert reconstruct(data, 0.5) == pytest.approx(2 / np.sqrt(3), abs=1e-9)
