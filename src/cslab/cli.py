@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CslabError
+from .errors import CslabError, InvalidParameter
 from .evolve import EvolveConfig, conservation_report, evolve, measure_speed
 from .finitegap import potential_coeffs, predicted_l2, residue_residuals, \
     solve_residue_system
@@ -93,6 +93,8 @@ def _load_state(args) -> tuple:
     """(u, sign) from --fixture or --input; flag mistakes exit 2."""
     if bool(args.fixture) == bool(args.input):
         raise _InputError("exactly one of --fixture or --input is required")
+    if args.K is not None and args.K < 1:
+        raise InvalidParameter("K must be >= 1")
     if args.fixture:
         fx = make_fixture(args.fixture, sign=args.sign)
         K = args.K if args.K is not None else 256

@@ -81,8 +81,9 @@ class EvolveConfig:
         _check_sign(self.sign)
         if self.K < 2:
             raise InvalidParameter("K must be >= 2")
-        if self.dt <= 0 or self.T < 0:
-            raise InvalidParameter("need dt > 0 and T >= 0")
+        # negated, so NaN is refused too; inf would give no step or one step of h = T
+        if not (0 < self.dt < np.inf and 0 <= self.T < np.inf):
+            raise InvalidParameter("need finite dt > 0 and T >= 0")
         if self.record_every < 1:
             raise InvalidParameter("record_every must be >= 1")
 

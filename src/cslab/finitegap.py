@@ -28,6 +28,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import (
@@ -97,9 +98,10 @@ class FiniteGapPotential:
         res = tuple(complex(c) for c in self.residues)
         if not (len(poles) == len(mults) == len(res)):
             raise InvalidParameter("poles, mults and residues must have equal length")
+        if not np.all(np.isfinite((complex(self.a),) + res)):
+            raise InvalidParameter("a and the residues must be finite")
         for p in poles:
-            if abs(p) >= 1.0:
-                raise PoleOnCircle(f"pole {p} not inside the unit disc")
+            _check_pole(p)
             if p == 0:
                 raise InvalidParameter("poles must be nonzero (D*)")
         for j, p in enumerate(poles):
@@ -140,6 +142,11 @@ class FiniteGapPotential:
         if self.sign == "focusing":
             return float(self.m0 - np.real(val))
         return float(self.m0 + np.real(val))
+
+
+def _check_pole(p: complex) -> None:
+    if not abs(p) < 1.0:  # negated, so a NaN pole is refused too
+        raise PoleOnCircle(f"pole {p} not inside the unit disc")
 
 
 def gram_matrix(poles) -> NDArray[np.complex128]:
@@ -196,7 +203,9 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
     and ``pin_a`` freezes a at the given value (removing it from the
     unknowns).  Raises InfeasibleSign for the defocusing system with a
     pinned to 0: summing the conditions would force the positive-definite
-    Gram form sum c_j conj(c_k) G_jk to equal -sum m_j < 0.
+    Gram form sum c_j conj(c_k) G_jk to equal -sum m_j < 0.  Poles outside
+    the open disc and non-finite poles, ``pin_a`` or ``init`` are refused
+    on entry, before any linear algebra.
     """
     _check_sign(sign)
     poles = tuple(complex(p) for p in poles)
@@ -204,6 +213,13 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
     r = len(poles)
     if len(mults) != r:
         raise InvalidParameter("poles and mults must have equal length")
+    for p in poles:
+        _check_pole(p)
+    if pin_a is not None and not np.isfinite(complex(pin_a)):
+        raise InvalidParameter(f"pin_a = {pin_a} is not finite")
+    if init is not None and not (np.isfinite(complex(init[0])) and np.all(
+            np.isfinite(np.asarray(init[1], dtype=np.complex128)))):
+        raise InvalidParameter("init must be finite")
     if r == 0:
         # Plane-wave branch: nothing to solve, the amplitude is free.
         amp = pin_a if pin_a is not None else (init[0] if init else 1.0)
@@ -357,45 +373,57 @@ class ClassifyResult:
     ladder_base: NDArray[np.complex128] = field(compare=False, repr=False)
 
 
+def _shifted_columns(w: NDArray[np.complex128], n: int,
+                     backward: bool) -> NDArray[np.complex128]:
+    """K x n matrix whose column k is (S*)^k w (``backward``) or S^k w.
+
+    The columns are exact copies of entries of w: one zero-padded vector,
+    a strided view of its length-K windows, and one copy.
+    """
+    K = w.shape[0]
+    pad = np.zeros(n - 1, dtype=w.dtype)
+    if backward:
+        return sliding_window_view(np.concatenate([w, pad]), K).T.copy()
+    return sliding_window_view(np.concatenate([pad, w]), K)[::-1].T.copy()
+
+
 def _ladder_walk(dec: SpectralDecomposition, walk_tol: float = _WALK_TOL):
     """Walk the shift ladder downward from a high reliable eigenvector.
 
-    Starting from the eigenvector f at sorted index n_seed (top of the
-    identity-reliable range), repeatedly apply S*.  On the ladder,
-    S* S^k psi = S^{k-1} psi stays a unit eigenvector with eigenvalue
-    dropping by exactly 1; the walk breaks at the ladder base psi, either
-    by norm drop (S* psi loses |psi_hat(0)|^2 when m0 = 0) or by
-    eigen-residual blow-up (L S* psi picks up the <psi|u> S* u term).
-    Returns (n_seed, members, base) with ``members`` the number of ladder
-    vectors found (seed included) and ``base`` the deepest accepted vector.
+    Starting from the eigenvector w at sorted index n_seed (top of the
+    identity-reliable range), the k-th rung is (S*)^k w normalized.  On the
+    ladder, S* S^k psi = S^{k-1} psi stays a unit eigenvector with
+    eigenvalue dropping by exactly 1; the walk breaks at the ladder base
+    psi, either by norm drop (S* psi loses |psi_hat(0)|^2 when m0 = 0) or
+    by eigen-residual blow-up (L S* psi picks up the <psi|u> S* u term).
+
+    All rungs are tested at once.  ||(S*)^k w|| is the tail norm t_k of w,
+    from one reversed cumulative sum of |w|^2, so the step norm
+    ||S* w_{k-1}|| is t_k / t_{k-1}: the candidates stop before the first
+    step whose norm drops below 1 - 1e-6, and one matrix product gives the
+    eigen-residuals of all of them (seed included).  Returns
+    (n_seed, members, base) with ``members`` the number of ladder vectors
+    found (seed included) and ``base`` the deepest accepted vector.
     """
     K = dec.K
     n_seed = min(dec.reliable, K - K // 4) - 1
     if n_seed < 1:
         raise Inconclusive("truncation too small to seed a ladder walk")
     rows = K - K // 4
-    w = dec.vectors[:, n_seed].copy()
-    nu_seed = float(dec.eigenvalues[n_seed])
-    seed_res = np.linalg.norm((dec.matrix @ w)[:rows] - nu_seed * w[:rows])
-    if seed_res > walk_tol:
+    w = dec.vectors[:, n_seed]
+    tail = np.sqrt(np.cumsum(np.abs(w[::-1]) ** 2)[::-1])
+    # step k keeps its norm when t_k >= (1 - tol) t_{k-1}, for k <= n_seed + 1
+    dropped = np.nonzero(tail[1:n_seed + 2] < (1.0 - _NORM_DROP_TOL) * tail[:n_seed + 1])[0]
+    n_cand = 1 + (int(dropped[0]) if dropped.size else n_seed + 1)
+    cand = _shifted_columns(w, n_cand, backward=True) / tail[:n_cand]
+    expected = float(dec.eigenvalues[n_seed]) - np.arange(n_cand)
+    resid = np.linalg.norm(dec.matrix[:rows] @ cand - expected * cand[:rows], axis=0)
+    if resid[0] > walk_tol:
         raise Inconclusive(
-            f"seed eigenvector residual {seed_res:.3e} exceeds walk tolerance")
-    members = 1
-    base = w
-    for step in range(1, n_seed + 2):
-        wn = np.concatenate([w[1:], [0.0]])
-        nrm = float(np.linalg.norm(wn))
-        if nrm < 1.0 - _NORM_DROP_TOL:
-            break
-        wn = wn / nrm
-        expected = nu_seed - step
-        resid = np.linalg.norm((dec.matrix @ wn)[:rows] - expected * wn[:rows])
-        if resid > walk_tol:
-            break
-        w = wn
-        base = wn
-        members += 1
-    return n_seed, members, base
+            f"seed eigenvector residual {resid[0]:.3e} exceeds walk tolerance")
+    broken = np.nonzero(resid[1:] > walk_tol)[0]
+    members = 1 + (int(broken[0]) if broken.size else n_cand - 1)
+    return n_seed, members, cand[:, members - 1].copy()
 
 
 def classify(dec: SpectralDecomposition, u: HardyCoeffs,
@@ -454,7 +482,8 @@ class InversionData:
     as finite gap of degree N, the ladder-adapted (N+1) x (N+1) reduction
     is attached: in the basis (model space sorted by eigenvalue, then
     psi_u), the solution xi of (Id - zM) xi = X vanishes from slot N+1 on,
-    so the leading block reproduces u exactly.
+    so the leading block reproduces u exactly.  Otherwise
+    ``unreduced_reason`` says why the reduction was not built.
     """
 
     X: NDArray[np.complex128]
@@ -465,6 +494,7 @@ class InversionData:
     X_red: NDArray[np.complex128] | None = None
     Y_red: NDArray[np.complex128] | None = None
     M_red: NDArray[np.complex128] | None = None
+    unreduced_reason: str | None = None
 
 
 def _moments(X, Y, M) -> NDArray[np.complex128]:
@@ -485,6 +515,29 @@ def _moments(X, Y, M) -> NDArray[np.complex128]:
     return moments
 
 
+def _model_space(B: NDArray[np.complex128], n_model: int):
+    """(s, U): singular values of B, descending, and an orthonormal basis U
+    of its leading N = n_model left singular vectors, or U = None when the
+    rank test finds the extraction ambiguous (s[N-1] < 0.5 or s[N] > 1e-6).
+
+    Both come from eigh of the small Gram matrix B^H B = V diag(s^2) V^H,
+    with U = B V[:, :N] / s[:N].  Squaring costs accuracy only at the small
+    singular values: eigh's absolute eigenvalue error is a few eps ||B||^2
+    (||B|| <= 1 here: V_low has orthonormal columns and the ladder
+    projection is a contraction), so s[N] is off by about
+    eps ||B||^2 / (2 s[N]), about 1e-10 at the 1e-6 threshold, and by at
+    most about sqrt(eps) ||B|| ~ 1e-8 where s[N] is at roundoff level:
+    two orders below the threshold either way, so the verdict is the
+    SVD's.  U divides by s[:N] >= 0.5, so its columns are orthonormal to
+    about eps ||B||^2 / s[N-1]^2.
+    """
+    lam, V = np.linalg.eigh(B.conj().T @ B)
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    if s[n_model - 1] < 0.5 or (s.shape[0] > n_model and s[n_model] > 1e-6):
+        return s, None
+    return s, (B @ V[:, ::-1][:, :n_model]) / s[:n_model]
+
+
 def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
                    tol: float = 1e-7) -> InversionData:
     """Assemble X, Y, M and the moments <M^k X | Y> in the eigenbasis, with
@@ -492,41 +545,43 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
 
     The reduction needs the model space (psi_u L^2_+)^perp: the ladder
     vectors from the downward walk are projected out of the low spectral
-    window and the remaining rank-N span is orthonormalized (SVD) and
+    window, the remaining rank-N span is orthonormalized from the
+    eigendecomposition of its small Gram matrix (``_model_space``) and
     diagonalized by Rayleigh-Ritz, which untangles eigenvalue collisions
     between model space and ladder (they do occur: degenerate eigenvalues
-    mix the eigenvectors).  A failed or inconclusive classification simply
-    yields data without reduction.
+    mix the eigenvectors).  An inconclusive or negative classification, or
+    a rank-ambiguous model space, yields data without reduction, with the
+    reason in ``unreduced_reason``; the full path is exact regardless.
     """
     if u.K != dec.K:
         raise InvalidParameter("decomposition and potential truncations differ")
     X, Y, M = _matrices_in_basis(u.coeffs, dec.vectors)
     moments = _moments(X, Y, M)
+
+    def unreduced(reason: str) -> InversionData:
+        return InversionData(X=X, Y=Y, M=M, moments=moments,
+                             unreduced_reason=reason)
+
     try:
         result = classify(dec, u, tol)
-    except Inconclusive:
-        return InversionData(X=X, Y=Y, M=M, moments=moments)
+    except Inconclusive as exc:
+        return unreduced(f"classification inconclusive: {exc}")
     if not result.is_finite_gap:
-        return InversionData(X=X, Y=Y, M=M, moments=moments)
+        return unreduced("ladder base is not unimodular: not finite gap")
 
     members = result.ladder_members
     n_model = result.N_estimate
-    # Rebuild the ladder span exactly by shifting the base upward.
-    W = np.empty((dec.K, members), dtype=np.complex128)
-    W[:, 0] = result.ladder_base
-    for k in range(1, members):
-        W[:, k] = np.concatenate([[0.0], W[:-1, k - 1]])
+    # The ladder span, rebuilt exactly by shifting the base upward.
+    W = _shifted_columns(result.ladder_base, members, backward=False)
     if n_model == 0:
         F_red = W[:, :1]
     else:
         V_low = dec.vectors[:, : n_model + members]
-        B = V_low - W @ (W.conj().T @ V_low)
-        U_svd, s, _ = np.linalg.svd(B, full_matrices=False)
-        if s[n_model - 1] < 0.5 or (s.shape[0] > n_model and s[n_model] > 1e-6):
-            raise BasisDrift(
+        s, model = _model_space(V_low - W @ (W.conj().T @ V_low), n_model)
+        if model is None:
+            return unreduced(
                 f"model-space extraction is rank-ambiguous: singular values "
                 f"{s[max(0, n_model - 1):n_model + 1]}")
-        model = U_svd[:, :n_model]
         Lm = model.conj().T @ dec.matrix @ model
         ritz, rot = np.linalg.eigh((Lm + Lm.conj().T) / 2.0)
         model = model @ rot

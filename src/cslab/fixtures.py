@@ -72,6 +72,8 @@ class Fixture:
 
     def coeffs(self, K: int) -> HardyCoeffs:
         """Exact Fourier coefficients (closed form, not via grid sampling)."""
+        if K < 1:
+            raise InvalidParameter("K must be >= 1")
         if self.wave is not None:
             return sample_wave(self.wave, 0.0, K)
         c = np.zeros(K, dtype=np.complex128)

@@ -223,6 +223,22 @@ def test_constraint_failures_exit_3(tmp_path):
     assert run("verify", "--only", "nonexistent-criterion") == 3
     assert run("spectrum", "--fixture", "plane:1:2", "--K", "7",
                "--out-dir", str(tmp_path)) == 3  # no reliability buffer
+    coeffs = tmp_path / "u.json"
+    coeffs.write_text("[[1, 0], [0.5, 0]]")
+    for state in (["--fixture", "appendix1"],
+                  ["--input", str(coeffs), "--sign", "focusing"]):
+        for cmd in ("spectrum", "evolve"):
+            assert run(cmd, *state, "--K", "-3",
+                       "--out-dir", str(tmp_path)) == 3, (cmd, state)
+    # poles outside the disc or non-finite, and a non-finite pinned a
+    for extra in (["--pole", "1.5,0:1"], ["--pole", "nan,0:1"],
+                  ["--pole", "0.5,0", "--pin-a", "nan"]):
+        assert run("finitegap", "--sign", "focusing", *extra,
+                   "--out-dir", str(tmp_path)) == 3, extra
+    for flag, value in [("--T", "nan"), ("--T", "inf"),
+                        ("--dt", "nan"), ("--dt", "inf")]:
+        assert run("evolve", "--fixture", "appendix1", "--K", "64", flag,
+                   value, "--out-dir", str(tmp_path)) == 3, (flag, value)
 
 
 def test_state_flag_mistakes_are_usage_errors(tmp_path):

@@ -50,6 +50,11 @@ def test_config_validation():
         EvolveConfig(sign="defocusing", K=8, T=1.0, dt=1e-3, record_every=0)
     with pytest.raises(InvalidParameter):
         EvolveConfig(sign="squeezing", K=8, T=1.0, dt=1e-3)
+    # non-finite times: NaN fails every comparison, inf gives no usable step
+    for T, dt in [(float("nan"), 1e-3), (float("inf"), 1e-3),
+                  (1.0, float("nan")), (1.0, float("inf"))]:
+        with pytest.raises(InvalidParameter):
+            EvolveConfig(sign="defocusing", K=8, T=T, dt=dt)
 
 
 def test_plane_wave_evolution_is_exact():

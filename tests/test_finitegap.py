@@ -49,6 +49,7 @@ from cslab import (
     solve_residue_system,
     spectral_decompose,
 )
+from cslab.finitegap import _ladder_walk, _model_space, _shifted_columns
 
 RATIONAL = ["appendix1", "appendix2", "wave:defocusing:1:0.5:1",
             "wave:focusing:1:0.5:1", "stationary:1:0.5", "modulated:3:0.5"]
@@ -114,12 +115,26 @@ def test_residue_system_error_paths():
                              init=(5.0, [40.0 + 3.0j]), max_iter=1)
     with pytest.raises(InvalidParameter):
         solve_residue_system("focusing", 0, [0.5, 0.5], [1, 1])  # duplicate
+    # refused on entry, before the Newton least-squares steps reach LAPACK
+    for pole in (1.5, complex(float("nan"), 0.0), float("inf")):
+        with pytest.raises(PoleOnCircle):
+            solve_residue_system("focusing", 0, [pole], [1])
+    for kwargs in (dict(pin_a=float("nan")), dict(init=(float("nan"), [0.5])),
+                   dict(init=(0.0, [complex(0.5, float("inf"))]))):
+        with pytest.raises(InvalidParameter):
+            solve_residue_system("focusing", 0, [0.5], [1], **kwargs)
 
 
 def test_finite_gap_potential_validation():
     with pytest.raises(PoleOnCircle):
         FiniteGapPotential(sign="focusing", m0=0, poles=(1.0,), mults=(1,),
                            a=0.0, residues=(1.0,))
+    with pytest.raises(PoleOnCircle):
+        FiniteGapPotential(sign="focusing", m0=0, poles=(float("nan"),),
+                           mults=(1,), a=0.0, residues=(1.0,))
+    with pytest.raises(InvalidParameter):
+        FiniteGapPotential(sign="focusing", m0=0, poles=(0.5,), mults=(1,),
+                           a=float("nan"), residues=(1.0,))
     with pytest.raises(InvalidParameter):
         FiniteGapPotential(sign="focusing", m0=0, poles=(0.0,), mults=(1,),
                            a=0.0, residues=(1.0,))
@@ -186,6 +201,133 @@ def test_ladder_blaschke_matches_solved_poles():
     base_dev, res = blaschke_eigen_check(u, psi, fg.sign, kmax=6)
     assert base_dev < 1e-10
     assert res.max() < 1e-8
+
+
+@pytest.fixture(scope="module")
+def walk_pool():
+    """(name, u, dec) for the six rational fixtures and 16 seeded pole
+    configurations (signs alternating, as in criterion 8), K = 256, buffer 96."""
+    pool = []
+    for name in RATIONAL:
+        fx = make_fixture(name)
+        u = fx.coeffs(256)
+        pool.append((name, u, spectral_decompose(build_lax(u, fx.sign), buffer=96)))
+    for i in range(16):
+        sign = "focusing" if i % 2 == 0 else "defocusing"
+        u = potential_coeffs(solve_residue_system(sign, *random_pole_config(1234 + i)), 256)
+        pool.append((f"poles:{1234 + i}", u,
+                     spectral_decompose(build_lax(u, sign), buffer=96)))
+    return pool
+
+
+def _sequential_walk(dec):
+    """Oracle: the ladder walk rung by rung, one matvec and one
+    renormalization per step, with the same tolerances (1e-6 norm drop,
+    1e-5 eigen-residual)."""
+    K = dec.K
+    n_seed = min(dec.reliable, K - K // 4) - 1
+    rows = K - K // 4
+    w = dec.vectors[:, n_seed].copy()
+    nu_seed = float(dec.eigenvalues[n_seed])
+    members, base = 1, w
+    for step in range(1, n_seed + 2):
+        wn = np.concatenate([w[1:], [0.0]])
+        nrm = float(np.linalg.norm(wn))
+        if nrm < 1.0 - 1e-6:
+            break
+        wn = wn / nrm
+        resid = np.linalg.norm((dec.matrix @ wn)[:rows] - (nu_seed - step) * wn[:rows])
+        if resid > 1e-5:
+            break
+        w = base = wn
+        members += 1
+    return n_seed, members, base
+
+
+def test_ladder_walk_matches_sequential_oracle(walk_pool):
+    for name, u, dec in walk_pool:
+        n_seed, members, base = _ladder_walk(dec)
+        want_seed, want_members, want_base = _sequential_walk(dec)
+        assert (n_seed, members) == (want_seed, want_members), name
+        assert np.max(np.abs(base - want_base)) <= 1e-12, name
+        assert classify(dec, u).N_estimate == (want_seed + 1) - want_members, name
+
+
+class _CountingMatrix(np.ndarray):
+    """An ndarray view that counts the matrix products it takes part in."""
+
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingMatrix.products += 1
+        inputs = tuple(np.asarray(x) if isinstance(x, _CountingMatrix) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_ladder_walk_is_one_matrix_product(walk_pool):
+    name, u, dec = walk_pool[-1]
+    counted = dataclasses.replace(dec, matrix=dec.matrix.view(_CountingMatrix))
+    _CountingMatrix.products = 0
+    n_seed, members, _ = _ladder_walk(counted)
+    assert members >= 50, name  # a long ladder, so one product per rung would show
+    assert _CountingMatrix.products == 1
+
+
+def _projected_window(u, dec):
+    """(B, N): the low spectral window with the ladder span projected out,
+    the span rebuilt by the shift loop that ``_shifted_columns`` replaces."""
+    cls = classify(dec, u)
+    assert cls.is_finite_gap
+    W = np.empty((dec.K, cls.ladder_members), dtype=np.complex128)
+    W[:, 0] = cls.ladder_base
+    for k in range(1, cls.ladder_members):
+        W[:, k] = np.concatenate([[0.0], W[:-1, k - 1]])
+    assert np.array_equal(W, _shifted_columns(cls.ladder_base, cls.ladder_members,
+                                              backward=False))
+    V_low = dec.vectors[:, : cls.N_estimate + cls.ladder_members]
+    return V_low - W @ (W.conj().T @ V_low), cls.N_estimate
+
+
+def test_model_space_matches_svd_oracle(walk_pool):
+    u = random_decaying(1, 512)  # rank-ambiguous: s[N] is just above 1e-6
+    broadband = ("random_decaying(1, 512)", u,
+                 spectral_decompose(build_lax(u, "defocusing")))
+    verdicts = set()
+    for name, u, dec in walk_pool + [broadband]:
+        B, N = _projected_window(u, dec)
+        if N == 0:
+            continue
+        s, U = _model_space(B, N)
+        U_svd, s_svd, _ = np.linalg.svd(B, full_matrices=False)
+        ambiguous = s_svd[N - 1] < 0.5 or (s_svd.shape[0] > N and s_svd[N] > 1e-6)
+        assert (U is None) == ambiguous, name
+        verdicts.add(ambiguous)
+        assert abs(s[N - 1] - s_svd[N - 1]) <= 1e-9, name
+        # eigh of B^H B gets s^2 to a few eps: s[N] is within 1e-9 near the
+        # 1e-6 threshold, and reads about sqrt(eps) ~ 1e-8 where s[N] ~ 1e-13
+        assert abs(s[N] ** 2 - s_svd[N] ** 2) <= 1e-14, name
+        if s_svd[N] >= 1e-7:
+            assert abs(s[N] - s_svd[N]) <= 1e-9, name
+        if U is not None:
+            P_svd = U_svd[:, :N] @ U_svd[:, :N].conj().T
+            assert np.max(np.abs(U @ U.conj().T - P_svd)) <= 1e-10, name
+    assert verdicts == {False, True}  # both sides of the rank test were seen
+
+
+@pytest.mark.parametrize("seed,K", [(1, 512), (1234, 768), (1, 768)])
+def test_rank_ambiguous_model_space_yields_unreduced_data(seed, K):
+    """Broadband draws that classify as finite gap at the resolution limit
+    (N ~ 50) but leave s[N] of the projected window just above 1e-6: the
+    reduction is skipped with its reason, and the full path stays exact."""
+    u = random_decaying(seed, K)
+    data = inversion_data(u, spectral_decompose(build_lax(u, "defocusing")))
+    assert data.reduced_dim is None
+    assert data.unreduced_reason.startswith("model-space extraction is rank-ambiguous")
+    assert np.max(np.abs(data.moments - u.coeffs)) <= 1e-12
+    for z in (0.3, -0.5j, 0.6 + 0.2j):
+        assert reconstruct(data, z) == pytest.approx(_series_eval(u, z), abs=1e-12)
 
 
 # ----------------------------------------------------------------------
