@@ -26,6 +26,17 @@ K - K/8) should never be trusted; a zero buffer (K < 8 by default) is refused.
 One potential has one decomposition, which keeps its Lax matrix: spectral
 consumers read L and the eigenbasis coordinates (``_matrices_in_basis``)
 from it, and S, S* act by index shifts, never as dense matrices.
+
+The identity check reads the commutators only on the block of indices
+below R = K - buffer, so it forms only what that block reads: B and L^2
+on rows :R+1 and columns :R, and (L + 1)^2 on rows :R and columns :R-1.
+Each is a leading block of the K x K product (``_leading_block``), with
+the full inner dimension and padded to whole 4 x 4 tiles.  Then every
+entry is the same OpenBLAS sum as in the K x K product, and ``build_b``
+is the K x K case of the same helper.  Only P = T_u T_ubar is formed whole.
+Both its rows and its columns enter P^2, and the computed P is not
+exactly Hermitian for every K, so its columns cannot be taken as its
+conjugated rows.
 """
 
 from __future__ import annotations
@@ -152,6 +163,33 @@ def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
     return LaxBlock(matrix=mat, sign=sign, K=K)
 
 
+def _leading_block(A: NDArray, B: NDArray, rows: int, cols: int) -> NDArray:
+    """(A @ B)[:rows, :cols], computed as a product of whole 4 x 4 tiles.
+
+    The product keeps the full inner dimension and its shape is padded to
+    multiples of 4 (at most that of A @ B).  Then on OpenBLAS every entry
+    is summed by the same kernel path, in the same order, as in the full
+    product; an edge that cuts a tile can round differently in the last
+    bits.  Blocks of 20 rows or fewer may still differ where the full
+    product runs on more threads.
+    """
+    r = min(A.shape[0], -(-rows // 4) * 4)
+    c = min(B.shape[1], -(-cols // 4) * 4)
+    return (A[:r] @ B[:, :c])[:rows, :cols]
+
+
+def _b_block(u: HardyCoeffs, sign: str, rows: int, cols: int) -> NDArray[np.complex128]:
+    """B[:rows, :cols] by leading blocks of the K x K products (see module docstring)."""
+    Tu = analytic_toeplitz_block(u)
+    Tdu = analytic_toeplitz_block(derivative(u))
+    Tuh, Tduh = Tu.conj().T, Tdu.conj().T
+    P = Tu @ Tuh
+    core = _leading_block(Tu, Tduh, rows, cols) - _leading_block(Tdu, Tuh, rows, cols)
+    if sign == DEFOCUSING:
+        core = -core
+    return core + 1j * _leading_block(P, P, rows, cols)
+
+
 def build_b(u: HardyCoeffs, sign: str) -> BBlock:
     """K x K block of the flow generator B_u (see module docstring).
 
@@ -160,15 +198,16 @@ def build_b(u: HardyCoeffs, sign: str) -> BBlock:
     on a buffered sub-block (see check_spectral_identities).
     """
     _check_sign(sign)
-    K = u.K
-    Tu = analytic_toeplitz_block(u)
-    Tdu = analytic_toeplitz_block(derivative(u))
-    P = Tu @ Tu.conj().T
-    core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
-    if sign == DEFOCUSING:
-        core = -core
-    mat = core + 1j * (P @ P)
-    return BBlock(matrix=mat, sign=sign, K=K)
+    return BBlock(matrix=_b_block(u, sign, u.K, u.K), sign=sign, K=u.K)
+
+
+def _check_buffer(buffer, K: int) -> int:
+    """The buffer as an int, refused unless it is an integer with 1 <= buffer < K."""
+    if isinstance(buffer, bool) or not isinstance(buffer, (int, np.integer)) \
+            or not 1 <= buffer < K:
+        raise InvalidParameter(f"buffer {buffer!r} out of range for K={K}: need an integer "
+                               "1 <= buffer < K (the default K/8 needs K >= 8)")
+    return int(buffer)
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -200,11 +239,7 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
     outputs reproducible across LAPACK builds (outside degenerate
     clusters, where only the spanned subspace is well defined).
     """
-    if buffer is None:
-        buffer = L.K // 8
-    if not 1 <= buffer < L.K:
-        raise InvalidParameter(f"buffer {buffer} out of range for K={L.K}: need "
-                               "1 <= buffer < K (the default K/8 needs K >= 8)")
+    buffer = _check_buffer(L.K // 8 if buffer is None else buffer, L.K)
     try:
         ev, vec = np.linalg.eigh(L.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -278,16 +313,23 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
         L S - S L - S - s <.|S* u> u            = 0
         S* B - B S* - i (S* L^2 - (L + 1)^2 S*) = 0
 
-    all evaluated on truncated data over indices below K - buffer
-    (default buffer K/4, sized for the quadratic term of B).  L is dec's
-    own matrix and <S f_p|f_n> = conj(M[p, n]) with M from
+    all evaluated on truncated data over indices below R = K - buffer
+    (default buffer K/4, sized for the quadratic term of B; an integer
+    with 1 <= buffer < K, else ``InvalidParameter``).  L is dec's own
+    matrix and <S f_p|f_n> = conj(M[p, n]) with M from
     ``_matrices_in_basis``.  Residuals are plain max-abs values.
+
+    Since (A S)[i, j] = A[i, j+1] and (A S*)[i, j] = A[i, j-1], the R x R
+    block of the commutators reads L on [:R, :R+1], B and L^2 on
+    [:R+1, :R] and (L + 1)^2 on [:R, :R-1], and nothing else.  These
+    blocks are formed by ``_leading_block`` and assembled in place, in the
+    order of the dense formula, so the residuals equal those of the
+    K x K matrices bit for bit (see the module docstring).
     """
     if u.K != dec.K:
         raise InvalidParameter("decomposition and potential truncations differ")
     K = u.K
-    if buffer is None:
-        buffer = K // 4
+    buffer = _check_buffer(K // 4 if buffer is None else buffer, K)
     R = K - buffer
     s = 1.0 if dec.sign == DEFOCUSING else -1.0
 
@@ -304,19 +346,24 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
     rhs = s * np.outer(x, b)
     r_shift = np.max(np.abs(lhs - rhs))
 
-    # operator identities on the buffered block; A S = (S* A^T)^T and
-    # A S* = (S A^T)^T, so products from the right are index shifts too
+    # operator identities on the R x R block, in the dense formula's order
     L = dec.matrix
-    B = build_b(u, dec.sign).matrix
-    rank1 = np.outer(uc, np.conj(unshift_columns(uc)))   # f -> <f|S*u> u
-    R1 = unshift_columns(L.T).T - shift_columns(L)
-    R1[1:, :-1] -= np.eye(K - 1)         # - S
-    R1 -= s * rank1
-    Lp1 = L + np.eye(K)
-    R2 = (unshift_columns(B) - shift_columns(B.T).T
-          - 1j * (unshift_columns(L @ L) - shift_columns((Lp1 @ Lp1).T).T))
-    r_ls = float(np.max(np.abs(R1[:R, :R])))
-    r_sb = float(np.max(np.abs(R2[:R, :R])))
+    i = np.arange(K)
+    R1 = L[:R, 1:R + 1].copy()                # L S
+    R1[1:] -= L[:R - 1, :R]                   # - S L
+    R1[i[1:R], i[:R - 1]] -= 1.0              # - S
+    R1 -= s * np.outer(uc[:R], np.conj(uc[1:R + 1]))   # - s <.|S* u> u
+    B = _b_block(u, dec.sign, R + 1, R)
+    R2 = B[1:].copy()                         # S* B
+    R2[:, 1:] -= B[:R, :R - 1]                # - B S*
+    Lp1 = L.copy()
+    Lp1[i, i] += 1.0
+    Q = _leading_block(L, L, R + 1, R)[1:]                 # S* L^2
+    Q[:, 1:] -= _leading_block(Lp1, Lp1, R, R - 1)        # - (L + 1)^2 S*
+    Q *= 1j
+    R2 -= Q
+    r_ls = float(np.max(np.abs(R1)))
+    r_sb = float(np.max(np.abs(R2)))
 
     return IdentityReport(
         mean_identity=float(r_mean),

@@ -14,6 +14,8 @@ blocks are built from exact symmetrizations; the identity-report residuals
 on rational data are truncation-floor quantities, bounded loosely here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,7 @@ from cslab import (
     spectral_decompose,
     translate,
 )
+import cslab.lax as lax
 from cslab.lax import _PHASE_TOL, _fix_phases, shift_columns
 
 
@@ -123,6 +126,17 @@ def test_identity_check_rejects_mismatched_truncations():
         check_spectral_identities(fx.coeffs(128), dec)
 
 
+def test_identity_check_buffer_guard():
+    """The check's buffer obeys the rule of spectral_decompose: an integer
+    with 1 <= buffer < K, refused otherwise before any work is done."""
+    u = random_decaying(0, 64)
+    dec = spectral_decompose(build_lax(u, "defocusing"))
+    for buffer in (100, -1, 64, 2.5):
+        with pytest.raises(InvalidParameter):
+            check_spectral_identities(u, dec, buffer=buffer)
+    assert check_spectral_identities(u, dec, buffer=np.int64(63)).n_checked == 1
+
+
 def test_defocusing_gap_law_single_draw():
     u = random_decaying(2024, 256)
     dec = spectral_decompose(build_lax(u, "defocusing"), buffer=96)
@@ -184,11 +198,11 @@ def test_degenerate_cluster_detected_on_appendix2():
     assert abs(ev[1]) < 1e-9 and abs(ev[2]) < 1e-9
 
 
-def _dense_identity_oracle(u, dec):
-    """The identity residuals with S, S* as dense matrices and the
-    eigenbasis shift pairing as an explicit einsum (default buffer K/4)."""
+def _dense_identity_oracle(u, dec, buffer):
+    """The identity residuals with S, S*, B, L^2 and (L + 1)^2 as dense
+    K x K matrices and the eigenbasis shift pairing as an explicit einsum."""
     K = u.K
-    R = K - K // 4
+    R = K - buffer
     s = 1.0 if dec.sign == "defocusing" else -1.0
     ev = dec.eigenvalues[:R]
     F = dec.vectors[:, :R]
@@ -216,27 +230,80 @@ def _dense_identity_oracle(u, dec):
 
 
 def _oracle_cases():
+    def case(name, u, sign, buffer=None):
+        return pytest.param(name, u, sign, buffer, id=f"{name}--{sign}")
+
     for name in RATIONAL_FIXTURES:
         fx = make_fixture(name)
-        yield name, fx.coeffs(128), fx.sign
+        yield case(name, fx.coeffs(128), fx.sign)
     for seed in (11, 12):
         for sign in ("focusing", "defocusing"):
-            yield f"random:{seed}:{sign}", random_decaying(seed, 128), sign
+            yield case(f"random:{seed}:{sign}", random_decaying(seed, 128), sign)
+    # K = 100 and (16, 2) cut the blocks of B and L^2 across BLAS tiles
+    for K, seed, buffers in ((256, 13, (None, 96)), (512, 14, (None, 96)),
+                             (100, 15, (None,)), (16, 16, (2,))):
+        for sign in ("focusing", "defocusing"):
+            for buffer in buffers:
+                yield case(f"random:{seed}:{sign}:K{K}:buffer{buffer or K // 4}",
+                           random_decaying(seed, K), sign, buffer)
 
 
-@pytest.mark.parametrize("name,u,sign", list(_oracle_cases()),
-                         ids=lambda v: v if isinstance(v, str) else "")
-def test_identity_residuals_match_dense_oracle(name, u, sign):
-    """Index-shift S, S* and the shared (X, Y, M) reproduce the dense
-    formulas: bit for bit where the summation order is kept, and within
-    roundoff for the shift pairing, which is summed as a matmul."""
+@pytest.mark.parametrize("name,u,sign,buffer", list(_oracle_cases()))
+def test_identity_residuals_match_dense_oracle(name, u, sign, buffer):
+    """Index-shift S, S*, the shared (X, Y, M) and the buffered blocks of
+    B, L^2 and (L + 1)^2 reproduce the dense formulas: bit for bit where
+    the summation order is kept, and within roundoff for the shift
+    pairing, which is summed as a matmul."""
     dec = spectral_decompose(build_lax(u, sign))
-    rep = check_spectral_identities(u, dec)
-    mean, shift, ls, sb = _dense_identity_oracle(u, dec)
+    rep = check_spectral_identities(u, dec, buffer=buffer)
+    mean, shift, ls, sb = _dense_identity_oracle(
+        u, dec, u.K // 4 if buffer is None else buffer)
     assert rep.mean_identity == mean
     assert rep.commutator_ls == ls
     assert rep.commutator_sb == sb
     assert abs(rep.shift_identity - shift) <= 1e-15
+
+
+class _ProductShapes(np.ndarray):
+    """An ndarray view that records the shape of every matrix product it
+    takes part in; results stay views of this class, so products of
+    products are seen too."""
+
+    shapes = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = tuple(np.asarray(x) if isinstance(x, _ProductShapes) else x
+                      for x in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        if ufunc is np.matmul:
+            _ProductShapes.shapes.append(result.shape)
+        return result.view(_ProductShapes) if isinstance(result, np.ndarray) else result
+
+
+def test_identity_check_forms_only_its_blocks(monkeypatch):
+    """The commutators are assembled from the buffered blocks of B, L^2 and
+    (L + 1)^2: the dense B is never built, and the only K x K product is
+    P = T_u T_ubar, whose rows and columns both enter P^2."""
+    K = 128
+    u = random_decaying(5, K)
+    dec = spectral_decompose(build_lax(u, "focusing"))
+    want = check_spectral_identities(u, dec)
+
+    def no_dense_b(*args, **kwargs):
+        raise AssertionError("the identity check built the dense B")
+
+    toeplitz = lax.analytic_toeplitz_block
+    monkeypatch.setattr(lax, "build_b", no_dense_b)
+    monkeypatch.setattr(lax, "analytic_toeplitz_block",
+                        lambda w: toeplitz(w).view(_ProductShapes))
+    recorded = dataclasses.replace(dec, matrix=dec.matrix.view(_ProductShapes))
+    _ProductShapes.shapes = []
+    assert check_spectral_identities(u, recorded) == want
+    # P, then T_u T_dubar, T_du T_ubar, P^2 and L^2 on rows :R+1 and
+    # columns :R and (L + 1)^2 on [:R, :R-1], R = 96, padded to whole 4 x 4 tiles
+    assert sorted(_ProductShapes.shapes) == [(96, 96)] + [(100, 96)] * 4 + [(K, K)]
 
 
 def _fix_phases_loop(vectors):
