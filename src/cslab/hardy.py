@@ -295,14 +295,15 @@ def _conv_length(K: int) -> int:
 
 def _modulus_spectra(c: NDArray[np.complex128]):
     """(Pi(|u|^2), fft of c): the correlation of c with itself, plus the
-    zero-padded spectrum of c that produced it.
+    zero-padded spectrum of c that produced it, for each row of a (..., K)
+    stack.
 
     c and conj(c reversed) go through one stacked transform; each row of a
     stacked FFT is bit-identical to the row transformed alone.
     """
-    K = c.shape[0]
-    fc, fr = np.fft.fft(np.stack([c, np.conj(c[::-1])]), _conv_length(K))
-    return np.fft.ifft(fc * fr)[K - 1:2 * K - 1], fc
+    K = c.shape[-1]
+    fc, fr = np.fft.fft(np.stack([c, np.conj(c[..., ::-1])]), _conv_length(K))
+    return np.fft.ifft(fc * fr)[..., K - 1:2 * K - 1], fc
 
 
 def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -311,12 +312,13 @@ def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     D multiplies the coefficients of Pi(|u|^2) by n; the product with u is
     one more exact zero-padded convolution, which reuses the spectrum of c
     taken for Pi(|u|^2) (the same array a fresh transform returns), so the
-    whole takes four FFT calls.  The flow's nonlinear term is this times
-    +2i (focusing) or -2i (defocusing).
+    whole takes four FFT calls.  A (..., K) stack is taken row by row in
+    the same four calls, each row bit-identical to its own 1-d call.  The
+    flow's nonlinear term is this times +2i (focusing) or -2i (defocusing).
     """
-    K = c.shape[0]
+    K = c.shape[-1]
     pi, fc = _modulus_spectra(c)
-    return np.fft.ifft(np.fft.fft(np.arange(K) * pi, _conv_length(K)) * fc)[:K]
+    return np.fft.ifft(np.fft.fft(np.arange(K) * pi, _conv_length(K)) * fc)[..., :K]
 
 
 def derivative(u: HardyCoeffs) -> HardyCoeffs:

@@ -80,7 +80,13 @@ def _check_sign(sign: str) -> str:
 
 @dataclass(frozen=True)
 class LaxBlock:
-    """K x K Hermitian compression of the Lax operator for one sign."""
+    """K x K compression of the Lax operator for one sign.
+
+    The operator is Hermitian.  The computed matrix is Hermitian to
+    roundoff: bit for bit when K is a multiple of 4 on OpenBLAS, within a
+    few ulp of its largest entry otherwise.  ``eigh`` reads one triangle,
+    so spectra do not depend on which.
+    """
 
     matrix: NDArray[np.complex128]
     sign: str
@@ -89,7 +95,12 @@ class LaxBlock:
 
 @dataclass(frozen=True)
 class BBlock:
-    """K x K compression of the flow generator B; skew-adjoint up to truncation."""
+    """K x K compression of the flow generator B.
+
+    The operator is skew-adjoint.  The computed matrix is skew-adjoint to
+    roundoff: bit for bit when K is a multiple of 4 on OpenBLAS, within a
+    few ulp of its largest entry otherwise.
+    """
 
     matrix: NDArray[np.complex128]
     sign: str

@@ -7,6 +7,8 @@ pole-family wave against the analytic sampler; halving dt must shrink the
 error by about 2^4 (we require >= 12 to leave room for roundoff).
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ from cslab import (
     sample_wave,
     spectral_decompose,
 )
-from cslab.evolve import _apply_b_cols
+from cslab.evolve import _apply_b_cols, _b_kernels, _lawson_setup, _lawson_stages
 from cslab.hardy import nonlinearity
 
 
@@ -200,12 +202,14 @@ def test_b_action_matches_dense_generator(sign):
     rng = np.random.default_rng(5)
     F = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
     want = build_b(u, sign).matrix @ F
-    got = _apply_b_cols(u.coeffs, F, sign)
+    got = _apply_b_cols(_b_kernels(u.coeffs), F.T, sign).T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_stepper_fft_call_counts(monkeypatch):
-    """Shared spectra: the nonlinearity makes 4 FFT calls, the B action 9."""
+    """Shared spectra: the nonlinearity makes 4 FFT calls, the kernel
+    spectra 1 and the B action 8; evolve_basis makes 32 per step plus 13
+    per block of 8 steps (12 for the stacked stages, 1 for their kernels)."""
     calls = []
 
     def counted(real):
@@ -214,14 +218,101 @@ def test_stepper_fft_call_counts(monkeypatch):
             return real(*args, **kwargs)
         return call
 
+    u = random_decaying(11, 64, rho=0.8)
+    traj = _defocusing_wave_trajectory()
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
-    u = random_decaying(11, 64, rho=0.8).coeffs
-    nonlinearity(u)
+    nonlinearity(u.coeffs)
     assert len(calls) == 4
     calls.clear()
-    _apply_b_cols(u, np.eye(64, 2, dtype=complex), "focusing")
-    assert len(calls) == 9
+    kernels = _b_kernels(u.coeffs)
+    assert len(calls) == 1
+    calls.clear()
+    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), "focusing")
+    assert len(calls) == 8
+    calls.clear()
+    evolve_basis(traj, np.eye(64, 2, dtype=complex))
+    assert len(calls) == 32 * 10 + 13 * 2  # 10 steps, blocks of 8 and 2
+
+
+def _evolve_basis_step_by_step(traj, F):
+    """Oracle: the loop without blocks, with 1-d Lawson stages and one
+    kernel transform per stage."""
+    n_steps, h, s2i, E1, E2 = _lawson_setup(traj.cfg)
+    sign = traj.cfg.sign
+    G = F.T.copy()
+    cols = [F]
+    for i in range(n_steps):
+        u1 = traj.states[i].coeffs
+        u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2)[0]
+        l1 = _apply_b_cols(_b_kernels(u1), G, sign)
+        l2 = _apply_b_cols(_b_kernels(u2), G + (h / 2.0) * l1, sign)
+        l3 = _apply_b_cols(_b_kernels(u3), G + (h / 2.0) * l2, sign)
+        l4 = _apply_b_cols(_b_kernels(u4), G + h * l3, sign)
+        G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
+        cols.append(G.T)
+    return np.stack(cols)
+
+
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+@pytest.mark.parametrize("K", [64, 128])
+@pytest.mark.parametrize("n_steps", [13, 21])
+@pytest.mark.parametrize("m", [1, 3])
+def test_evolve_basis_blocks_match_step_by_step(sign, K, n_steps, m):
+    """Blocks of steps give the step-by-step columns bit for bit, also when
+    the step count is not a multiple of the block."""
+    u = random_decaying(K + n_steps, K, rho=0.5)
+    u = HardyCoeffs(u.coeffs * (0.6 / u.norm()))
+    traj = evolve(u, EvolveConfig(sign=sign, K=K, T=n_steps * 1e-4, dt=1e-4))
+    rng = np.random.default_rng(m)
+    F = rng.standard_normal((K, m)) + 1j * rng.standard_normal((K, m))
+    F /= np.linalg.norm(F, axis=0)
+    got = evolve_basis(traj, F).columns
+    assert got.shape == (n_steps + 1, K, m)
+    assert np.array_equal(got, _evolve_basis_step_by_step(traj, F))
+
+
+def _defocusing_wave_trajectory():
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    return evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3))
+
+
+def test_evolve_basis_refuses_non_finite_columns():
+    traj = _defocusing_wave_trajectory()
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        F = np.eye(64, 2, dtype=complex)
+        F[5, 1] = bad
+        with pytest.raises(InvalidParameter):
+            evolve_basis(traj, F)
+
+
+def test_evolve_basis_refuses_empty_and_3d_columns():
+    traj = _defocusing_wave_trajectory()
+    for F in (np.eye(64, 0, dtype=complex), np.zeros((64, 2, 2), dtype=complex)):
+        with pytest.raises(DimensionMismatch):
+            evolve_basis(traj, F)
+
+
+def test_evolve_basis_refuses_zero_column():
+    traj = _defocusing_wave_trajectory()
+    F = np.eye(64, 2, dtype=complex)
+    F[:, 1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter):
+            evolve_basis(traj, F)
+
+
+def test_evolve_basis_scaled_columns_keep_their_norm():
+    """B is skew-adjoint, so a column of norm 2 keeps norm 2; drift is read
+    against each column's initial norm.  Scaling by 2 is exact in floating
+    point and the flow is linear in g, so the columns scale bit for bit."""
+    traj = _defocusing_wave_trajectory()
+    unit = evolve_basis(traj, np.eye(64, 2, dtype=complex))
+    twice = evolve_basis(traj, 2.0 * np.eye(64, 2, dtype=complex))
+    assert np.array_equal(twice.columns, 2.0 * unit.columns)
+    np.testing.assert_allclose(np.linalg.norm(twice.columns[-1], axis=0), 2.0,
+                               atol=1e-10)
 
 
 def test_time_sampler_agrees_with_flow():

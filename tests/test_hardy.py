@@ -169,6 +169,18 @@ def test_nonlinearity_matches_direct_sum():
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
 
 
+@pytest.mark.parametrize("B", [1, 3])
+def test_nonlinearity_on_a_stack_matches_rows(B):
+    """Each row of the result on a (B, K) stack is bit-identical to the 1-d
+    call on that row."""
+    draws = [c for _, c in _seeded_draws(32)][:B]
+    stack = np.stack(draws)
+    got = nonlinearity(stack)
+    assert got.shape == (B, 32)
+    for row, c in zip(got, draws):
+        assert np.array_equal(row, nonlinearity(c))
+
+
 def test_toeplitz_block_small_oracle():
     f = FullCoeffs(np.array([2.0, 3.0, 5.0j]))
     T = toeplitz_block(f, 2)
