@@ -19,6 +19,17 @@ exact: a stacked FFT transforms each row as it would alone and every
 spectral product keeps its operand order, so results are bit-identical to
 convolving term by term, step by step.
 
+Each evolve and evolve_basis call makes one FFT workspace, used by all its
+steps and dropped on return (nothing is cached across calls): the
+zero-padded (..., L) input buffers and the output buffers of the
+nonlinearity (hardy._ConvWorkspace), of the kernel spectra
+(_KernelWorkspace) and of the B action (_ActionWorkspace).  Inputs go into
+the first K slots of a buffer, whose padding stays zero, stacked operands
+into slices of one buffer, and every FFT call writes through ``out=``.
+This too is bit-identical: the FFT of a buffer padded with zeros to L is
+the FFT of its first K entries taken with n = L.  Slopes, stage states and
+recorded states are new arrays, never views of the workspace.
+
 The evolving orthonormal basis g_n^t solves d/dt g = B_{u(t)} g with
 g|0 = f_n, an eigenvector of the Lax operator of u(0); B is the
 skew-adjoint half of the Lax pair.  Its matrix is never formed: B is
@@ -48,8 +59,8 @@ from .errors import (
     OutsideTheory,
     UnderResolved,
 )
-from .hardy import HardyCoeffs, _conv_length, nonlinearity
-from .lax import build_lax, spectral_decompose, _check_sign
+from .hardy import HardyCoeffs, _ConvWorkspace, _conv_length, _nonlinearity
+from .lax import build_lax, spectral_decompose, _check_sign, _is_integer
 
 __all__ = [
     "EvolveConfig",
@@ -86,13 +97,16 @@ class EvolveConfig:
 
     def __post_init__(self) -> None:
         _check_sign(self.sign)
-        if self.K < 2:
-            raise InvalidParameter("K must be >= 2")
+        if not _is_integer(self.K) or self.K < 2:
+            raise InvalidParameter(f"K must be an integer >= 2, got {self.K!r}")
         # negated, so NaN is refused too; inf would give no step or one step of h = T
         if not (0 < self.dt < np.inf and 0 <= self.T < np.inf):
             raise InvalidParameter("need finite dt > 0 and T >= 0")
-        if self.record_every < 1:
-            raise InvalidParameter("record_every must be >= 1")
+        if not _is_integer(self.record_every) or self.record_every < 1:
+            raise InvalidParameter(
+                f"record_every must be an integer >= 1, got {self.record_every!r}")
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "record_every", int(self.record_every))
 
 
 @dataclass(frozen=True)
@@ -126,18 +140,23 @@ def _lawson_setup(cfg: EvolveConfig):
 
 
 def _lawson_stages(c: NDArray[np.complex128], h: float, s2i: complex,
-                   E1: NDArray[np.complex128], E2: NDArray[np.complex128]):
+                   E1: NDArray[np.complex128], E2: NDArray[np.complex128],
+                   ws: _ConvWorkspace | None = None):
     """Stage states (U2, U3, U4) at t+h/2, t+h/2, t+h of one Lawson step from c,
     with the slopes (k1, k2, k3) taken at c, U2 and U3.
 
     c is one state (K,) or a (..., K) stack of them; each row of a stack
-    gets the stages its 1-d call would give, bit for bit.
+    gets the stages its 1-d call would give, bit for bit.  The nonlinearity
+    runs on the workspace ``ws`` of c's shape (a fresh one by default); the
+    returned arrays are new, none is a view of it.
     """
-    k1 = s2i * nonlinearity(c)
+    if ws is None:
+        ws = _ConvWorkspace(c.shape)
+    k1 = s2i * _nonlinearity(c, ws)
     u2 = E1 * (c + (h / 2.0) * k1)
-    k2 = s2i * nonlinearity(u2)
+    k2 = s2i * _nonlinearity(u2, ws)
     u3 = E1 * c + (h / 2.0) * k2
-    k3 = s2i * nonlinearity(u3)
+    k3 = s2i * _nonlinearity(u3, ws)
     u4 = E2 * c + h * E1 * k3
     return (u2, u3, u4), (k1, k2, k3)
 
@@ -181,29 +200,32 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
                     cfg.dt * (K - 1) ** 2)
 
     n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
+    ws = _ConvWorkspace(c.shape)
     times = [0.0]
     states = [HardyCoeffs(c.copy())]
+    tails = [_tail_rel(c)]
     for i in range(n_steps):
-        (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2)
-        k4 = s2i * nonlinearity(u4)
+        (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2, ws)
+        k4 = s2i * _nonlinearity(u4, ws)
         c = E2 * c + (h / 6.0) * (E2 * k1 + 2.0 * E1 * (k2 + k3) + k4)
         if np.max(np.abs(c)) > cfg.blowup_threshold:
             raise BlowupDetected(f"|u_hat| exceeded {cfg.blowup_threshold:.1e} "
                                  f"at t = {(i + 1) * h:.6f}")
         if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
-            if _tail_rel(c) > cfg.tail_rel_tol:
+            tail = _tail_rel(c)
+            if tail > cfg.tail_rel_tol:
                 raise UnderResolved(
-                    f"tail energy {_tail_rel(c):.3e} at t = {(i + 1) * h:.6f} "
+                    f"tail energy {tail:.3e} at t = {(i + 1) * h:.6f} "
                     f"exceeds {cfg.tail_rel_tol:.1e}; increase K")
             times.append((i + 1) * h)
             states.append(HardyCoeffs(c.copy()))
+            tails.append(tail)
 
     mat = np.vstack([s.coeffs for s in states])
     l2 = np.linalg.norm(mat, axis=1)
     mean = mat[:, 0].copy()
-    tail = np.array([_tail_rel(s.coeffs) for s in states])
     return Trajectory(cfg=cfg, times=np.array(times), states=tuple(states),
-                      l2=l2, mean=mean, tail=tail)
+                      l2=l2, mean=mean, tail=np.array(tails))
 
 
 @dataclass(frozen=True)
@@ -224,8 +246,15 @@ def conservation_report(traj: Trajectory, n_eigs: int = 10,
     The norm and mean are read off every snapshot; eigenvalues (first
     ``n_eigs`` reliable ones) are computed on at most ``eig_snapshots``
     evenly spaced snapshots, endpoints included, since each requires a full
-    Hermitian eigensolve.
+    Hermitian eigensolve.  n_eigs must be an integer >= 1 and eig_snapshots
+    one >= 2 (InvalidParameter otherwise); a one-snapshot trajectory is
+    compared with itself.
     """
+    if not _is_integer(n_eigs) or n_eigs < 1:
+        raise InvalidParameter(f"n_eigs must be an integer >= 1, got {n_eigs!r}")
+    if not _is_integer(eig_snapshots) or eig_snapshots < 2:
+        raise InvalidParameter(
+            f"eig_snapshots must be an integer >= 2, got {eig_snapshots!r}")
     l2_drift = float(np.max(np.abs(traj.l2 ** 2 - traj.l2[0] ** 2)))
     mean_drift = float(np.max(np.abs(traj.mean - traj.mean[0])))
     n_snap = len(traj.states)
@@ -280,22 +309,71 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     return c
 
 
-def _b_kernels(U: NDArray[np.complex128]) -> NDArray[np.complex128]:
+class _KernelWorkspace:
+    """Zero-padded FFT buffers of ``_b_kernels`` for (..., K) stacks of one
+    shape.
+
+    ``pad`` (..., 4, L) takes u, du, conj(u reversed) and conj(du reversed)
+    in the first K slots of its rows; the slots after them stay zero.
+    ``spec`` takes their transforms and is what ``_b_kernels`` returns.
+    """
+
+    def __init__(self, shape: tuple, bufs: tuple | None = None) -> None:
+        K = shape[-1]
+        if bufs is None:
+            pad = np.zeros((*shape[:-1], 4, _conv_length(K)), dtype=np.complex128)
+            bufs = (pad, np.empty_like(pad))
+        self.shape, self.bufs = shape, bufs
+        self.pad, self.spec = bufs
+        self.ik = 1j * np.arange(K)
+        self.u, self.du, self.ub, self.dub = (self.pad[..., s, :K] for s in range(4))
+
+    def rows(self, n: int) -> "_KernelWorkspace":
+        """The same buffers cut to the first n steps of an (S, B, K) stack."""
+        S, _, K = self.shape
+        return _KernelWorkspace((S, n, K), tuple(b[:, :n] for b in self.bufs))
+
+
+def _b_kernels(U: NDArray[np.complex128],
+               ws: _KernelWorkspace | None = None) -> NDArray[np.complex128]:
     """Spectra of the four Toeplitz kernels of B_u for each state u of U.
 
     U is one state (K,) or a (..., K) stack of them; the result has shape
     (..., 4, L) with rows u, du, conj(u reversed) and conj(du reversed),
     zero-padded to the exact convolution length L.  One FFT call serves the
-    whole stack.
+    whole stack.  U is copied into the workspace ``ws`` of its shape (a
+    fresh one by default), unless it is ``ws.u`` already filled in place;
+    the result is ``ws.spec``.
     """
-    K = U.shape[-1]
-    dU = 1j * np.arange(K) * U
-    return np.fft.fft(np.stack([U, dU, np.conj(U[..., ::-1]), np.conj(dU[..., ::-1])],
-                               axis=-2), _conv_length(K))
+    if ws is None:
+        ws = _KernelWorkspace(U.shape)
+    np.copyto(ws.u, U)
+    np.multiply(ws.ik, ws.u, out=ws.du)
+    np.conjugate(ws.u[..., ::-1], out=ws.ub)
+    np.conjugate(ws.du[..., ::-1], out=ws.dub)
+    return np.fft.fft(ws.pad, out=ws.spec)
+
+
+class _ActionWorkspace:
+    """Zero-padded FFT buffers of ``_apply_b_cols`` on (m, K) rows.
+
+    ``pad``, ``spec``, ``prod`` and ``conv`` are (3, m, L): up to three
+    sibling convolutions go through one call.  Rows are written into the
+    first K slots of ``pad``, whose padding stays zero.
+    """
+
+    def __init__(self, shape: tuple) -> None:
+        K = shape[-1]
+        pad = np.zeros((3, *shape[:-1], _conv_length(K)), dtype=np.complex128)
+        self.pad, self.spec, self.prod, self.conv = (
+            pad, np.empty_like(pad), np.empty_like(pad), np.empty_like(pad))
+        self.slots = pad[..., :K]
+        self.heads = self.conv[..., :K]
+        self.tails = self.conv[..., K - 1:2 * K - 1]
 
 
 def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
-                  sign: str) -> NDArray[np.complex128]:
+                  sign: str, ws: _ActionWorkspace | None = None) -> NDArray[np.complex128]:
     """B_u applied to the rows of G (m, K) without forming the matrix.
 
     ``kernels`` is the (4, L) block of ``_b_kernels`` for this u.
@@ -306,19 +384,34 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
 
     Eight FFT calls: one transform of G and stacked calls for the sibling
     convolutions; T_{conj u} G serves both the second term and
-    P(G) = T_u T_{conj u} G.
+    P(G) = T_u T_{conj u} G.  They run on the workspace ``ws`` of G's shape
+    (a fresh one by default); the result is a new array.
     """
-    K = G.shape[-1]
+    if ws is None:
+        ws = _ActionWorkspace(G.shape)
     k_u, k_du, k_ub, k_dub = kernels
-    L = k_u.shape[-1]
-    spec = lambda X: np.fft.fft(X, L)  # noqa: E731
-    head = lambda S: np.fft.ifft(S)[..., :K]  # noqa: E731
-    tail = lambda S: np.fft.ifft(S)[..., K - 1:2 * K - 1]  # noqa: E731
-    fG = spec(G)
+    pad, spec, prod, conv = ws.pad, ws.spec, ws.prod, ws.conv
+    ws.slots[0] = G
+    fG = np.fft.fft(pad[0], out=spec[0])
     # spectra of T_{conj du} G and T_{conj u} G; the second feeds two terms
-    bar_du, bar_u = spec(tail(np.stack([k_dub * fG, k_ub * fG])))
-    first, second, PF = head(np.stack([k_u * bar_du, k_du * bar_u, k_u * bar_u]))
-    quad = 1j * head(k_u * spec(tail(k_ub * spec(PF))))
+    np.multiply(k_dub, fG, out=prod[0])
+    np.multiply(k_ub, fG, out=prod[1])
+    np.fft.ifft(prod[:2], out=conv[:2])
+    ws.slots[:2] = ws.tails[:2]
+    bar_du, bar_u = np.fft.fft(pad[:2], out=spec[:2])
+    np.multiply(k_u, bar_du, out=prod[0])
+    np.multiply(k_du, bar_u, out=prod[1])
+    np.multiply(k_u, bar_u, out=prod[2])
+    np.fft.ifft(prod, out=conv)
+    first, second, PF = ws.heads
+    # the last term, i T_u T_{conj u} PF, runs on the third row of each buffer
+    ws.slots[2] = PF
+    np.multiply(k_ub, np.fft.fft(pad[2], out=spec[2]), out=prod[2])
+    np.fft.ifft(prod[2], out=conv[2])
+    ws.slots[2] = ws.tails[2]
+    np.multiply(k_u, np.fft.fft(pad[2], out=spec[2]), out=prod[2])
+    np.fft.ifft(prod[2], out=conv[2])
+    quad = 1j * ws.heads[2]
     if sign == "focusing":
         return first - second + quad
     return -first + second + quad
@@ -384,17 +477,27 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     cols[0] = F
     G = F.T.copy()
     u_mat = traj.coeff_matrix()
+    # the workspace of this call: stage stacks, their kernels, the action
+    stage_ws = _ConvWorkspace((_STEP_BLOCK, K))
+    kern_ws = _KernelWorkspace((4, _STEP_BLOCK, K))
+    act_ws = _ActionWorkspace(G.shape)
 
     for b in range(0, n_steps, _STEP_BLOCK):
         u1 = u_mat[b:min(b + _STEP_BLOCK, n_steps)]
-        # kern[s, j]: kernel spectra of stage s (u1, U2, U3, U4) of step b + j
-        kern = _b_kernels(np.stack([u1, *_lawson_stages(u1, h, s2i, E1, E2)[0]]))
+        if u1.shape[0] < _STEP_BLOCK:  # the last block may be shorter
+            stage_ws, kern_ws = stage_ws.rows(u1.shape[0]), kern_ws.rows(u1.shape[0])
+        # stage s (u1, U2, U3, U4) of step b + j goes to kern_ws.u[s, j] and
+        # its kernel spectra to kern[s, j]
+        U = kern_ws.u
+        U[0] = u1
+        U[1], U[2], U[3] = _lawson_stages(u1, h, s2i, E1, E2, stage_ws)[0]
+        kern = _b_kernels(U, kern_ws)
         for j in range(u1.shape[0]):
             i = b + j
-            l1 = _apply_b_cols(kern[0, j], G, sign)
-            l2 = _apply_b_cols(kern[1, j], G + (h / 2.0) * l1, sign)
-            l3 = _apply_b_cols(kern[2, j], G + (h / 2.0) * l2, sign)
-            l4 = _apply_b_cols(kern[3, j], G + h * l3, sign)
+            l1 = _apply_b_cols(kern[0, j], G, sign, act_ws)
+            l2 = _apply_b_cols(kern[1, j], G + (h / 2.0) * l1, sign, act_ws)
+            l3 = _apply_b_cols(kern[2, j], G + (h / 2.0) * l2, sign, act_ws)
+            l4 = _apply_b_cols(kern[3, j], G + h * l3, sign, act_ws)
             G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
             dev = float(np.max(np.abs(np.linalg.norm(G, axis=-1) / norm0 - 1.0)))
             # negated, so a NaN deviation drifts too
@@ -411,7 +514,15 @@ def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
     potential_law:  <u(t)|g_n^t> = <u0|f_n> e^{-i lam_n^2 t}
     mean_law:       <1|g_n^t>    = <1|f_n>  e^{-i lam_n^2 t}
     shift_law:      <S g_p^t|g_n^t> = <S f_p|f_n> e^{i((lam_p+1)^2 - lam_n^2) t}
+
+    The basis must be evolved along traj: the same snapshot times and the
+    same truncation K (DimensionMismatch otherwise).
     """
+    if basis.columns.shape[1] != traj.cfg.K:
+        raise DimensionMismatch(
+            f"basis columns have K={basis.columns.shape[1]}, the trajectory {traj.cfg.K}")
+    if not np.array_equal(basis.times, traj.times):
+        raise DimensionMismatch("basis and trajectory are sampled at different times")
     u_mat = traj.coeff_matrix()
     t = basis.times
     lam = basis.eigenvalues

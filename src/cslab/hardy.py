@@ -293,17 +293,65 @@ def _conv_length(K: int) -> int:
     return 1 << (2 * K - 2).bit_length()
 
 
-def _modulus_spectra(c: NDArray[np.complex128]):
+class _ConvWorkspace:
+    """Zero-padded FFT buffers of ``nonlinearity`` for (..., K) stacks of one
+    shape, made once per integration and reused by every call on it.
+
+    ``pad`` (2, ..., L) takes c and conj(c reversed) in its first K slots;
+    the slots after them, up to the convolution length L, are zero and stay
+    zero, since only the first K are ever written.  ``spec`` takes the
+    transforms of ``pad``, ``prod`` a spectral product and ``conv`` its
+    inverse transform.  Results are views of these buffers, so a caller
+    consumes one before the next call on the same workspace.
+    """
+
+    def __init__(self, shape: tuple, bufs: tuple | None = None) -> None:
+        K = shape[-1]
+        if bufs is None:
+            pad = np.zeros((2, *shape[:-1], _conv_length(K)), dtype=np.complex128)
+            bufs = (pad, np.empty_like(pad), np.empty_like(pad[0]), np.empty_like(pad[0]))
+        self.bufs = bufs
+        self.pad, self.spec, self.prod, self.conv = bufs
+        self.n = np.arange(K)
+        self.r_pad = self.pad[1]
+        self.c_in, self.r_in = self.pad[0, ..., :K], self.r_pad[..., :K]
+        self.fc, self.fr = self.spec
+        self.pi = self.conv[..., K - 1:2 * K - 1]
+        self.out = self.conv[..., :K]
+
+    def rows(self, n: int) -> "_ConvWorkspace":
+        """The same buffers cut to the first n rows of a (B, K) stack."""
+        return _ConvWorkspace((n, self.n.size), tuple(b[..., :n, :] for b in self.bufs))
+
+
+def _modulus_spectra(c: NDArray[np.complex128], ws: _ConvWorkspace | None = None):
     """(Pi(|u|^2), fft of c): the correlation of c with itself, plus the
     zero-padded spectrum of c that produced it, for each row of a (..., K)
     stack.
 
     c and conj(c reversed) go through one stacked transform; each row of a
-    stacked FFT is bit-identical to the row transformed alone.
+    stacked FFT is bit-identical to the row transformed alone.  Both
+    results are views of the workspace ``ws`` (a fresh one by default).
     """
-    K = c.shape[-1]
-    fc, fr = np.fft.fft(np.stack([c, np.conj(c[..., ::-1])]), _conv_length(K))
-    return np.fft.ifft(fc * fr)[..., K - 1:2 * K - 1], fc
+    if ws is None:
+        ws = _ConvWorkspace(c.shape)
+    ws.c_in[...] = c
+    np.conjugate(c[..., ::-1], out=ws.r_in)
+    np.fft.fft(ws.pad, out=ws.spec)
+    np.multiply(ws.fc, ws.fr, out=ws.prod)
+    np.fft.ifft(ws.prod, out=ws.conv)
+    return ws.pi, ws.fc
+
+
+def _nonlinearity(c: NDArray[np.complex128], ws: _ConvWorkspace) -> NDArray[np.complex128]:
+    """``nonlinearity`` of c on the buffers of ``ws``; the result is a view
+    of them, valid until the next call on ``ws``."""
+    pi, fc = _modulus_spectra(c, ws)
+    np.multiply(ws.n, pi, out=ws.r_in)
+    np.fft.fft(ws.r_pad, out=ws.fr)
+    np.multiply(ws.fr, fc, out=ws.prod)
+    np.fft.ifft(ws.prod, out=ws.conv)
+    return ws.out
 
 
 def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -315,10 +363,10 @@ def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     whole takes four FFT calls.  A (..., K) stack is taken row by row in
     the same four calls, each row bit-identical to its own 1-d call.  The
     flow's nonlinear term is this times +2i (focusing) or -2i (defocusing).
+    The integrators run the same code on one workspace per integration;
+    this call makes its own, sized from ``c.shape``.
     """
-    K = c.shape[-1]
-    pi, fc = _modulus_spectra(c)
-    return np.fft.ifft(np.fft.fft(np.arange(K) * pi, _conv_length(K)) * fc)[..., :K]
+    return _nonlinearity(c, _ConvWorkspace(c.shape))
 
 
 def derivative(u: HardyCoeffs) -> HardyCoeffs:

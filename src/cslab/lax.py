@@ -212,10 +212,14 @@ def build_b(u: HardyCoeffs, sign: str) -> BBlock:
     return BBlock(matrix=_b_block(u, sign, u.K, u.K), sign=sign, K=u.K)
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; bool is not taken as one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_buffer(buffer, K: int) -> int:
     """The buffer as an int, refused unless it is an integer with 1 <= buffer < K."""
-    if isinstance(buffer, bool) or not isinstance(buffer, (int, np.integer)) \
-            or not 1 <= buffer < K:
+    if not _is_integer(buffer) or not 1 <= buffer < K:
         raise InvalidParameter(f"buffer {buffer!r} out of range for K={K}: need an integer "
                                "1 <= buffer < K (the default K/8 needs K >= 8)")
     return int(buffer)

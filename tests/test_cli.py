@@ -10,6 +10,10 @@ terminate with SystemExit(2), which is asserted separately.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +28,7 @@ from cslab import (
     make_fixture,
     run_verify,
 )
+import cslab
 from cslab.cli import main
 
 
@@ -83,6 +88,25 @@ def test_spectrum_from_fixture(tmp_path):
     assert len(lines) == 1 + ident["reliable"]
     first = lines[1].split(",")
     assert float(first[1]) == pytest.approx(-1.0, abs=1e-10)
+
+
+def test_python_m_cslab_runs_the_cli(tmp_path):
+    """``python -m cslab`` from a source tree on PYTHONPATH exits 0 and
+    writes the same bytes as ``cli.main``."""
+    args = ["spectrum", "--fixture", "appendix2", "--K", "64", "--out-dir"]
+    assert run(*args, str(tmp_path / "main")) == 0
+    env = dict(os.environ)
+    src = str(Path(cslab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "cslab", *args, str(tmp_path / "m")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names = sorted(p.name for p in (tmp_path / "main").iterdir())
+    assert names == ["spectrum_eigenvalues.csv", "spectrum_identities.json"]
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "m" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
 
 def test_spectrum_from_coeff_file(tmp_path):

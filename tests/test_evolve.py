@@ -34,8 +34,15 @@ from cslab import (
     sample_wave,
     spectral_decompose,
 )
-from cslab.evolve import _apply_b_cols, _b_kernels, _lawson_setup, _lawson_stages
-from cslab.hardy import nonlinearity
+from cslab.evolve import (
+    _ActionWorkspace,
+    _KernelWorkspace,
+    _apply_b_cols,
+    _b_kernels,
+    _lawson_setup,
+    _lawson_stages,
+)
+from cslab.hardy import _ConvWorkspace, _conv_length, nonlinearity
 
 
 def _wave_state(name, K):
@@ -52,6 +59,15 @@ def test_config_validation():
         EvolveConfig(sign="defocusing", K=8, T=1.0, dt=1e-3, record_every=0)
     with pytest.raises(InvalidParameter):
         EvolveConfig(sign="squeezing", K=8, T=1.0, dt=1e-3)
+    # K and record_every must be integers: the same test as the buffer's
+    for bad in (dict(K=32.0), dict(K=True), dict(K="32"),
+                dict(K=32, record_every=2.5), dict(K=32, record_every=True),
+                dict(K=32, record_every=2.0)):
+        with pytest.raises(InvalidParameter):
+            EvolveConfig(sign="defocusing", T=1.0, dt=1e-3, **bad)
+    cfg = EvolveConfig(sign="defocusing", K=np.int64(32), T=1.0, dt=1e-3,
+                       record_every=np.int32(2))
+    assert (type(cfg.K), type(cfg.record_every)) == (int, int)
     # non-finite times: NaN fails every comparison, inf gives no usable step
     for T, dt in [(float("nan"), 1e-3), (float("inf"), 1e-3),
                   (1.0, float("nan")), (1.0, float("inf"))]:
@@ -102,6 +118,23 @@ def test_conservation_on_wave_flow():
     assert rep.mean_drift < 1e-8
     assert rep.eig_drift < 1e-6
     assert rep.n_eigs == 10
+
+
+def test_conservation_report_refuses_bad_counts():
+    """n_eigs < 1 used to fail inside numpy or silently drop the top of the
+    spectrum; eig_snapshots < 2 compared one snapshot with itself."""
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.004, dt=1e-3))
+    for kwargs in (dict(n_eigs=0), dict(n_eigs=-3), dict(n_eigs=2.5),
+                   dict(n_eigs=True), dict(eig_snapshots=0),
+                   dict(eig_snapshots=1), dict(eig_snapshots=3.0)):
+        with pytest.raises(InvalidParameter):
+            conservation_report(traj, **kwargs)
+    assert conservation_report(traj, n_eigs=np.int64(1), eig_snapshots=2).eig_snapshots == 2
+    # a one-snapshot (T = 0) trajectory stays valid with the defaults
+    still = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.0, dt=1e-3))
+    rep = conservation_report(still)
+    assert (rep.eig_snapshots, rep.eig_drift) == (1, 0.0)
 
 
 def test_measured_speed_matches_closed_form():
@@ -178,6 +211,24 @@ def test_evolved_basis_norms_and_phase_laws():
         assert rep[law] < 1e-8, f"{law} residual {rep[law]:.3e}"
 
 
+def test_phase_law_report_refuses_a_foreign_basis():
+    """The basis must come from the trajectory: same times, same K."""
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    cfg = EvolveConfig(sign="defocusing", K=64, T=0.004, dt=1e-3)
+    traj = evolve(u0, cfg)
+    basis = evolve_basis(traj, np.eye(64, 2, dtype=complex))
+    longer = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.005, dt=1e-3))
+    finer = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.004, dt=5e-4))
+    for other in (longer, finer):
+        with pytest.raises(DimensionMismatch):
+            phase_law_report(other, basis)
+    wider = make_fixture("wave:defocusing:1:0.5:1").coeffs(128)
+    with pytest.raises(DimensionMismatch):
+        phase_law_report(evolve(wider, EvolveConfig(sign="defocusing", K=128,
+                                                    T=0.004, dt=1e-3)), basis)
+    assert set(phase_law_report(traj, basis)) == {"potential_law", "mean_law", "shift_law"}
+
+
 def test_evolve_basis_shape_guard():
     _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
     traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3))
@@ -233,6 +284,99 @@ def test_stepper_fft_call_counts(monkeypatch):
     calls.clear()
     evolve_basis(traj, np.eye(64, 2, dtype=complex))
     assert len(calls) == 32 * 10 + 13 * 2  # 10 steps, blocks of 8 and 2
+
+
+def _b_kernels_allocating(U):
+    """The allocating forms the workspace replaced: np.stack and n=L padding
+    inside np.fft, fresh arrays from every call."""
+    K = U.shape[-1]
+    dU = 1j * np.arange(K) * U
+    return np.fft.fft(np.stack([U, dU, np.conj(U[..., ::-1]), np.conj(dU[..., ::-1])],
+                               axis=-2), _conv_length(K))
+
+
+def _apply_b_cols_allocating(kernels, G, sign):
+    K = G.shape[-1]
+    k_u, k_du, k_ub, k_dub = kernels
+    L = k_u.shape[-1]
+    spec = lambda X: np.fft.fft(X, L)  # noqa: E731
+    head = lambda S: np.fft.ifft(S)[..., :K]  # noqa: E731
+    tail = lambda S: np.fft.ifft(S)[..., K - 1:2 * K - 1]  # noqa: E731
+    fG = spec(G)
+    bar_du, bar_u = spec(tail(np.stack([k_dub * fG, k_ub * fG])))
+    first, second, PF = head(np.stack([k_u * bar_du, k_du * bar_u, k_u * bar_u]))
+    quad = 1j * head(k_u * spec(tail(k_ub * spec(PF))))
+    if sign == "focusing":
+        return first - second + quad
+    return -first + second + quad
+
+
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+@pytest.mark.parametrize("K", [37, 64, 128, 256])
+def test_b_action_workspace_matches_allocating_form(sign, K):
+    """Kernel spectra and B action on workspaces are bit-identical to the
+    allocating forms: one state and (4, B, K) stage stacks, m = 1 and 3
+    rows, fresh workspaces, reused ones and the first rows of a larger one."""
+    rng = np.random.default_rng(K)
+    kern_ws = _KernelWorkspace((4, 8, K))
+    act_ws = {m: _ActionWorkspace((m, K)) for m in (1, 3)}
+    for _ in range(2):  # the second round reuses every workspace
+        U = rng.standard_normal((4, 5, K)) + 1j * rng.standard_normal((4, 5, K))
+        want = _b_kernels_allocating(U)
+        assert np.array_equal(_b_kernels(U[0, 0]), want[0, 0])
+        assert np.array_equal(_b_kernels(U), want)
+        kern = _b_kernels(U, kern_ws.rows(5))
+        assert np.array_equal(kern, want)
+        for m in (1, 3):
+            G = rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))
+            for s, j in ((0, 0), (3, 4)):
+                expect = _apply_b_cols_allocating(want[s, j], G, sign)
+                assert np.array_equal(_apply_b_cols(want[s, j], G, sign), expect)
+                assert np.array_equal(_apply_b_cols(kern[s, j], G, sign, act_ws[m]), expect)
+
+
+def test_integrator_results_do_not_alias_the_workspace():
+    """Slopes, stage states and B actions from one call on a workspace are
+    unchanged by the next call on it; recorded states are distinct arrays."""
+    rng = np.random.default_rng(3)
+    K = 64
+    a, b = 0.1 * (rng.standard_normal((2, K)) + 1j * rng.standard_normal((2, K)))
+    n_steps, h, s2i, E1, E2 = _lawson_setup(EvolveConfig(sign="focusing", K=K,
+                                                         T=1e-3, dt=1e-4))
+    ws = _ConvWorkspace((K,))
+    first = [x for pair in _lawson_stages(a, h, s2i, E1, E2, ws) for x in pair]
+    kept = [x.copy() for x in first]
+    _lawson_stages(b, h, s2i, E1, E2, ws)
+    assert all(np.array_equal(x, y) for x, y in zip(first, kept))
+
+    kern = _b_kernels(a)
+    act = _ActionWorkspace((2, K))
+    first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), "focusing", act)
+    kept_b = first_b.copy()
+    _apply_b_cols(kern, np.eye(2, K, 3, dtype=complex), "focusing", act)
+    assert np.array_equal(first_b, kept_b)
+
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", K)
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=K, T=0.01, dt=1e-3))
+    states = [s.coeffs for s in traj.states]
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(states)
+                   for y in states[i + 1:])
+    assert not any(np.shares_memory(x, u0.coeffs) for x in states)
+    basis = evolve_basis(traj, np.eye(K, 2, dtype=complex))
+    kept_cols = basis.columns.copy()
+    evolve_basis(traj, np.eye(K, 2, -5, dtype=complex))
+    assert np.array_equal(basis.columns, kept_cols)
+
+
+def test_evolve_tail_is_the_tail_of_each_recorded_state():
+    """The tail energies kept from the loop are those of the states."""
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3,
+                                   record_every=3))
+    want = [np.sum(np.abs(s.coeffs[56:]) ** 2) / np.sum(np.abs(s.coeffs) ** 2)
+            for s in traj.states]
+    assert len(traj.tail) == len(traj.states) == 5
+    np.testing.assert_allclose(traj.tail, want, rtol=1e-12, atol=0.0)
 
 
 def _evolve_basis_step_by_step(traj, F):

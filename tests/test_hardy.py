@@ -46,7 +46,13 @@ from cslab import (
     translate,
     zero_pad,
 )
-from cslab.hardy import _modulus_spectra, nonlinearity
+from cslab.hardy import (
+    _ConvWorkspace,
+    _conv_length,
+    _modulus_spectra,
+    _nonlinearity,
+    nonlinearity,
+)
 
 
 def _coeff_vectors(max_k=8, scale=1.0):
@@ -179,6 +185,52 @@ def test_nonlinearity_on_a_stack_matches_rows(B):
     assert got.shape == (B, 32)
     for row, c in zip(got, draws):
         assert np.array_equal(row, nonlinearity(c))
+
+
+def _nonlinearity_allocating(c):
+    """The allocating form the workspace replaced: np.stack and n=L padding
+    inside np.fft, a fresh array from every call."""
+    K = c.shape[-1]
+    L = _conv_length(K)
+    fc, fr = np.fft.fft(np.stack([c, np.conj(c[..., ::-1])]), L)
+    pi = np.fft.ifft(fc * fr)[..., K - 1:2 * K - 1]
+    return np.fft.ifft(np.fft.fft(np.arange(K) * pi, L) * fc)[..., :K]
+
+
+@pytest.mark.parametrize("K", [37, 64, 128, 256])
+def test_nonlinearity_workspace_matches_allocating_form(K):
+    """The workspace kernel is bit-identical to the allocating one, 1-d and
+    on a stack, on a fresh workspace, on one reused for new data, and on
+    the first rows of a larger one (the padding must stay zero)."""
+    rng = np.random.default_rng(K)
+    draws = [rng.standard_normal((5, K)) + 1j * rng.standard_normal((5, K))
+             for _ in range(2)]
+    for stack in draws:
+        assert np.array_equal(nonlinearity(stack[0]), _nonlinearity_allocating(stack[0]))
+        assert np.array_equal(nonlinearity(stack), _nonlinearity_allocating(stack))
+    one, many = _ConvWorkspace((K,)), _ConvWorkspace((8, K))
+    for stack in draws:
+        assert np.array_equal(_nonlinearity(stack[0], one),
+                              _nonlinearity_allocating(stack[0]))
+        assert np.array_equal(_nonlinearity(stack, many.rows(5)),
+                              _nonlinearity_allocating(stack))
+        pi, fc = _modulus_spectra(stack, many.rows(5))
+        want_fc = np.fft.fft(stack, _conv_length(K))
+        assert np.array_equal(fc, want_fc)
+        assert np.array_equal(
+            pi, np.fft.ifft(want_fc * np.fft.fft(np.conj(stack[:, ::-1]), _conv_length(K)))
+            [:, K - 1:2 * K - 1])
+
+
+def test_nonlinearity_results_do_not_alias():
+    """A result of the public call is not overwritten by later calls."""
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
+    first = nonlinearity(a)
+    kept = first.copy()
+    nonlinearity(b)
+    nonlinearity(np.stack([b, a]))
+    assert np.array_equal(first, kept)
 
 
 def test_toeplitz_block_small_oracle():
