@@ -318,20 +318,12 @@ class _KernelWorkspace:
     ``spec`` takes their transforms and is what ``_b_kernels`` returns.
     """
 
-    def __init__(self, shape: tuple, bufs: tuple | None = None) -> None:
+    def __init__(self, shape: tuple) -> None:
         K = shape[-1]
-        if bufs is None:
-            pad = np.zeros((*shape[:-1], 4, _conv_length(K)), dtype=np.complex128)
-            bufs = (pad, np.empty_like(pad))
-        self.shape, self.bufs = shape, bufs
-        self.pad, self.spec = bufs
+        self.pad = np.zeros((*shape[:-1], 4, _conv_length(K)), dtype=np.complex128)
+        self.spec = np.empty_like(self.pad)
         self.ik = 1j * np.arange(K)
         self.u, self.du, self.ub, self.dub = (self.pad[..., s, :K] for s in range(4))
-
-    def rows(self, n: int) -> "_KernelWorkspace":
-        """The same buffers cut to the first n steps of an (S, B, K) stack."""
-        S, _, K = self.shape
-        return _KernelWorkspace((S, n, K), tuple(b[:, :n] for b in self.bufs))
 
 
 def _b_kernels(U: NDArray[np.complex128],
@@ -347,7 +339,8 @@ def _b_kernels(U: NDArray[np.complex128],
     """
     if ws is None:
         ws = _KernelWorkspace(U.shape)
-    np.copyto(ws.u, U)
+    if U is not ws.u:
+        np.copyto(ws.u, U)
     np.multiply(ws.ik, ws.u, out=ws.du)
     np.conjugate(ws.u[..., ::-1], out=ws.ub)
     np.conjugate(ws.du[..., ::-1], out=ws.dub)
@@ -485,7 +478,8 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     for b in range(0, n_steps, _STEP_BLOCK):
         u1 = u_mat[b:min(b + _STEP_BLOCK, n_steps)]
         if u1.shape[0] < _STEP_BLOCK:  # the last block may be shorter
-            stage_ws, kern_ws = stage_ws.rows(u1.shape[0]), kern_ws.rows(u1.shape[0])
+            stage_ws = _ConvWorkspace((u1.shape[0], K))
+            kern_ws = _KernelWorkspace((4, u1.shape[0], K))
         # stage s (u1, U2, U3, U4) of step b + j goes to kern_ws.u[s, j] and
         # its kernel spectra to kern[s, j]
         U = kern_ws.u

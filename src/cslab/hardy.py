@@ -305,23 +305,17 @@ class _ConvWorkspace:
     consumes one before the next call on the same workspace.
     """
 
-    def __init__(self, shape: tuple, bufs: tuple | None = None) -> None:
+    def __init__(self, shape: tuple) -> None:
         K = shape[-1]
-        if bufs is None:
-            pad = np.zeros((2, *shape[:-1], _conv_length(K)), dtype=np.complex128)
-            bufs = (pad, np.empty_like(pad), np.empty_like(pad[0]), np.empty_like(pad[0]))
-        self.bufs = bufs
-        self.pad, self.spec, self.prod, self.conv = bufs
+        self.pad = np.zeros((2, *shape[:-1], _conv_length(K)), dtype=np.complex128)
+        self.spec = np.empty_like(self.pad)
+        self.prod, self.conv = np.empty_like(self.pad[0]), np.empty_like(self.pad[0])
         self.n = np.arange(K)
         self.r_pad = self.pad[1]
         self.c_in, self.r_in = self.pad[0, ..., :K], self.r_pad[..., :K]
         self.fc, self.fr = self.spec
         self.pi = self.conv[..., K - 1:2 * K - 1]
         self.out = self.conv[..., :K]
-
-    def rows(self, n: int) -> "_ConvWorkspace":
-        """The same buffers cut to the first n rows of a (B, K) stack."""
-        return _ConvWorkspace((n, self.n.size), tuple(b[..., :n, :] for b in self.bufs))
 
 
 def _modulus_spectra(c: NDArray[np.complex128], ws: _ConvWorkspace | None = None):

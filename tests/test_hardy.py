@@ -200,21 +200,21 @@ def _nonlinearity_allocating(c):
 @pytest.mark.parametrize("K", [37, 64, 128, 256])
 def test_nonlinearity_workspace_matches_allocating_form(K):
     """The workspace kernel is bit-identical to the allocating one, 1-d and
-    on a stack, on a fresh workspace, on one reused for new data, and on
-    the first rows of a larger one (the padding must stay zero)."""
+    on a stack, on a fresh workspace and on one reused for new data (the
+    padding must stay zero)."""
     rng = np.random.default_rng(K)
     draws = [rng.standard_normal((5, K)) + 1j * rng.standard_normal((5, K))
              for _ in range(2)]
     for stack in draws:
         assert np.array_equal(nonlinearity(stack[0]), _nonlinearity_allocating(stack[0]))
         assert np.array_equal(nonlinearity(stack), _nonlinearity_allocating(stack))
-    one, many = _ConvWorkspace((K,)), _ConvWorkspace((8, K))
+    one, many = _ConvWorkspace((K,)), _ConvWorkspace((5, K))
     for stack in draws:
         assert np.array_equal(_nonlinearity(stack[0], one),
                               _nonlinearity_allocating(stack[0]))
-        assert np.array_equal(_nonlinearity(stack, many.rows(5)),
+        assert np.array_equal(_nonlinearity(stack, many),
                               _nonlinearity_allocating(stack))
-        pi, fc = _modulus_spectra(stack, many.rows(5))
+        pi, fc = _modulus_spectra(stack, many)
         want_fc = np.fft.fft(stack, _conv_length(K))
         assert np.array_equal(fc, want_fc)
         assert np.array_equal(
