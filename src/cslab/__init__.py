@@ -27,26 +27,17 @@ from .errors import (
     NumericalAliasing,
     OutsideTheory,
     PoleOnCircle,
-    ResolutionWarning,
     SingularSystem,
     TruncationOverflow,
     UnderResolved,
-    VerificationFailure,
 )
 from .hardy import (
     BlaschkeProduct,
-    FullCoeffs,
     HardyCoeffs,
-    analyze_grid,
-    apply_shift,
     blaschke_eval,
     blaschke_to_coeffs,
     derivative,
     grid_transform,
-    inner_product,
-    szego_project,
-    toeplitz_block,
-    translate,
     zero_pad,
 )
 from .lax import (
@@ -54,10 +45,8 @@ from .lax import (
     IdentityReport,
     LaxBlock,
     SpectralDecomposition,
-    build_b,
     build_lax,
     check_spectral_identities,
-    corollary_gap_vanishing_check,
     gap_profile,
     spectral_decompose,
 )
@@ -70,7 +59,6 @@ from .waves import (
     solve_wave_constraint,
     validate_wave,
     wave_l2,
-    wave_speed,
 )
 from .finitegap import (
     ClassifyResult,
@@ -114,22 +102,19 @@ __all__ = [
     "ClassifyResult", "ConservationReport", "ConstraintViolation",
     "CslabError", "CslabWarning", "DimensionMismatch", "EigensolveFailure",
     "EvolveConfig", "EvolvedBasis", "FamilyUnavailable", "FiniteGapPotential",
-    "Fixture", "FullCoeffs", "GapProfile", "HardyCoeffs", "IdentityReport",
-    "Inconclusive", "InfeasibleSign", "InvalidParameter", "InversionData",
-    "LaxBlock", "NewtonDivergence", "NotATravelingWave", "NumericalAliasing",
-    "OutsideTheory", "PoleOnCircle", "RATIONAL_FIXTURES", "ResolutionWarning",
-    "SingularSystem", "SpectralDecomposition", "Trajectory",
-    "TruncationOverflow", "UnderResolved", "VerificationFailure",
-    "WAVE_SPEED_FIXTURES", "WaveParams", "WaveSampler", "analyze_grid",
-    "apply_shift", "blaschke_eigen_check", "blaschke_eval",
-    "blaschke_to_coeffs", "build_b", "build_lax", "check_spectral_identities",
-    "classify", "conservation_report", "corollary_gap_vanishing_check",
+    "Fixture", "GapProfile", "HardyCoeffs", "IdentityReport", "Inconclusive",
+    "InfeasibleSign", "InvalidParameter", "InversionData", "LaxBlock",
+    "NewtonDivergence", "NotATravelingWave", "NumericalAliasing",
+    "OutsideTheory", "PoleOnCircle", "RATIONAL_FIXTURES", "SingularSystem",
+    "SpectralDecomposition", "Trajectory", "TruncationOverflow",
+    "UnderResolved", "WAVE_SPEED_FIXTURES", "WaveParams", "WaveSampler",
+    "blaschke_eigen_check", "blaschke_eval", "blaschke_to_coeffs", "build_lax",
+    "check_spectral_identities", "classify", "conservation_report",
     "derivative", "evolve", "evolve_basis", "gap_profile", "grid_transform",
-    "inner_product", "inversion_data", "ladder_blaschke", "make_fixture",
-    "make_wave", "measure_speed", "pde_residual", "phase_law_report",
-    "potential_coeffs", "predicted_l2", "random_decaying",
-    "random_pole_config", "reconstruct", "residue_residuals", "run_verify",
-    "sample_wave", "solve_residue_system", "solve_wave_constraint",
-    "spectral_decompose", "szego_project", "toeplitz_block", "translate",
-    "validate_wave", "wave_l2", "wave_speed", "zero_pad",
+    "inversion_data", "ladder_blaschke", "make_fixture", "make_wave",
+    "measure_speed", "pde_residual", "phase_law_report", "potential_coeffs",
+    "predicted_l2", "random_decaying", "random_pole_config", "reconstruct",
+    "residue_residuals", "run_verify", "sample_wave", "solve_residue_system",
+    "solve_wave_constraint", "spectral_decompose", "validate_wave", "wave_l2",
+    "zero_pad",
 ]

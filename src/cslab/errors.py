@@ -72,10 +72,6 @@ class Inconclusive(CslabError):
     """The data do not support a classification at this truncation."""
 
 
-class VerificationFailure(CslabError):
-    """One or more acceptance checks failed."""
-
-
 # --- warnings -------------------------------------------------------------
 
 class CslabWarning(UserWarning):
@@ -83,16 +79,12 @@ class CslabWarning(UserWarning):
 
 
 class TruncationOverflow(CslabWarning):
-    """A shift pushed a non-negligible coefficient past the truncation."""
+    """The truncation cut off a non-negligible coefficient."""
 
 
 class AliasWarning(CslabWarning):
-    """Grid analysis discarded energy above tolerance."""
+    """Sampled coefficients folded back tail energy above tolerance."""
 
 
 class OutsideTheory(CslabWarning):
     """Run parameters leave the regime covered by the well-posedness theory."""
-
-
-class ResolutionWarning(CslabWarning):
-    """Trajectory tail energy grew beyond the resolution guard."""

@@ -105,6 +105,14 @@ class EvolveConfig:
         if not _is_integer(self.record_every) or self.record_every < 1:
             raise InvalidParameter(
                 f"record_every must be an integer >= 1, got {self.record_every!r}")
+        # negated, so NaN is refused too: every comparison with it is false,
+        # which would turn the guards of evolve off
+        if not self.blowup_threshold > 0:
+            raise InvalidParameter(
+                f"blowup_threshold must be > 0, got {self.blowup_threshold!r}")
+        if not self.tail_rel_tol >= 0:
+            raise InvalidParameter(
+                f"tail_rel_tol must be >= 0, got {self.tail_rel_tol!r}")
         object.__setattr__(self, "K", int(self.K))
         object.__setattr__(self, "record_every", int(self.record_every))
 
@@ -141,17 +149,15 @@ def _lawson_setup(cfg: EvolveConfig):
 
 def _lawson_stages(c: NDArray[np.complex128], h: float, s2i: complex,
                    E1: NDArray[np.complex128], E2: NDArray[np.complex128],
-                   ws: _ConvWorkspace | None = None):
+                   ws: _ConvWorkspace):
     """Stage states (U2, U3, U4) at t+h/2, t+h/2, t+h of one Lawson step from c,
     with the slopes (k1, k2, k3) taken at c, U2 and U3.
 
     c is one state (K,) or a (..., K) stack of them; each row of a stack
     gets the stages its 1-d call would give, bit for bit.  The nonlinearity
-    runs on the workspace ``ws`` of c's shape (a fresh one by default); the
-    returned arrays are new, none is a view of it.
+    runs on the workspace ``ws`` of c's shape; the returned arrays are new,
+    none is a view of it.
     """
-    if ws is None:
-        ws = _ConvWorkspace(c.shape)
     k1 = s2i * _nonlinearity(c, ws)
     u2 = E1 * (c + (h / 2.0) * k1)
     k2 = s2i * _nonlinearity(u2, ws)
@@ -161,12 +167,13 @@ def _lawson_stages(c: NDArray[np.complex128], h: float, s2i: complex,
     return (u2, u3, u4), (k1, k2, k3)
 
 
-def _tail_rel(c: NDArray[np.complex128], frac: int = 8) -> float:
+def _tail_rel(c: NDArray[np.complex128]) -> float:
+    """Share of the energy of c in its top K/8 modes (0 for c = 0)."""
     total = float(np.sum(np.abs(c) ** 2))
     if total == 0.0:
         return 0.0
     K = c.shape[0]
-    return float(np.sum(np.abs(c[K - K // frac:]) ** 2)) / total
+    return float(np.sum(np.abs(c[K - K // 8:]) ** 2)) / total
 
 
 def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
@@ -326,19 +333,16 @@ class _KernelWorkspace:
         self.u, self.du, self.ub, self.dub = (self.pad[..., s, :K] for s in range(4))
 
 
-def _b_kernels(U: NDArray[np.complex128],
-               ws: _KernelWorkspace | None = None) -> NDArray[np.complex128]:
+def _b_kernels(U: NDArray[np.complex128], ws: _KernelWorkspace) -> NDArray[np.complex128]:
     """Spectra of the four Toeplitz kernels of B_u for each state u of U.
 
     U is one state (K,) or a (..., K) stack of them; the result has shape
     (..., 4, L) with rows u, du, conj(u reversed) and conj(du reversed),
     zero-padded to the exact convolution length L.  One FFT call serves the
-    whole stack.  U is copied into the workspace ``ws`` of its shape (a
-    fresh one by default), unless it is ``ws.u`` already filled in place;
-    the result is ``ws.spec``.
+    whole stack.  U is copied into the workspace ``ws`` of its shape,
+    unless it is ``ws.u`` already filled in place; the result is
+    ``ws.spec``.
     """
-    if ws is None:
-        ws = _KernelWorkspace(U.shape)
     if U is not ws.u:
         np.copyto(ws.u, U)
     np.multiply(ws.ik, ws.u, out=ws.du)
@@ -366,7 +370,7 @@ class _ActionWorkspace:
 
 
 def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
-                  sign: str, ws: _ActionWorkspace | None = None) -> NDArray[np.complex128]:
+                  sign: str, ws: _ActionWorkspace) -> NDArray[np.complex128]:
     """B_u applied to the rows of G (m, K) without forming the matrix.
 
     ``kernels`` is the (4, L) block of ``_b_kernels`` for this u.
@@ -377,11 +381,9 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
 
     Eight FFT calls: one transform of G and stacked calls for the sibling
     convolutions; T_{conj u} G serves both the second term and
-    P(G) = T_u T_{conj u} G.  They run on the workspace ``ws`` of G's shape
-    (a fresh one by default); the result is a new array.
+    P(G) = T_u T_{conj u} G.  They run on the workspace ``ws`` of G's shape;
+    the result is a new array.
     """
-    if ws is None:
-        ws = _ActionWorkspace(G.shape)
     k_u, k_du, k_ub, k_dub = kernels
     pad, spec, prod, conv = ws.pad, ws.spec, ws.prod, ws.conv
     ws.slots[0] = G

@@ -70,6 +70,8 @@ __all__ = [
 _NEWTON_TOL = 1e-13
 _ZERO_TOL = 1e-10
 _WALK_TOL = 1e-5
+#: A gap within this of 1 counts as closed in ``classify``.
+_GAP_TOL = 1e-7
 _NORM_DROP_TOL = 1e-6
 _UNIMODULAR_TOL = 1e-4
 _NILPOTENT_TOL = 1e-10
@@ -190,8 +192,8 @@ def _newton_jacobian(a: complex, c: NDArray[np.complex128],
 
 
 def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
-                         pin_a: complex | None = None, max_iter: int = 100,
-                         tol: float = _NEWTON_TOL) -> FiniteGapPotential:
+                         pin_a: complex | None = None,
+                         max_iter: int = 100) -> FiniteGapPotential:
     """Newton-solve the residue conditions for (a, c_1, ..., c_r).
 
     The system is underdetermined (2r real equations, 2(r+1) unknowns:
@@ -251,7 +253,7 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
     F = residue_residuals(sign, a, c, poles, mults)
     res = float(np.linalg.norm(F))
     for _ in range(max_iter):
-        if res < tol:
+        if res < _NEWTON_TOL:
             break
         J = _newton_jacobian(a, c, G, pinned)
         rhs = -np.concatenate([np.real(F), np.imag(F)])
@@ -387,7 +389,7 @@ def _shifted_columns(w: NDArray[np.complex128], n: int,
     return sliding_window_view(np.concatenate([pad, w]), K)[::-1].T.copy()
 
 
-def _ladder_walk(dec: SpectralDecomposition, walk_tol: float = _WALK_TOL):
+def _ladder_walk(dec: SpectralDecomposition):
     """Walk the shift ladder downward from a high reliable eigenvector.
 
     Starting from the eigenvector w at sorted index n_seed (top of the
@@ -418,20 +420,19 @@ def _ladder_walk(dec: SpectralDecomposition, walk_tol: float = _WALK_TOL):
     cand = _shifted_columns(w, n_cand, backward=True) / tail[:n_cand]
     expected = float(dec.eigenvalues[n_seed]) - np.arange(n_cand)
     resid = np.linalg.norm(dec.matrix[:rows] @ cand - expected * cand[:rows], axis=0)
-    if resid[0] > walk_tol:
+    if resid[0] > _WALK_TOL:
         raise Inconclusive(
             f"seed eigenvector residual {resid[0]:.3e} exceeds walk tolerance")
-    broken = np.nonzero(resid[1:] > walk_tol)[0]
+    broken = np.nonzero(resid[1:] > _WALK_TOL)[0]
     members = 1 + (int(broken[0]) if broken.size else n_cand - 1)
     return n_seed, members, cand[:, members - 1].copy()
 
 
-def classify(dec: SpectralDecomposition, u: HardyCoeffs,
-             tol: float = 1e-7) -> ClassifyResult:
+def classify(dec: SpectralDecomposition, u: HardyCoeffs) -> ClassifyResult:
     """Decide whether u is finite gap; report the rank m and degree N.
 
     m is the least index with nu_n = nu_{n-1} + 1 for all n >= m over the
-    reliable range (gaps compared to 1 within ``tol``); raises Inconclusive
+    reliable range (gaps compared to 1 within 1e-7); raises Inconclusive
     when off-by-one gaps persist into the edge of the reliable range.  The
     degree N_estimate counts the eigenvectors below the ladder seed that do
     not belong to the shift ladder (the dimension of the model space), and
@@ -439,7 +440,7 @@ def classify(dec: SpectralDecomposition, u: HardyCoeffs,
     is unimodular on the circle within 1e-4.
 
     The verdict is resolution-limited: a potential whose trailing gaps
-    close within ``tol`` at this truncation is indistinguishable from the
+    close within 1e-7 at this truncation is indistinguishable from the
     finite-gap potential of the detected degree, and is reported as such.
     Generic data betrays itself through decay instead — slowly decaying
     coefficients leave unresolved gaps at the reliability edge, which is
@@ -449,18 +450,18 @@ def classify(dec: SpectralDecomposition, u: HardyCoeffs,
         raise InvalidParameter("decomposition and potential truncations differ")
     ev = dec.eigenvalues[:dec.reliable]
     gaps = ev[1:] - ev[:-1] - 1.0
-    bad = np.nonzero(np.abs(gaps) > tol)[0]
+    bad = np.nonzero(np.abs(gaps) > _GAP_TOL)[0]
     edge = max(2, gaps.shape[0] // 16)
     if bad.size and bad[-1] >= gaps.shape[0] - edge:
         raise Inconclusive(
             f"gap {gaps[bad[-1]]:.3e} at index {bad[-1] + 1} persists to the "
-            "reliability edge; increase K or lower the tolerance")
+            "reliability edge; increase K")
     m = int(bad[-1]) + 2 if bad.size else 1
 
     n_seed, members, base = _ladder_walk(dec)
     n_estimate = (n_seed + 1) - members
 
-    grid = grid_transform(HardyCoeffs(base), 4 * dec.K, "to_grid")
+    grid = grid_transform(HardyCoeffs(base), 4 * dec.K)
     unimod_dev = float(np.max(np.abs(np.abs(grid) - 1.0)))
     is_fg = unimod_dev < _UNIMODULAR_TOL
     return ClassifyResult(is_finite_gap=is_fg, m=m, N_estimate=n_estimate,
@@ -538,8 +539,7 @@ def _model_space(B: NDArray[np.complex128], n_model: int):
     return s, (B @ V[:, ::-1][:, :n_model]) / s[:n_model]
 
 
-def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
-                   tol: float = 1e-7) -> InversionData:
+def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
     """Assemble X, Y, M and the moments <M^k X | Y> in the eigenbasis, with
     finite-gap reduction if possible.
 
@@ -563,7 +563,7 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition,
                              unreduced_reason=reason)
 
     try:
-        result = classify(dec, u, tol)
+        result = classify(dec, u)
     except Inconclusive as exc:
         return unreduced(f"classification inconclusive: {exc}")
     if not result.is_finite_gap:

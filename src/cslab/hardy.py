@@ -8,10 +8,8 @@ stored as dense complex128 vectors ``(u_hat(0), ..., u_hat(K-1))`` of a
 fixed truncation length K.  A function with that expansion is the boundary
 trace of the analytic function u(z) = sum u_hat(n) z^n on the unit disc.
 
-This module supplies the basic vocabulary: the Szego projection from
-two-sided expansions, the shift S (multiplication by e^{ix}) and its
-adjoint S*, the L2 pairing <u|v> = sum u_hat(n) conj(v_hat(n)), truncated
-Toeplitz matrix blocks, grid synthesis/analysis, Blaschke products, the
+This module supplies the basic vocabulary: the lower-triangular Toeplitz
+block of an analytic symbol, grid synthesis, Blaschke products, the
 projected modulus Pi(|u|^2), and the flow's nonlinearity (D Pi(|u|^2)) u.
 """
 
@@ -25,7 +23,6 @@ from numpy.typing import NDArray
 from scipy.linalg import toeplitz as _sp_toeplitz
 
 from .errors import (
-    AliasWarning,
     DimensionMismatch,
     InvalidParameter,
     PoleOnCircle,
@@ -36,24 +33,15 @@ import warnings
 
 __all__ = [
     "HardyCoeffs",
-    "FullCoeffs",
     "BlaschkeProduct",
-    "szego_project",
-    "apply_shift",
-    "inner_product",
-    "toeplitz_block",
     "analytic_toeplitz_block",
     "grid_transform",
     "blaschke_to_coeffs",
     "blaschke_eval",
     "nonlinearity",
     "derivative",
-    "translate",
     "zero_pad",
 ]
-
-_SHIFT_DROP_TOL = 1e-10
-_ALIAS_REL_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -95,33 +83,6 @@ class HardyCoeffs:
 
 
 @dataclass(frozen=True)
-class FullCoeffs:
-    """Two-sided coefficient vector indexed -(K-1) ... K-1.
-
-    ``coeffs[kmax + n]`` holds the coefficient at frequency n.
-    """
-
-    coeffs: NDArray[np.complex128]
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=np.complex128)
-        if arr.ndim != 1 or arr.size % 2 == 0:
-            raise DimensionMismatch("FullCoeffs requires an odd-length vector")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def kmax(self) -> int:
-        return (self.coeffs.shape[0] - 1) // 2
-
-    def at(self, n: int) -> complex:
-        """Coefficient at frequency n (0 outside the stored band)."""
-        idx = self.kmax + n
-        if idx < 0 or idx >= self.coeffs.shape[0]:
-            return 0.0 + 0.0j
-        return complex(self.coeffs[idx])
-
-
-@dataclass(frozen=True)
 class BlaschkeProduct:
     """Finite Blaschke product  psi(z) = e^{i theta} z^{m0} prod_j (z - w_j)/(1 - conj(w_j) z).
 
@@ -142,74 +103,6 @@ class BlaschkeProduct:
             raise InvalidParameter("monomial prefactor exponent must be >= 0")
         object.__setattr__(self, "zeros", zs)
 
-    @property
-    def degree(self) -> int:
-        return self.power + len(self.zeros)
-
-
-def _as_array(u) -> NDArray[np.complex128]:
-    if isinstance(u, HardyCoeffs):
-        return u.coeffs
-    return np.asarray(u, dtype=np.complex128)
-
-
-def szego_project(f: FullCoeffs) -> HardyCoeffs:
-    """Szego projection: drop the negative-frequency half of a two-sided vector."""
-    return HardyCoeffs(f.coeffs[f.kmax:].copy())
-
-
-def apply_shift(h: HardyCoeffs, direction: str = "forward") -> HardyCoeffs:
-    """Apply the shift S (``forward``) or its adjoint S* (``adjoint``).
-
-    Both keep the truncation length K.  The forward shift moves u_hat(n)
-    to slot n+1 and drops the top coefficient; a dropped coefficient with
-    modulus above 1e-10 raises a TruncationOverflow warning.  The adjoint
-    moves u_hat(n+1) down to slot n and zero-fills the top (so S* 1 = 0).
-    """
-    c = h.coeffs
-    out = np.empty_like(c)
-    if direction == "forward":
-        if abs(c[-1]) > _SHIFT_DROP_TOL:
-            warnings.warn(
-                f"forward shift dropped coefficient of modulus {abs(c[-1]):.3e}",
-                TruncationOverflow,
-                stacklevel=2,
-            )
-        out[0] = 0.0
-        out[1:] = c[:-1]
-    elif direction == "adjoint":
-        out[:-1] = c[1:]
-        out[-1] = 0.0
-    else:
-        raise InvalidParameter(f"unknown shift direction {direction!r}")
-    return HardyCoeffs(out)
-
-
-def inner_product(u: HardyCoeffs, v: HardyCoeffs) -> complex:
-    """L2 pairing <u|v> = (1/2pi) int u conj(v) dx = sum u_hat(n) conj(v_hat(n)).
-
-    Linear in the first slot, conjugate-linear in the second.
-    """
-    if u.K != v.K:
-        raise DimensionMismatch(f"inner_product: K mismatch {u.K} != {v.K}")
-    # np.vdot conjugates its *first* argument.
-    return complex(np.vdot(v.coeffs, u.coeffs))
-
-
-def toeplitz_block(symbol: FullCoeffs, K: int) -> NDArray[np.complex128]:
-    """K x K truncated Toeplitz matrix of the symbol: entry (j, k) = symbol(j - k).
-
-    This is the compression of f -> Pi(symbol * f) to the first K Fourier
-    modes.  Note the block of a *product* T_u T_v generally differs from
-    the product of blocks; the analytic/anti-analytic pair used by the Lax
-    operators is the exception (see lax module).
-    """
-    if K <= 0:
-        raise InvalidParameter("K must be positive")
-    col = np.array([symbol.at(j) for j in range(K)])
-    row = np.array([symbol.at(-k) for k in range(K)])
-    return _sp_toeplitz(col, row)
-
 
 def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
     """Lower-triangular Toeplitz block T_u for an analytic symbol u."""
@@ -219,48 +112,15 @@ def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
     return _sp_toeplitz(col, row)
 
 
-def grid_transform(h, M: int, direction: str = "to_grid", K: int | None = None):
-    """Synthesis on / analysis from the uniform M-point grid x_m = 2 pi m / M.
-
-    ``to_grid`` maps HardyCoeffs to samples u(x_m); ``from_grid`` maps a
-    length-M sample vector back to the first K coefficients (default
-    K = M).  Analysis of data carrying more than 1e-8 of relative energy
-    above mode K-1 emits an AliasWarning.
-    """
-    if direction == "to_grid":
-        c = _as_array(h)
-        if M < c.shape[0]:
-            raise DimensionMismatch(f"grid size M={M} must be >= K={c.shape[0]}")
-        padded = np.zeros(M, dtype=np.complex128)
-        padded[: c.shape[0]] = c
-        return np.fft.ifft(padded) * M
-    if direction == "from_grid":
-        vals = np.asarray(h, dtype=np.complex128)
-        if vals.ndim != 1 or vals.shape[0] != M:
-            raise DimensionMismatch("from_grid expects a length-M sample vector")
-        return analyze_grid(vals, M if K is None else K)
-    raise InvalidParameter(f"unknown grid_transform direction {direction!r}")
-
-
-def analyze_grid(values: NDArray[np.complex128], K: int) -> HardyCoeffs:
-    """FFT analysis of circle samples, keeping the first K coefficients.
-
-    Emits AliasWarning when the discarded modes carry more than 1e-8 of
-    the total energy (the input was not resolved on this grid).
-    """
-    M = values.shape[0]
-    if M < K:
-        raise DimensionMismatch(f"analysis grid M={M} shorter than K={K}")
-    full = np.fft.fft(values) / M
-    total = float(np.sum(np.abs(full) ** 2))
-    tail = float(np.sum(np.abs(full[K:]) ** 2))
-    if total > 0 and tail > _ALIAS_REL_TOL * total:
-        warnings.warn(
-            f"from_grid discarded {tail / total:.3e} of the energy above mode {K - 1}",
-            AliasWarning,
-            stacklevel=2,
-        )
-    return HardyCoeffs(full[:K].copy())
+def grid_transform(u: HardyCoeffs, M: int) -> NDArray[np.complex128]:
+    """Synthesis on the uniform M-point grid x_m = 2 pi m / M: the samples
+    u(x_m) of a function with K <= M modes."""
+    c = u.coeffs
+    if M < c.shape[0]:
+        raise DimensionMismatch(f"grid size M={M} must be >= K={c.shape[0]}")
+    padded = np.zeros(M, dtype=np.complex128)
+    padded[: c.shape[0]] = c
+    return np.fft.ifft(padded) * M
 
 
 def blaschke_eval(psi: BlaschkeProduct, z) -> NDArray[np.complex128]:
@@ -318,17 +178,15 @@ class _ConvWorkspace:
         self.out = self.conv[..., :K]
 
 
-def _modulus_spectra(c: NDArray[np.complex128], ws: _ConvWorkspace | None = None):
+def _modulus_spectra(c: NDArray[np.complex128], ws: _ConvWorkspace):
     """(Pi(|u|^2), fft of c): the correlation of c with itself, plus the
     zero-padded spectrum of c that produced it, for each row of a (..., K)
     stack.
 
     c and conj(c reversed) go through one stacked transform; each row of a
     stacked FFT is bit-identical to the row transformed alone.  Both
-    results are views of the workspace ``ws`` (a fresh one by default).
+    results are views of the workspace ``ws``, made for c's shape.
     """
-    if ws is None:
-        ws = _ConvWorkspace(c.shape)
     ws.c_in[...] = c
     np.conjugate(c[..., ::-1], out=ws.r_in)
     np.fft.fft(ws.pad, out=ws.spec)
@@ -367,12 +225,6 @@ def derivative(u: HardyCoeffs) -> HardyCoeffs:
     """d/dx in coefficient space: u_hat(n) -> i n u_hat(n)."""
     n = np.arange(u.K)
     return HardyCoeffs(1j * n * u.coeffs)
-
-
-def translate(u: HardyCoeffs, a: float) -> HardyCoeffs:
-    """Spatial translation u(x - a): u_hat(n) -> u_hat(n) e^{-ina}."""
-    n = np.arange(u.K)
-    return HardyCoeffs(u.coeffs * np.exp(-1j * n * a))
 
 
 def zero_pad(u: HardyCoeffs, K: int) -> HardyCoeffs:

@@ -32,8 +32,9 @@ below R = K - buffer, so it forms only what that block reads: B and L^2
 on rows :R+1 and columns :R, and (L + 1)^2 on rows :R and columns :R-1.
 Each is a leading block of the K x K product (``_leading_block``), with
 the full inner dimension and padded to whole 4 x 4 tiles.  Then every
-entry is the same OpenBLAS sum as in the K x K product, and ``build_b``
-is the K x K case of the same helper.  Only P = T_u T_ubar is formed whole.
+entry is the same OpenBLAS sum as in the K x K product, and
+``_b_block(u, sign, K, K)`` is the K x K matrix of B.  Only P = T_u T_ubar
+is formed whole.
 Both its rows and its columns enter P^2, and the computed P is not
 exactly Hermitian for every K, so its columns cannot be taken as its
 conjugated rows.
@@ -53,16 +54,13 @@ __all__ = [
     "FOCUSING",
     "DEFOCUSING",
     "LaxBlock",
-    "BBlock",
     "SpectralDecomposition",
     "GapProfile",
     "IdentityReport",
     "build_lax",
-    "build_b",
     "spectral_decompose",
     "gap_profile",
     "check_spectral_identities",
-    "corollary_gap_vanishing_check",
 ]
 
 FOCUSING = "focusing"
@@ -70,6 +68,8 @@ DEFOCUSING = "defocusing"
 
 CLUSTER_TOL = 1e-8
 _PHASE_TOL = 1e-8
+#: |<S f_{n-1} | f_n>| below this puts n in the collinearity set I(u).
+_COLLINEAR_TOL = 1e-6
 
 
 def _check_sign(sign: str) -> str:
@@ -86,20 +86,6 @@ class LaxBlock:
     roundoff: bit for bit when K is a multiple of 4 on OpenBLAS, within a
     few ulp of its largest entry otherwise.  ``eigh`` reads one triangle,
     so spectra do not depend on which.
-    """
-
-    matrix: NDArray[np.complex128]
-    sign: str
-    K: int
-
-
-@dataclass(frozen=True)
-class BBlock:
-    """K x K compression of the flow generator B.
-
-    The operator is skew-adjoint.  The computed matrix is skew-adjoint to
-    roundoff: bit for bit when K is a multiple of 4 on OpenBLAS, within a
-    few ulp of its largest entry otherwise.
     """
 
     matrix: NDArray[np.complex128]
@@ -190,7 +176,11 @@ def _leading_block(A: NDArray, B: NDArray, rows: int, cols: int) -> NDArray:
 
 
 def _b_block(u: HardyCoeffs, sign: str, rows: int, cols: int) -> NDArray[np.complex128]:
-    """B[:rows, :cols] by leading blocks of the K x K products (see module docstring)."""
+    """B[:rows, :cols] by leading blocks of the K x K products (see module docstring).
+
+    B is skew-adjoint; the computed K x K block is so to roundoff: bit for
+    bit when K is a multiple of 4 on OpenBLAS, within a few ulp otherwise.
+    """
     Tu = analytic_toeplitz_block(u)
     Tdu = analytic_toeplitz_block(derivative(u))
     Tuh, Tduh = Tu.conj().T, Tdu.conj().T
@@ -199,17 +189,6 @@ def _b_block(u: HardyCoeffs, sign: str, rows: int, cols: int) -> NDArray[np.comp
     if sign == DEFOCUSING:
         core = -core
     return core + 1j * _leading_block(P, P, rows, cols)
-
-
-def build_b(u: HardyCoeffs, sign: str) -> BBlock:
-    """K x K block of the flow generator B_u (see module docstring).
-
-    The squared term i (T_u T_ubar)^2 is only block-exact up to couplings
-    through modes >= K, so identities involving this matrix are evaluated
-    on a buffered sub-block (see check_spectral_identities).
-    """
-    _check_sign(sign)
-    return BBlock(matrix=_b_block(u, sign, u.K, u.K), sign=sign, K=u.K)
 
 
 def _is_integer(value) -> bool:
@@ -235,11 +214,11 @@ def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return vectors * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
 
 
-def _find_clusters(ev: NDArray[np.float64], tol: float = CLUSTER_TOL) -> tuple:
+def _find_clusters(ev: NDArray[np.float64]) -> tuple:
     clusters = []
     start = 0
     for i in range(1, ev.shape[0] + 1):
-        if i == ev.shape[0] or ev[i] - ev[i - 1] > tol:
+        if i == ev.shape[0] or ev[i] - ev[i - 1] > CLUSTER_TOL:
             if i - start >= 2:
                 clusters.append((start, i))
             start = i
@@ -291,13 +270,13 @@ def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128])
     return Fh @ u_vec, np.conj(F[0, :]), Fh @ unshift_columns(F)
 
 
-def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs, tol: float = 1e-6) -> GapProfile:
+def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
     """Gaps and shift-collinearity over the reliable range.
 
     gaps[n-1]   = nu_n - nu_{n-1} - 1
     collin[n-1] = <S f_{n-1} | f_n>
 
-    ``collinearity_set`` collects the indices n with |collin| < tol (the
+    ``collinearity_set`` collects the indices n with |collin| < 1e-6 (the
     set I(u)); by the defocusing collinearity theorem it must be empty for
     defocusing symbols.
     """
@@ -308,9 +287,9 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs, tol: float = 1e-6) -
     SF = shift_columns(F[:, :R - 1])
     # <S f_{n-1} | f_n> = sum_j (S f_{n-1})_j conj(f_n)_j
     collin = np.einsum("jn,jn->n", SF, np.conj(F[:, 1:R]))
-    cset = tuple(int(n) for n in (np.flatnonzero(np.abs(collin) < tol) + 1))
+    cset = tuple(int(n) for n in (np.flatnonzero(np.abs(collin) < _COLLINEAR_TOL) + 1))
     return GapProfile(gaps=gaps, collinearity=collin, collinearity_set=cset,
-                      reliable=R, tol=tol)
+                      reliable=R, tol=_COLLINEAR_TOL)
 
 
 def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
@@ -388,42 +367,3 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
         buffer=buffer,
         n_checked=R,
     )
-
-
-@dataclass(frozen=True)
-class GapVanishingReport:
-    """Outcome of the defocusing 'gap vanishes iff <u|f_n> vanishes' check."""
-
-    violations: tuple
-    n_checked: int
-    gap_tol: float
-    inner_tol: float
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def corollary_gap_vanishing_check(u: HardyCoeffs, dec: SpectralDecomposition,
-                                  gap_tol: float = 1e-7,
-                                  inner_tol: float = 1e-7) -> GapVanishingReport:
-    """Defocusing biconditional: gamma_n = 0  <=>  <u|f_n> = 0 (n >= 1).
-
-    Scans the reliable range and reports indices where one side is below
-    its tolerance but the other is not.  Only meaningful for defocusing
-    decompositions (the focusing analogue genuinely decouples).
-    """
-    if dec.sign != DEFOCUSING:
-        raise InvalidParameter("gap-vanishing biconditional is a defocusing statement")
-    R = dec.reliable
-    ev = dec.eigenvalues
-    F = dec.vectors
-    x = F.conj().T @ u.coeffs
-    bad = []
-    for n in range(1, R):
-        gap0 = abs(ev[n] - ev[n - 1] - 1.0) < gap_tol
-        inner0 = abs(x[n]) < inner_tol
-        if gap0 != inner0:
-            bad.append((n, float(ev[n] - ev[n - 1] - 1.0), float(abs(x[n]))))
-    return GapVanishingReport(violations=tuple(bad), n_checked=R - 1,
-                              gap_tol=gap_tol, inner_tol=inner_tol)

@@ -242,6 +242,10 @@ def test_constraint_failures_exit_3(tmp_path):
                "--out-dir", str(tmp_path)) == 3          # pole on the circle
     assert run("wave", "--sign", "defocusing", "--family", "stationary",
                "--p", "0.5", "--out-dir", str(tmp_path)) == 3  # no such family
+    for beta in ("1e300", "1e200"):  # beta^2 overflows a double
+        assert run("wave", "--sign", "defocusing", "--family", "pole", "--N", "1",
+                   "--p", "0.5", "--beta", beta, "--K", "64",
+                   "--out-dir", str(tmp_path)) == 3, beta
     assert run("finitegap", "--sign", "defocusing", "--pole", "0.5,0",
                "--pin-a", "0,0", "--out-dir", str(tmp_path)) == 3  # infeasible
     assert run("verify", "--only", "nonexistent-criterion") == 3

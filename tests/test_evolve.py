@@ -22,7 +22,6 @@ from cslab import (
     OutsideTheory,
     UnderResolved,
     WaveSampler,
-    build_b,
     build_lax,
     conservation_report,
     evolve,
@@ -43,6 +42,7 @@ from cslab.evolve import (
     _lawson_stages,
 )
 from cslab.hardy import _ConvWorkspace, _conv_length, nonlinearity
+from cslab.lax import _b_block
 
 
 def _wave_state(name, K):
@@ -73,6 +73,14 @@ def test_config_validation():
                   (1.0, float("nan")), (1.0, float("inf"))]:
         with pytest.raises(InvalidParameter):
             EvolveConfig(sign="defocusing", K=8, T=T, dt=dt)
+    # guards that NaN would turn off, and bounds no run can meet
+    for bad in (dict(blowup_threshold=float("nan")), dict(blowup_threshold=0.0),
+                dict(blowup_threshold=-1.0), dict(tail_rel_tol=float("nan")),
+                dict(tail_rel_tol=-1.0)):
+        with pytest.raises(InvalidParameter):
+            EvolveConfig(sign="defocusing", K=8, T=1.0, dt=1e-3, **bad)
+    EvolveConfig(sign="defocusing", K=8, T=1.0, dt=1e-3, tail_rel_tol=0.0,
+                 blowup_threshold=float("inf"))
 
 
 def test_plane_wave_evolution_is_exact():
@@ -252,8 +260,9 @@ def test_b_action_matches_dense_generator(sign):
     u = random_decaying(11, K, rho=0.8)
     rng = np.random.default_rng(5)
     F = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
-    want = build_b(u, sign).matrix @ F
-    got = _apply_b_cols(_b_kernels(u.coeffs), F.T, sign).T
+    want = _b_block(u, sign, K, K) @ F
+    kernels = _b_kernels(u.coeffs, _KernelWorkspace((K,)))
+    got = _apply_b_cols(kernels, F.T, sign, _ActionWorkspace((3, K))).T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -271,15 +280,16 @@ def test_stepper_fft_call_counts(monkeypatch):
 
     u = random_decaying(11, 64, rho=0.8)
     traj = _defocusing_wave_trajectory()
+    kern_ws, act_ws = _KernelWorkspace((64,)), _ActionWorkspace((2, 64))
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     nonlinearity(u.coeffs)
     assert len(calls) == 4
     calls.clear()
-    kernels = _b_kernels(u.coeffs)
+    kernels = _b_kernels(u.coeffs, kern_ws)
     assert len(calls) == 1
     calls.clear()
-    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), "focusing")
+    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), "focusing", act_ws)
     assert len(calls) == 8
     calls.clear()
     evolve_basis(traj, np.eye(64, 2, dtype=complex))
@@ -323,15 +333,16 @@ def test_b_action_workspace_matches_allocating_form(sign, K):
     for _ in range(2):  # the second round reuses every workspace
         U = rng.standard_normal((4, 5, K)) + 1j * rng.standard_normal((4, 5, K))
         want = _b_kernels_allocating(U)
-        assert np.array_equal(_b_kernels(U[0, 0]), want[0, 0])
-        assert np.array_equal(_b_kernels(U), want)
+        assert np.array_equal(_b_kernels(U[0, 0], _KernelWorkspace((K,))), want[0, 0])
+        assert np.array_equal(_b_kernels(U, _KernelWorkspace(U.shape)), want)
         kern = _b_kernels(U, kern_ws)
         assert np.array_equal(kern, want)
         for m in (1, 3):
             G = rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))
             for s, j in ((0, 0), (3, 4)):
                 expect = _apply_b_cols_allocating(want[s, j], G, sign)
-                assert np.array_equal(_apply_b_cols(want[s, j], G, sign), expect)
+                fresh = _ActionWorkspace(G.shape)
+                assert np.array_equal(_apply_b_cols(want[s, j], G, sign, fresh), expect)
                 assert np.array_equal(_apply_b_cols(kern[s, j], G, sign, act_ws[m]), expect)
 
 
@@ -349,7 +360,7 @@ def test_integrator_results_do_not_alias_the_workspace():
     _lawson_stages(b, h, s2i, E1, E2, ws)
     assert all(np.array_equal(x, y) for x, y in zip(first, kept))
 
-    kern = _b_kernels(a)
+    kern = _b_kernels(a, _KernelWorkspace((K,)))
     act = _ActionWorkspace((2, K))
     first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), "focusing", act)
     kept_b = first_b.copy()
@@ -386,13 +397,16 @@ def _evolve_basis_step_by_step(traj, F):
     sign = traj.cfg.sign
     G = F.T.copy()
     cols = [F]
+    K = traj.cfg.K
+    conv, kern = _ConvWorkspace((K,)), _KernelWorkspace((K,))
+    act = _ActionWorkspace(G.shape)
     for i in range(n_steps):
         u1 = traj.states[i].coeffs
-        u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2)[0]
-        l1 = _apply_b_cols(_b_kernels(u1), G, sign)
-        l2 = _apply_b_cols(_b_kernels(u2), G + (h / 2.0) * l1, sign)
-        l3 = _apply_b_cols(_b_kernels(u3), G + (h / 2.0) * l2, sign)
-        l4 = _apply_b_cols(_b_kernels(u4), G + h * l3, sign)
+        u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2, conv)[0]
+        l1 = _apply_b_cols(_b_kernels(u1, kern), G, sign, act)
+        l2 = _apply_b_cols(_b_kernels(u2, kern), G + (h / 2.0) * l1, sign, act)
+        l3 = _apply_b_cols(_b_kernels(u3, kern), G + (h / 2.0) * l2, sign, act)
+        l4 = _apply_b_cols(_b_kernels(u4, kern), G + h * l3, sign, act)
         G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         cols.append(G.T)
     return np.stack(cols)

@@ -7,12 +7,14 @@ Frozen oracle values used below are derived in place:
   coefficients are (-0.5, 0.75, 0.375, 0.1875).
 * For u = 1 + z the modulus squared is (1 + z)(1 + 1/z) = 2 + z + 1/z,
   whose analytic projection is 2 + z, i.e. coefficients (2, 1).
-* The truncated Toeplitz matrix of a symbol f is (j, k) -> f(j - k); for
-  f(-1) = 2, f(0) = 3, f(1) = 5i and K = 2 that is [[3, 2], [5i, 3]].
+* The Toeplitz block of an analytic symbol u is (j, k) -> u_hat(j - k) for
+  j >= k and 0 above the diagonal; for u = 3 + 5i z and K = 2 that is
+  [[3, 0], [5i, 3]].
 
 Property tests (hypothesis) check identities that must hold for every
-coefficient vector: Parseval against the grid transform, shift adjointness,
-and the exactness of the zero-padded convolution behind Pi(|u|^2).
+coefficient vector: Parseval against the grid transform, adjointness of the
+index shifts S and S* of the lax module, and the exactness of the
+zero-padded convolution behind Pi(|u|^2).
 """
 
 import json
@@ -26,24 +28,16 @@ from cslab import (
     AliasWarning,
     BlaschkeProduct,
     DimensionMismatch,
-    FullCoeffs,
     HardyCoeffs,
     PoleOnCircle,
-    TruncationOverflow,
-    analyze_grid,
-    apply_shift,
     blaschke_eval,
     blaschke_to_coeffs,
     derivative,
     grid_transform,
-    inner_product,
     potential_coeffs,
     random_decaying,
     random_pole_config,
     solve_residue_system,
-    szego_project,
-    toeplitz_block,
-    translate,
     zero_pad,
 )
 from cslab.hardy import (
@@ -51,8 +45,10 @@ from cslab.hardy import (
     _conv_length,
     _modulus_spectra,
     _nonlinearity,
+    analytic_toeplitz_block,
     nonlinearity,
 )
+from cslab.lax import shift_columns, unshift_columns
 
 
 def _coeff_vectors(max_k=8, scale=1.0):
@@ -102,28 +98,17 @@ def test_zero_pad_extends_with_zeros():
     assert v.norm() == u.norm()
 
 
-def test_full_coeffs_needs_odd_length():
-    with pytest.raises(DimensionMismatch):
-        FullCoeffs(np.zeros(4, dtype=complex))
-
-
 # ----------------------------------------------------------------------
-# projection, products, Toeplitz blocks
-
-
-def test_szego_projection_keeps_nonnegative_half():
-    # frequencies -2..2 with distinct markers
-    f = FullCoeffs(np.array([9.0, 7.0, 1.0, 2.0, 3.0], dtype=complex))
-    h = szego_project(f)
-    assert np.array_equal(h.coeffs, np.array([1.0, 2.0, 3.0], dtype=complex))
+# projected modulus, nonlinearity, Toeplitz blocks
 
 
 def test_projected_modulus_squared_two_mode_oracles():
+    ws = _ConvWorkspace((2,))
     u = np.array([1.0, 1.0], dtype=complex)
-    assert np.allclose(_modulus_spectra(u)[0], [2.0, 1.0])
+    assert np.allclose(_modulus_spectra(u, ws)[0], [2.0, 1.0])
     # u = 1 + 2i z: entry 0 = 1 + 4 = 5, entry 1 = u1 * conj(u0) = 2i
     v = np.array([1.0, 2.0j])
-    assert np.allclose(_modulus_spectra(v)[0], [5.0, 2.0j])
+    assert np.allclose(_modulus_spectra(v, ws)[0], [5.0, 2.0j])
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -134,7 +119,7 @@ def test_projected_modulus_squared_matches_direct_sum(c):
     entry n = sum_m u(n+m) conj(u(m)), and entry 0 is the squared norm.
     """
     u = HardyCoeffs(c)
-    got = _modulus_spectra(u.coeffs)[0]
+    got = _modulus_spectra(u.coeffs, _ConvWorkspace(c.shape))[0]
     K = c.shape[0]
     direct = np.array(
         [np.sum(c[n:] * np.conj(c[: K - n])) for n in range(K)]
@@ -234,33 +219,22 @@ def test_nonlinearity_results_do_not_alias():
 
 
 def test_toeplitz_block_small_oracle():
-    f = FullCoeffs(np.array([2.0, 3.0, 5.0j]))
-    T = toeplitz_block(f, 2)
-    assert np.array_equal(T, np.array([[3.0, 2.0], [5.0j, 3.0]]))
+    T = analytic_toeplitz_block(HardyCoeffs(np.array([3.0, 5.0j])))
+    assert np.array_equal(T, np.array([[3.0, 0.0], [5.0j, 3.0]]))
 
 
 def test_toeplitz_block_acts_as_projected_multiplication():
     rng = np.random.default_rng(42)
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
     h = rng.normal(size=6) + 1j * rng.normal(size=6)
-    full = np.concatenate([np.zeros(5), c])  # u has no negative frequencies
-    T = toeplitz_block(FullCoeffs(full), 6)
+    T = analytic_toeplitz_block(HardyCoeffs(c))
     # T_u h against the truncated polynomial product
     want = np.convolve(c, h)[:6]
     np.testing.assert_allclose(T @ h, want, atol=1e-13)
 
 
 # ----------------------------------------------------------------------
-# inner product, shift, derivative, translation
-
-
-def test_inner_product_convention():
-    u = HardyCoeffs(np.array([1.0 + 1.0j, 0.0]))
-    v = HardyCoeffs(np.array([2.0j, 0.0]))
-    # linear in the first slot, conjugate-linear in the second
-    assert inner_product(u, v) == pytest.approx((1 + 1j) * np.conj(2j))
-    with pytest.raises(DimensionMismatch):
-        inner_product(u, HardyCoeffs(np.array([1.0])))
+# grid samples, shifts, derivative, translation
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -268,7 +242,7 @@ def test_inner_product_convention():
 def test_parseval_against_grid_samples(c):
     u = HardyCoeffs(c)
     M = 4 * c.shape[0]
-    samples = grid_transform(u, M, "to_grid")
+    samples = grid_transform(u, M)
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(
         u.norm() ** 2, abs=1e-12
     )
@@ -278,35 +252,30 @@ def test_shift_composition_identities():
     rng = np.random.default_rng(7)
     c = rng.normal(size=9) + 1j * rng.normal(size=9)
     c[-1] = 0.0  # keep the forward shift loss-free
-    u = HardyCoeffs(c)
-    fwd = apply_shift(u, "forward")
-    assert np.array_equal(fwd.coeffs[1:], c[:-1])
-    assert fwd.coeffs[0] == 0
+    fwd = shift_columns(c)
+    assert np.array_equal(fwd[1:], c[:-1])
+    assert fwd[0] == 0
     # S* S = Id
-    back = apply_shift(fwd, "adjoint")
-    np.testing.assert_allclose(back.coeffs, c, atol=0)
+    np.testing.assert_allclose(unshift_columns(fwd), c, atol=0)
     # S S* = Id - <., e0> e0
-    proj = apply_shift(apply_shift(u, "adjoint"), "forward")
     want = c.copy()
     want[0] = 0.0
-    np.testing.assert_allclose(proj.coeffs, want, atol=0)
+    np.testing.assert_allclose(shift_columns(unshift_columns(c)), want, atol=0)
+    # on a matrix, each column is shifted alone
+    M = np.stack([c, 2.0 * c], axis=1)
+    assert np.array_equal(shift_columns(M), np.stack([fwd, 2.0 * fwd], axis=1))
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(c=_coeff_vectors(), d=_coeff_vectors())
 def test_shift_adjoint_pairing(c, d):
+    """<S u|v> = <u|S* v>, with <u|v> = sum u_hat(n) conj(v_hat(n))."""
     K = min(c.shape[0], d.shape[0])
-    u, v = HardyCoeffs(c[:K].copy()), HardyCoeffs(d[:K].copy())
-    u.coeffs[-1] = 0.0  # no truncation loss, else <Su|v> is off by the drop
-    lhs = inner_product(apply_shift(u, "forward"), v)
-    rhs = inner_product(u, apply_shift(v, "adjoint"))
+    u, v = c[:K].copy(), d[:K].copy()
+    u[-1] = 0.0  # no truncation loss, else <Su|v> is off by the drop
+    lhs = np.vdot(v, shift_columns(u))
+    rhs = np.vdot(unshift_columns(v), u)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_forward_shift_overflow_warns():
-    u = HardyCoeffs(np.array([0.0, 1.0]))
-    with pytest.warns(TruncationOverflow):
-        apply_shift(u, "forward")
 
 
 def test_derivative_multiplies_by_in():
@@ -318,47 +287,35 @@ def test_derivative_multiplies_by_in():
 def test_translate_phase_and_grid_consistency():
     rng = np.random.default_rng(3)
     c = rng.normal(size=8) + 1j * rng.normal(size=8)
-    u = HardyCoeffs(c)
     a = 0.8
-    v = translate(u, a)
     n = np.arange(8)
-    np.testing.assert_allclose(v.coeffs, c * np.exp(-1j * n * a), atol=0)
+    v = HardyCoeffs(c * np.exp(-1j * n * a))  # u(x - a)
     # sampled rotation: v(x) = u(x - a), checked on one point of a fine grid
     M = 64
     x = 2 * np.pi * np.arange(M) / M
-    vals_u = grid_transform(u, M, "to_grid")
     val_direct = np.sum(c * np.exp(1j * n * (x[10] - a)))
-    vals_v = grid_transform(v, M, "to_grid")
+    vals_v = grid_transform(v, M)
     assert vals_v[10] == pytest.approx(val_direct, abs=1e-12)
-    del vals_u
 
 
 # ----------------------------------------------------------------------
-# grid analysis / synthesis
+# grid synthesis
 
 
 @settings(deadline=None, max_examples=30, derandomize=True)
 @given(c=_coeff_vectors())
 def test_grid_round_trip_is_exact(c):
-    u = HardyCoeffs(c)
+    """FFT analysis of the samples gives the coefficients back."""
     M = 2 * c.shape[0]
-    back = grid_transform(grid_transform(u, M, "to_grid"), M, "from_grid",
-                          K=c.shape[0])
-    np.testing.assert_allclose(back.coeffs, c, atol=1e-13)
-
-
-def test_analyze_grid_warns_on_unresolved_data():
-    M, K = 16, 4
-    x = 2 * np.pi * np.arange(M) / M
-    values = np.exp(1j * 6 * x)  # pure mode above the K = 4 cutoff
-    with pytest.warns(AliasWarning):
-        analyze_grid(values, K)
+    back = np.fft.fft(grid_transform(HardyCoeffs(c), M)) / M
+    np.testing.assert_allclose(back[:c.shape[0]], c, atol=1e-13)
+    np.testing.assert_allclose(back[c.shape[0]:], 0.0, atol=1e-13)
 
 
 def test_grid_transform_guards():
     u = HardyCoeffs(np.ones(8, dtype=complex))
     with pytest.raises(DimensionMismatch):
-        grid_transform(u, 4, "to_grid")  # grid shorter than K
+        grid_transform(u, 4)  # grid shorter than K
 
 
 # ----------------------------------------------------------------------

@@ -8,6 +8,10 @@ alpha*beta + beta^2/(1-|p|^2) = -/+ N and the speed c = -N(1 + 2 alpha/beta)):
   focusing:   alpha = 1 - 4/3 = -1/3,   c = -1/3,
               ||u||^2 = alpha^2 + alpha*beta + N = 1/9 - 1/3 + 1 = 7/9
 
+The pole family's speed also has the closed form
+c = N (1+|p|^2)/(1-|p|^2) +/- 2N^2/beta^2 (+ defocusing, - focusing): 5/3 + 2
+= 11/3 and 5/3 - 2 = -1/3 at the values above.
+
 The stationary branch solves c = 0, i.e. alpha = -beta/2, which combined
 with the focusing constraint at N = 1, p = 1/2 gives beta^2 = 6/5 and
 ||u||^2 = 1 - beta^2/4 = 7/10.  The modulated family with index m = 3,
@@ -33,25 +37,35 @@ from cslab import (
     solve_wave_constraint,
     validate_wave,
     wave_l2,
-    wave_speed,
 )
+
+
+def _second_speed_form(w):
+    """The pole family's speed N (1+|p|^2)/(1-|p|^2) +/- 2N^2/beta^2
+    (+ defocusing, - focusing)."""
+    ratio = (1.0 + abs(w.p) ** 2) / (1.0 - abs(w.p) ** 2)
+    s = 1.0 if w.sign == "defocusing" else -1.0
+    return w.N * (ratio + s * 2.0 * w.N / w.beta ** 2)
 
 
 def test_pole_family_frozen_parameters():
     w = make_wave("defocusing", "pole", N=1, p=0.5, beta=1.0)
     assert w.alpha == pytest.approx(-7.0 / 3.0, abs=1e-14)
-    assert wave_speed(w) == pytest.approx(11.0 / 3.0, abs=1e-13)
+    assert w.c == pytest.approx(11.0 / 3.0, abs=1e-13)
+    assert _second_speed_form(w) == pytest.approx(11.0 / 3.0, abs=1e-13)
     assert wave_l2(w) == pytest.approx(19.0 / 9.0, abs=1e-14)
 
     w = make_wave("focusing", "pole", N=1, p=0.5, beta=1.0)
     assert w.alpha == pytest.approx(-1.0 / 3.0, abs=1e-14)
-    assert wave_speed(w) == pytest.approx(-1.0 / 3.0, abs=1e-13)
+    assert w.c == pytest.approx(-1.0 / 3.0, abs=1e-13)
+    assert _second_speed_form(w) == pytest.approx(-1.0 / 3.0, abs=1e-13)
     assert wave_l2(w) == pytest.approx(7.0 / 9.0, abs=1e-14)
 
 
 def test_stationary_and_modulated_frozen_parameters():
     w = make_wave("focusing", "stationary", N=1, p=0.5)
-    assert wave_speed(w) == pytest.approx(0.0, abs=1e-13)
+    assert w.c == pytest.approx(0.0, abs=1e-13)
+    assert _second_speed_form(w) == pytest.approx(0.0, abs=1e-13)
     assert w.beta ** 2 == pytest.approx(6.0 / 5.0, abs=1e-14)
     assert w.alpha == pytest.approx(-w.beta / 2.0, abs=1e-14)
     assert wave_l2(w) == pytest.approx(0.7, abs=1e-14)
@@ -59,13 +73,13 @@ def test_stationary_and_modulated_frozen_parameters():
     m = make_wave("focusing", "modulated", N=3, p=0.5)
     assert m.beta == pytest.approx(np.sqrt(3.0 / 7.0), abs=1e-14)
     assert m.alpha == pytest.approx(m.beta, abs=1e-14)
-    assert wave_speed(m) == pytest.approx(3.0, abs=1e-13)
+    assert m.c == pytest.approx(3.0, abs=1e-13)
     assert wave_l2(m) == pytest.approx(13.0 / 7.0, abs=1e-14)
 
 
 def test_plane_wave_speed_and_norm():
     w = make_wave("defocusing", "plane", N=2, C=0.5 + 0.5j)
-    assert wave_speed(w) == pytest.approx(2.0)
+    assert w.c == pytest.approx(2.0)
     assert wave_l2(w) == pytest.approx(0.5)
     u = sample_wave(w, 0.0, 8)
     assert u.coeffs[2] == pytest.approx(0.5 + 0.5j)
@@ -89,8 +103,10 @@ def test_constraint_solution_satisfies_defining_equation(sign, N, p, beta):
 @settings(deadline=None, max_examples=50, derandomize=True)
 @given(N=st.integers(1, 3), p=st.floats(0.05, 0.85), beta=st.floats(0.3, 3.0))
 def test_defocusing_speed_exceeds_base_frequency(N, p, beta):
+    """Both closed forms of the speed agree, and it exceeds N."""
     w = make_wave("defocusing", "pole", N=N, p=p, beta=beta)
-    assert wave_speed(w) > N
+    assert abs(_second_speed_form(w) - w.c) <= 1e-12 * max(1.0, abs(w.c))
+    assert w.c > N
 
 
 def test_sampled_norm_matches_closed_form():
@@ -109,7 +125,7 @@ def test_modal_traveling_law():
     for w in [make_wave("defocusing", "pole", N=1, p=0.5, beta=1.0),
               make_wave("focusing", "modulated", N=3, p=0.3),
               make_wave("focusing", "plane", N=2, C=1.0)]:
-        c = wave_speed(w)
+        c = w.c
         u0 = sample_wave(w, 0.0, 64).coeffs
         ut = sample_wave(w, 0.37, 64).coeffs
         n = np.arange(64)
@@ -125,14 +141,6 @@ def test_pde_residual_accepts_solutions_and_rejects_wrong_sign():
 
     m = make_wave("focusing", "modulated", N=3, p=0.5)
     assert pde_residual(WaveSampler(m), "focusing", K=128) < 1e-10
-
-
-def test_pde_residual_finite_difference_fallback():
-    # a bare closure has no analytic derivative; centered differences kick in
-    w = make_wave("focusing", "pole", N=1, p=0.5, beta=1.0)
-    sampler = WaveSampler(w)
-    res = pde_residual(lambda t, K: sampler(t, K), "focusing", K=128)
-    assert res < 1e-5  # O(dt^2) with the default step
 
 
 def test_family_and_parameter_guards():
@@ -162,6 +170,10 @@ def test_validate_wave_rejects_tampering():
                                  p=0.3, alpha=0.0, beta=0.0, theta=0.0, c=1.0)
     with pytest.raises(InvalidParameter):
         validate_wave(plane_with_pole)
+    # huge or tiny beta: beta^2 overflows, or the residuals read inf - inf
+    for p, beta in [(0.5, 1e300), (0.5, 1e200), (0.999999, 1e153), (0.5, 1e-300)]:
+        with pytest.raises(ConstraintViolation):
+            validate_wave(make_wave("defocusing", "pole", N=1, p=p, beta=beta))
 
 
 def test_branch_flips_beta_sign():
