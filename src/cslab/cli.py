@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CslabError, InvalidParameter
+from .errors import CslabError
 from .evolve import EvolveConfig, conservation_report, evolve, measure_speed
 from .finitegap import potential_coeffs, predicted_l2, residue_residuals, \
     solve_residue_system
@@ -93,8 +93,6 @@ def _load_state(args) -> tuple:
     """(u, sign) from --fixture or --input; flag mistakes exit 2."""
     if bool(args.fixture) == bool(args.input):
         raise _InputError("exactly one of --fixture or --input is required")
-    if args.K is not None and args.K < 1:
-        raise InvalidParameter("K must be >= 1")
     if args.fixture:
         fx = make_fixture(args.fixture, sign=args.sign)
         K = args.K if args.K is not None else 256
@@ -105,11 +103,12 @@ def _load_state(args) -> tuple:
         u = HardyCoeffs.from_json(Path(args.input).read_text())
     except ValueError as exc:
         raise _InputError(f"cannot read {args.input}: {exc}") from None
-    if args.K is not None and args.K != u.K:
+    if args.K is not None:
+        padded = zero_pad(u, args.K)  # a K out of range exits 3 here
         if args.K < u.K:
             raise _InputError(
                 f"--K {args.K} would drop data from a length-{u.K} input")
-        u = zero_pad(u, args.K)
+        u = padded
     return u, args.sign
 
 
@@ -156,8 +155,7 @@ def _cmd_wave(args) -> int:
                   beta=args.beta, C=args.C, theta=args.theta,
                   branch=args.branch)
     residuals = validate_wave(w)
-    K = args.K if args.K is not None else 256
-    u = sample_wave(w, 0.0, K)
+    u = sample_wave(w, 0.0, args.K)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "wave_record.json", {
@@ -187,8 +185,7 @@ def _cmd_finitegap(args) -> int:
                               pin_a=args.pin_a)
     res = float(np.max(np.abs(residue_residuals(
         fg.sign, fg.a, fg.residues, fg.poles, fg.mults))))
-    K = args.K if args.K is not None else 256
-    u = potential_coeffs(fg, K)
+    u = potential_coeffs(fg, args.K)
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "finitegap_record.json", {
@@ -308,7 +305,7 @@ def _build_parser():
     p.add_argument("--theta", type=float, default=0.0)
     p.add_argument("--branch", type=int, default=1, choices=[1, -1],
                    help="sign branch of beta for the modulated family")
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--K", type=int, default=256)
 
     p = sub("finitegap", _cmd_finitegap,
             help="solve the residue conditions for a pole configuration")
@@ -319,7 +316,7 @@ def _build_parser():
                    help="'re,im' or 're,im:mult'; repeat for several poles")
     p.add_argument("--pin-a", type=_parse_complex, default=None,
                    help="fix the constant term a instead of solving for it")
-    p.add_argument("--K", type=int, default=None)
+    p.add_argument("--K", type=int, default=256)
 
     p = sub("evolve", _cmd_evolve, help="integrate the flow")
     add_state_args(p)
@@ -335,8 +332,14 @@ def _build_parser():
     return parser, registry
 
 
+#: JSON types of --config values, by flag type; --pole has none (argv only).
+_CONFIG_TYPES = {None: (str,), int: (int,), float: (int, float),
+                 _parse_complex: (str, int, float)}
+
+
 def _config_error(overrides, sub) -> str | None:
-    """Why a --config payload cannot stand for the flags of ``sub``, or None."""
+    """Why a --config payload cannot stand for the flags of ``sub``, or None:
+    each value needs its flag's type and choices, and null a null default."""
     if not isinstance(overrides, dict):
         return "config must be a JSON object"
     actions = {a.dest: a for a in sub._actions}
@@ -344,12 +347,15 @@ def _config_error(overrides, sub) -> str | None:
     if bad:
         return f"unknown config keys {sorted(bad)}"
     for key, value in overrides.items():
-        kind = actions[key].type
-        if value is None or kind not in (int, float):
+        action = actions[key]
+        if value is None and action.default is None:
             continue
-        allowed = int if kind is int else (int, float)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            return f"config key {key!r} must be {kind.__name__}, got {value!r}"
+        if (isinstance(value, bool)
+                or not isinstance(value, _CONFIG_TYPES.get(action.type, ()))
+                or action.choices is not None and value not in action.choices):
+            return f"config key {key!r} cannot take {value!r}"
+        if not isinstance(value, str) and action.type in (float, _parse_complex):
+            overrides[key] = str(value)  # parsed as the flag is: 10**400 is inf
     return None
 
 

@@ -44,6 +44,7 @@ end-to-end integrator checks.
 from __future__ import annotations
 
 import logging
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -59,8 +60,9 @@ from .errors import (
     OutsideTheory,
     UnderResolved,
 )
+from .errors import K_MAX, check_int, check_real, check_sign
 from .hardy import HardyCoeffs, _ConvWorkspace, _conv_length, _nonlinearity
-from .lax import build_lax, spectral_decompose, _check_sign, _is_integer
+from .lax import build_lax, spectral_decompose
 
 __all__ = [
     "EvolveConfig",
@@ -76,8 +78,13 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_BLOWUP_DEFAULT = 1e6
-_TAIL_REL_DEFAULT = 1e-8
+#: Guards of evolve: the largest |u_hat(n)| after a step, and the largest
+#: share of a recorded state's energy in its top K/8 modes.
+_BLOWUP_THRESHOLD = 1e6
+_TAIL_REL_TOL = 1e-8
+#: conservation_report: eigenvalues compared, and snapshots they are taken on.
+_N_EIGS = 10
+_EIG_SNAPSHOTS = 9
 #: Steps of evolve_basis whose stage states and B-kernel spectra are made
 #: in one stacked call.
 _STEP_BLOCK = 8
@@ -85,36 +92,24 @@ _STEP_BLOCK = 8
 
 @dataclass(frozen=True)
 class EvolveConfig:
-    """Integration parameters of the integrating-factor (Lawson) RK4 scheme."""
+    """Integration parameters of the integrating-factor (Lawson) RK4 scheme:
+    integers K in [2, K_MAX] and record_every >= 1, finite reals T >= 0 and
+    dt > 0 with a finite T/dt (InvalidParameter otherwise)."""
 
     sign: str
     K: int
     T: float
     dt: float = 1e-4
     record_every: int = 1
-    blowup_threshold: float = _BLOWUP_DEFAULT
-    tail_rel_tol: float = _TAIL_REL_DEFAULT
 
     def __post_init__(self) -> None:
-        _check_sign(self.sign)
-        if not _is_integer(self.K) or self.K < 2:
-            raise InvalidParameter(f"K must be an integer >= 2, got {self.K!r}")
-        # negated, so NaN is refused too; inf would give no step or one step of h = T
-        if not (0 < self.dt < np.inf and 0 <= self.T < np.inf):
-            raise InvalidParameter("need finite dt > 0 and T >= 0")
-        if not _is_integer(self.record_every) or self.record_every < 1:
-            raise InvalidParameter(
-                f"record_every must be an integer >= 1, got {self.record_every!r}")
-        # negated, so NaN is refused too: every comparison with it is false,
-        # which would turn the guards of evolve off
-        if not self.blowup_threshold > 0:
-            raise InvalidParameter(
-                f"blowup_threshold must be > 0, got {self.blowup_threshold!r}")
-        if not self.tail_rel_tol >= 0:
-            raise InvalidParameter(
-                f"tail_rel_tol must be >= 0, got {self.tail_rel_tol!r}")
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "record_every", int(self.record_every))
+        check_sign(self.sign)
+        object.__setattr__(self, "K", check_int("K", self.K, 2, K_MAX))
+        object.__setattr__(self, "record_every",
+                           check_int("record_every", self.record_every, 1, math.inf))
+        check_real("T", self.T, 0.0, math.inf)
+        check_real("dt", self.dt, math.ulp(0.0), math.inf)  # the least double > 0
+        check_real("T/dt", self.T / self.dt, 0.0, math.inf)  # a finite step count
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,9 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
     The step count is round(T/dt) with the step adjusted to land exactly on
     T.  Snapshots (state + L2 norm, mean, top-K/8 tail energy) are recorded
     every ``record_every`` steps and always at the final time.  Raises
-    BlowupDetected when any |u_hat| passes the blowup threshold and
-    UnderResolved when the relative tail energy of a recorded state exceeds
-    ``tail_rel_tol`` (or when u0 itself carries energy above mode K/2).
+    BlowupDetected when any |u_hat| passes 1e6 and UnderResolved when the
+    relative tail energy of a recorded state exceeds 1e-8 (or when u0
+    itself carries energy above mode K/2).
     """
     if u0.K != cfg.K:
         raise DimensionMismatch(f"u0 has K={u0.K}, config says {cfg.K}")
@@ -215,15 +210,15 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
         (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2, ws)
         k4 = s2i * _nonlinearity(u4, ws)
         c = E2 * c + (h / 6.0) * (E2 * k1 + 2.0 * E1 * (k2 + k3) + k4)
-        if np.max(np.abs(c)) > cfg.blowup_threshold:
-            raise BlowupDetected(f"|u_hat| exceeded {cfg.blowup_threshold:.1e} "
+        if np.max(np.abs(c)) > _BLOWUP_THRESHOLD:
+            raise BlowupDetected(f"|u_hat| exceeded {_BLOWUP_THRESHOLD:.1e} "
                                  f"at t = {(i + 1) * h:.6f}")
         if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
             tail = _tail_rel(c)
-            if tail > cfg.tail_rel_tol:
+            if tail > _TAIL_REL_TOL:
                 raise UnderResolved(
                     f"tail energy {tail:.3e} at t = {(i + 1) * h:.6f} "
-                    f"exceeds {cfg.tail_rel_tol:.1e}; increase K")
+                    f"exceeds {_TAIL_REL_TOL:.1e}; increase K")
             times.append((i + 1) * h)
             states.append(HardyCoeffs(c.copy()))
             tails.append(tail)
@@ -246,37 +241,29 @@ class ConservationReport:
     eig_snapshots: int
 
 
-def conservation_report(traj: Trajectory, n_eigs: int = 10,
-                        eig_snapshots: int = 9) -> ConservationReport:
+def conservation_report(traj: Trajectory) -> ConservationReport:
     """Drift of ||u||^2, <u|1> and the low Lax spectrum along the flow.
 
-    The norm and mean are read off every snapshot; eigenvalues (first
-    ``n_eigs`` reliable ones) are computed on at most ``eig_snapshots``
-    evenly spaced snapshots, endpoints included, since each requires a full
-    Hermitian eigensolve.  n_eigs must be an integer >= 1 and eig_snapshots
-    one >= 2 (InvalidParameter otherwise); a one-snapshot trajectory is
-    compared with itself.
+    The norm and mean are read off every snapshot; eigenvalues (the first
+    10 reliable ones) are computed on at most 9 evenly spaced snapshots,
+    endpoints included, since each requires a full Hermitian eigensolve; a
+    one-snapshot trajectory is compared with itself.
     """
-    if not _is_integer(n_eigs) or n_eigs < 1:
-        raise InvalidParameter(f"n_eigs must be an integer >= 1, got {n_eigs!r}")
-    if not _is_integer(eig_snapshots) or eig_snapshots < 2:
-        raise InvalidParameter(
-            f"eig_snapshots must be an integer >= 2, got {eig_snapshots!r}")
     l2_drift = float(np.max(np.abs(traj.l2 ** 2 - traj.l2[0] ** 2)))
     mean_drift = float(np.max(np.abs(traj.mean - traj.mean[0])))
     n_snap = len(traj.states)
-    idx = np.unique(np.linspace(0, n_snap - 1, min(n_snap, eig_snapshots)).astype(int))
+    idx = np.unique(np.linspace(0, n_snap - 1, min(n_snap, _EIG_SNAPSHOTS)).astype(int))
     ref = None
     eig_drift = 0.0
     for i in idx:
         dec = spectral_decompose(build_lax(traj.states[i], traj.cfg.sign))
-        evs = dec.eigenvalues[:min(n_eigs, dec.reliable)]
+        evs = dec.eigenvalues[:min(_N_EIGS, dec.reliable)]
         if ref is None:
             ref = evs
         else:
             eig_drift = max(eig_drift, float(np.max(np.abs(evs - ref))))
     return ConservationReport(l2_drift=l2_drift, mean_drift=mean_drift,
-                              eig_drift=eig_drift, n_eigs=n_eigs,
+                              eig_drift=eig_drift, n_eigs=_N_EIGS,
                               eig_snapshots=len(idx))
 
 
@@ -442,12 +429,9 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     if F.ndim == 1:
         F = F[:, None]
     K = traj.cfg.K
-    if F.ndim != 2 or F.shape[1] == 0:
-        raise DimensionMismatch(
-            f"f_init must be a (K,) vector or a (K, m) matrix with m >= 1, "
-            f"got shape {F.shape}")
-    if F.shape[0] != K:
-        raise DimensionMismatch("f_init rows must match the truncation K")
+    if F.ndim != 2 or F.shape[0] != K or F.shape[1] == 0:
+        raise DimensionMismatch(f"f_init must be a (K,) vector or a (K, m) matrix "
+                                f"with K={K} and m >= 1, got shape {F.shape}")
     if not np.isfinite(F).all():
         raise InvalidParameter("f_init entries must be finite")
     norm0 = np.linalg.norm(F, axis=0)

@@ -39,17 +39,17 @@ from .errors import (
     InvalidParameter,
     NewtonDivergence,
     NumericalAliasing,
-    PoleOnCircle,
     SingularSystem,
     AliasWarning,
 )
+from .errors import K_MAX, check_in_disc, check_int, check_K, check_same_K, check_sign
 from .hardy import (
     BlaschkeProduct,
     HardyCoeffs,
     blaschke_to_coeffs,
     grid_transform,
 )
-from .lax import SpectralDecomposition, build_lax, _check_sign, _matrices_in_basis
+from .lax import SpectralDecomposition, build_lax, _matrices_in_basis
 
 __all__ = [
     "FiniteGapPotential",
@@ -92,28 +92,16 @@ class FiniteGapPotential:
     residues: tuple
 
     def __post_init__(self) -> None:
-        _check_sign(self.sign)
-        if self.m0 < 0:
-            raise InvalidParameter("m0 must be >= 0")
-        poles = tuple(complex(p) for p in self.poles)
-        mults = tuple(int(m) for m in self.mults)
+        check_sign(self.sign)
+        m0, poles, mults = _checked_pole_data(self.m0, self.poles, self.mults)
         res = tuple(complex(c) for c in self.residues)
-        if not (len(poles) == len(mults) == len(res)):
-            raise InvalidParameter("poles, mults and residues must have equal length")
+        if len(res) != len(poles):
+            raise InvalidParameter("poles and residues must have equal length")
         if not np.all(np.isfinite((complex(self.a),) + res)):
             raise InvalidParameter("a and the residues must be finite")
-        for p in poles:
-            _check_pole(p)
-            if p == 0:
-                raise InvalidParameter("poles must be nonzero (D*)")
-        for j, p in enumerate(poles):
-            for q in poles[j + 1:]:
-                if abs(p - q) < 1e-12:
-                    raise InvalidParameter("poles must be pairwise distinct")
-        if any(m < 1 for m in mults):
-            raise InvalidParameter("multiplicities must be >= 1")
-        if self.m0 >= 1 and abs(self.a) < _ZERO_TOL:
+        if m0 >= 1 and abs(self.a) < _ZERO_TOL:
             raise ConstraintViolation("a must be nonzero when m0 >= 1")
+        object.__setattr__(self, "m0", m0)
         object.__setattr__(self, "poles", poles)
         object.__setattr__(self, "mults", mults)
         object.__setattr__(self, "residues", res)
@@ -146,9 +134,20 @@ class FiniteGapPotential:
         return float(self.m0 + np.real(val))
 
 
-def _check_pole(p: complex) -> None:
-    if not abs(p) < 1.0:  # negated, so a NaN pole is refused too
-        raise PoleOnCircle(f"pole {p} not inside the unit disc")
+def _checked_pole_data(m0, poles, mults) -> tuple:
+    """(m0, poles, mults) as (int, tuple of complex, tuple of int), refused
+    unless m0 in [0, K_MAX] and the m_j in [1, K_MAX] are integers and the
+    poles, one per m_j, are distinct points of the punctured open disc."""
+    m0 = check_int("m0", m0, 0, K_MAX)
+    poles = tuple(check_in_disc("pole", p) for p in poles)
+    mults = tuple(check_int("multiplicity", m, 1, K_MAX) for m in mults)
+    if len(mults) != len(poles):
+        raise InvalidParameter("poles and mults must have equal length")
+    if 0 in poles:
+        raise InvalidParameter("poles must be nonzero (D*)")
+    if any(abs(p - q) < 1e-12 for j, p in enumerate(poles) for q in poles[j + 1:]):
+        raise InvalidParameter("poles must be pairwise distinct")
+    return m0, poles, mults
 
 
 def gram_matrix(poles) -> NDArray[np.complex128]:
@@ -205,18 +204,13 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
     and ``pin_a`` freezes a at the given value (removing it from the
     unknowns).  Raises InfeasibleSign for the defocusing system with a
     pinned to 0: summing the conditions would force the positive-definite
-    Gram form sum c_j conj(c_k) G_jk to equal -sum m_j < 0.  Poles outside
-    the open disc and non-finite poles, ``pin_a`` or ``init`` are refused
-    on entry, before any linear algebra.
+    Gram form sum c_j conj(c_k) G_jk to equal -sum m_j < 0.  The pole
+    data (as for ``FiniteGapPotential``) and the finiteness of ``pin_a``
+    and ``init`` are checked on entry, before any linear algebra.
     """
-    _check_sign(sign)
-    poles = tuple(complex(p) for p in poles)
-    mults = tuple(int(m) for m in mults)
+    check_sign(sign)
+    m0, poles, mults = _checked_pole_data(m0, poles, mults)
     r = len(poles)
-    if len(mults) != r:
-        raise InvalidParameter("poles and mults must have equal length")
-    for p in poles:
-        _check_pole(p)
     if pin_a is not None and not np.isfinite(complex(pin_a)):
         raise InvalidParameter(f"pin_a = {pin_a} is not finite")
     if init is not None and not (np.isfinite(complex(init[0])) and np.all(
@@ -293,8 +287,7 @@ def potential_coeffs(fg: FiniteGapPotential, K: int) -> HardyCoeffs:
     it raises NumericalAliasing (the poles are too close to the circle for
     this K).
     """
-    if K < 1:
-        raise InvalidParameter("K must be >= 1")
+    K = check_K(K)
     M = 2 * K
     z = np.exp(2j * np.pi * np.arange(M) / M)
     vals = np.full(M, fg.a, dtype=np.complex128)
@@ -342,10 +335,7 @@ def blaschke_eigen_check(u: HardyCoeffs, psi: BlaschkeProduct, sign: str,
     [0, K - K/4) and returned for k = 0..kmax together with nu.
     """
     K = u.K
-    if kmax < 0:
-        raise InvalidParameter("kmax must be >= 0")
-    if kmax > K // 8:
-        raise InvalidParameter(f"kmax={kmax} too deep for K={K} (limit K/8)")
+    kmax = check_int("kmax (at most K/8)", kmax, 0, K // 8)
     L = build_lax(u, sign).matrix
     rows = K - K // 4
     v = blaschke_to_coeffs(psi, K).coeffs
@@ -446,8 +436,7 @@ def classify(dec: SpectralDecomposition, u: HardyCoeffs) -> ClassifyResult:
     coefficients leave unresolved gaps at the reliability edge, which is
     the Inconclusive path, not a clean "false".
     """
-    if u.K != dec.K:
-        raise InvalidParameter("decomposition and potential truncations differ")
+    check_same_K(u, dec)
     ev = dec.eigenvalues[:dec.reliable]
     gaps = ev[1:] - ev[:-1] - 1.0
     bad = np.nonzero(np.abs(gaps) > _GAP_TOL)[0]
@@ -553,8 +542,7 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
     a rank-ambiguous model space, yields data without reduction, with the
     reason in ``unreduced_reason``; the full path is exact regardless.
     """
-    if u.K != dec.K:
-        raise InvalidParameter("decomposition and potential truncations differ")
+    check_same_K(u, dec)
     X, Y, M = _matrices_in_basis(u.coeffs, dec.vectors)
     moments = _moments(X, Y, M)
 
@@ -605,7 +593,7 @@ def reconstruct(data: InversionData, z: complex,
     polynomial in z.  A non-finite z is refused before any arithmetic.
     """
     z = complex(z)
-    if not abs(z) < 1.0:  # negated, so NaN is refused too
+    if not np.abs(z) < 1.0:  # negated for NaN; abs() of a NaN may raise (errors.py)
         raise InvalidParameter(f"z = {z} is not a point of the open disc")
     if use_reduced is None:
         use_reduced = data.reduced_dim is not None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_K
 from .finitegap import FiniteGapPotential, ladder_blaschke
 from .hardy import BlaschkeProduct, HardyCoeffs
 from .waves import WaveParams, make_wave, sample_wave
@@ -72,8 +72,7 @@ class Fixture:
 
     def coeffs(self, K: int) -> HardyCoeffs:
         """Exact Fourier coefficients (closed form, not via grid sampling)."""
-        if K < 1:
-            raise InvalidParameter("K must be >= 1")
+        K = check_K(K)
         if self.wave is not None:
             return sample_wave(self.wave, 0.0, K)
         c = np.zeros(K, dtype=np.complex128)
@@ -151,54 +150,56 @@ def _wave_to_finite_gap(w: WaveParams) -> FiniteGapPotential:
                               a=w.alpha * ph, residues=residues)
 
 
+#: The form of each fixture name, by its head, and the types of its fields.
+_NAME_FORMS = {
+    "appendix1": ("appendix1", ()),
+    "appendix2": ("appendix2", ()),
+    "wave": ("wave:SIGN:N:P:BETA", (str, int, complex, float)),
+    "plane": ("plane:N:C", (int, complex)),
+    "modulated": ("modulated:M:P", (int, complex)),
+    "stationary": ("stationary:N:P", (int, complex)),
+}
+
+
 def make_fixture(name: str, p: complex | None = None,
                  sign: str | None = None) -> Fixture:
     """Build a fixture from its name.
 
-    Recognized forms: ``appendix1``, ``appendix2`` (optional p override),
-    ``wave:SIGN:N:P:BETA``, ``plane:N:C``, ``modulated:M:P``,
-    ``stationary:N:P``.  ``sign`` overrides the default for sign-agnostic
-    fixtures (plane waves).
+    The forms are those of ``_NAME_FORMS`` (appendix1 and appendix2 take
+    an optional p override); any other name is refused (InvalidParameter).
+    ``sign`` overrides the default for sign-agnostic fixtures (plane waves).
     """
-    parts = name.split(":")
-    head = parts[0]
+    head, *fields = name.split(":")
+    if head not in _NAME_FORMS:
+        raise InvalidParameter(f"unknown fixture {name!r}")
+    form, types = _NAME_FORMS[head]
+    try:  # a field that does not parse, or a missing or trailing one
+        fields = [kind(text) for kind, text in zip(types, fields, strict=True)]
+    except ValueError:
+        raise InvalidParameter(f"expected {form}, got {name!r}") from None
     if head == "appendix1":
         return appendix1(0.5 if p is None else p)
     if head == "appendix2":
         return appendix2(0.6 if p is None else p)
     if head == "wave":
-        if len(parts) != 5:
-            raise InvalidParameter("expected wave:SIGN:N:P:BETA")
-        wsign, N, pw, beta = parts[1], int(parts[2]), complex(parts[3]), float(parts[4])
+        wsign, N, pw, beta = fields
         w = make_wave(wsign, "pole", N=N, p=pw, beta=beta)
         return Fixture(name=name, kind="wave", sign=wsign, p=pw, wave=w,
                        finite_gap=_wave_to_finite_gap(w))
     if head == "plane":
-        if len(parts) != 3:
-            raise InvalidParameter("expected plane:N:C")
-        N, C = int(parts[1]), complex(parts[2])
+        N, C = fields
         w = make_wave(sign or "focusing", "plane", N=N, C=C)
         return Fixture(name=name, kind="plane", sign=sign or "focusing",
                        wave=w, finite_gap=_wave_to_finite_gap(w))
-    if head == "modulated":
-        if len(parts) != 3:
-            raise InvalidParameter("expected modulated:M:P")
-        m, pw = int(parts[1]), complex(parts[2])
-        w = make_wave("focusing", "modulated", N=m, p=pw)
-        return Fixture(name=name, kind="modulated", sign="focusing", p=pw,
-                       wave=w, finite_gap=_wave_to_finite_gap(w))
-    if head == "stationary":
-        if len(parts) != 3:
-            raise InvalidParameter("expected stationary:N:P")
-        N, pw = int(parts[1]), complex(parts[2])
-        w = make_wave("focusing", "stationary", N=N, p=pw)
-        return Fixture(name=name, kind="stationary", sign="focusing", p=pw,
-                       wave=w, finite_gap=_wave_to_finite_gap(w))
-    raise InvalidParameter(f"unknown fixture {name!r}")
+    N, pw = fields  # modulated (N is the index m) or stationary
+    w = make_wave("focusing", head, N=N, p=pw)
+    return Fixture(name=name, kind=head, sign="focusing", p=pw,
+                   wave=w, finite_gap=_wave_to_finite_gap(w))
 
 
 def random_decaying(seed, K: int, rho: float = 0.8) -> HardyCoeffs:
     """Seeded draw with |u_hat(n)| <= rho^n: uniform disc amplitudes times rho^n."""
+    K = check_K(K)
     rng = np.random.default_rng(seed)
     radii = np.sqrt(rng.uniform(0.0, 1.0, K))
     angles = rng.uniform(0.0, 2.0 * np.pi, K)

@@ -16,6 +16,7 @@ projected modulus Pi(|u|^2), and the flow's nonlinearity (D Pi(|u|^2)) u.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +26,9 @@ from scipy.linalg import toeplitz as _sp_toeplitz
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
-    PoleOnCircle,
     TruncationOverflow,
 )
+from .errors import K_MAX, check_in_disc, check_int, check_K
 
 import warnings
 
@@ -72,13 +73,15 @@ class HardyCoeffs:
 
     @classmethod
     def from_json(cls, text: str) -> "HardyCoeffs":
-        """Inverse of to_json; raises ValueError on text of any other shape."""
+        """Inverse of to_json; raises ValueError on text of any other shape or
+        beyond the double range, and InvalidParameter on over K_MAX pairs."""
         try:
             vals = [complex(re, im) for re, im in json.loads(text)]
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"expected a JSON array of [re, im] pairs ({exc})") from None
         if not vals:
             raise ValueError("expected a non-empty JSON array of [re, im] pairs")
+        check_K(len(vals))
         return cls(np.array(vals, dtype=np.complex128))
 
 
@@ -95,13 +98,9 @@ class BlaschkeProduct:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        zs = tuple(complex(w) for w in self.zeros)
-        for w in zs:
-            if abs(w) >= 1.0:
-                raise PoleOnCircle(f"Blaschke zero {w} is not inside the open unit disc")
-        if self.power < 0:
-            raise InvalidParameter("monomial prefactor exponent must be >= 0")
-        object.__setattr__(self, "zeros", zs)
+        object.__setattr__(self, "zeros",
+                           tuple(check_in_disc("Blaschke zero", w) for w in self.zeros))
+        object.__setattr__(self, "power", check_int("power", self.power, 0, K_MAX))
 
 
 def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
@@ -115,6 +114,7 @@ def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
 def grid_transform(u: HardyCoeffs, M: int) -> NDArray[np.complex128]:
     """Synthesis on the uniform M-point grid x_m = 2 pi m / M: the samples
     u(x_m) of a function with K <= M modes."""
+    M = check_int("grid size M", M, 1, math.inf)
     c = u.coeffs
     if M < c.shape[0]:
         raise DimensionMismatch(f"grid size M={M} must be >= K={c.shape[0]}")
@@ -138,6 +138,7 @@ def blaschke_to_coeffs(psi: BlaschkeProduct, K: int) -> HardyCoeffs:
     Sampled on a 4K grid and analyzed by FFT; the fold-back error is
     O(max|w|^{4K-K}) and far below machine precision for |w| <= 0.95.
     """
+    K = check_K(K)
     if psi.power >= K:
         warnings.warn("Blaschke monomial power exceeds truncation", TruncationOverflow, stacklevel=2)
     M = max(4 * K, 64)
@@ -229,10 +230,6 @@ def derivative(u: HardyCoeffs) -> HardyCoeffs:
 
 def zero_pad(u: HardyCoeffs, K: int) -> HardyCoeffs:
     """Extend (or truncate) to length K.  Truncation drops top coefficients silently."""
-    if K == u.K:
-        return HardyCoeffs(u.coeffs.copy())
-    if K < u.K:
-        return HardyCoeffs(u.coeffs[:K].copy())
-    out = np.zeros(K, dtype=np.complex128)
-    out[: u.K] = u.coeffs
+    out = np.zeros(check_K(K), dtype=np.complex128)
+    out[:u.K] = u.coeffs[:K]
     return HardyCoeffs(out)

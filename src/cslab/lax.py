@@ -42,12 +42,13 @@ conjugated rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EigensolveFailure, InvalidParameter
+from .errors import EigensolveFailure, check_int, check_real, check_same_K, check_sign
 from .hardy import HardyCoeffs, derivative, analytic_toeplitz_block
 
 __all__ = [
@@ -70,12 +71,6 @@ CLUSTER_TOL = 1e-8
 _PHASE_TOL = 1e-8
 #: |<S f_{n-1} | f_n>| below this puts n in the collinearity set I(u).
 _COLLINEAR_TOL = 1e-6
-
-
-def _check_sign(sign: str) -> str:
-    if sign not in (FOCUSING, DEFOCUSING):
-        raise InvalidParameter(f"sign must be '{FOCUSING}' or '{DEFOCUSING}', got {sign!r}")
-    return sign
 
 
 @dataclass(frozen=True)
@@ -150,8 +145,11 @@ class IdentityReport:
 
 
 def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
-    """K x K block of the Lax operator: diag(0..K-1) -/+ T_u T_ubar (exact)."""
-    _check_sign(sign)
+    """K x K block of the Lax operator: diag(0..K-1) -/+ T_u T_ubar (exact).
+    No entry of T_u T_ubar exceeds ||u||^2: refusing an overflowing ||u||^2
+    (InvalidParameter) keeps the matrix finite for LAPACK."""
+    check_sign(sign)
+    check_real("||u||^2", float(np.vdot(u.coeffs, u.coeffs).real), 0.0, math.inf)
     K = u.K
     Tu = analytic_toeplitz_block(u)
     P = Tu @ Tu.conj().T
@@ -191,19 +189,6 @@ def _b_block(u: HardyCoeffs, sign: str, rows: int, cols: int) -> NDArray[np.comp
     return core + 1j * _leading_block(P, P, rows, cols)
 
 
-def _is_integer(value) -> bool:
-    """True for a Python or numpy integer; bool is not taken as one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_buffer(buffer, K: int) -> int:
-    """The buffer as an int, refused unless it is an integer with 1 <= buffer < K."""
-    if not _is_integer(buffer) or not 1 <= buffer < K:
-        raise InvalidParameter(f"buffer {buffer!r} out of range for K={K}: need an integer "
-                               "1 <= buffer < K (the default K/8 needs K >= 8)")
-    return int(buffer)
-
-
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
     """Rotate each column so its first coefficient of modulus > 1e-8 is real > 0
     (columns with none stay as they are; hypot rounds like the scalar abs)."""
@@ -233,7 +218,8 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
     outputs reproducible across LAPACK builds (outside degenerate
     clusters, where only the spanned subspace is well defined).
     """
-    buffer = _check_buffer(L.K // 8 if buffer is None else buffer, L.K)
+    buffer = check_int("buffer (K/8 by default)", L.K // 8 if buffer is None else buffer,
+                       1, L.K - 1)
     try:
         ev, vec = np.linalg.eigh(L.matrix)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -320,10 +306,10 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
     order of the dense formula, so the residuals equal those of the
     K x K matrices bit for bit (see the module docstring).
     """
-    if u.K != dec.K:
-        raise InvalidParameter("decomposition and potential truncations differ")
+    check_same_K(u, dec)
     K = u.K
-    buffer = _check_buffer(K // 4 if buffer is None else buffer, K)
+    buffer = check_int("buffer (K/4 by default)", K // 4 if buffer is None else buffer,
+                       1, K - 1)
     R = K - buffer
     s = 1.0 if dec.sign == DEFOCUSING else -1.0
 

@@ -9,6 +9,7 @@ disagree about what passing means.
 """
 from __future__ import annotations
 
+import math
 import sys
 import time
 import warnings
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CslabError, CslabWarning, Inconclusive
+from .errors import CslabError, CslabWarning, Inconclusive, check_int
 from .evolve import EvolveConfig, conservation_report, evolve, evolve_basis, \
     measure_speed, phase_law_report
 from .finitegap import blaschke_eigen_check, classify, inversion_data, \
@@ -456,10 +457,12 @@ def run_verify(only: str | None = None, seed: int = DEFAULT_SEED,
     """Run the acceptance criteria in order: all, or the one named by ``only``.
 
     ``only`` must equal a criterion's number or its full slug (e.g. "3" or
-    "gap-laws"); anything else raises Inconclusive.  Results are printed as
+    "gap-laws"); anything else raises Inconclusive, and a seed that is not
+    an integer >= 0 InvalidParameter.  Results are printed as
     a table in criterion order.  Returns the list of CriterionResult.
     """
     out = out if out is not None else sys.stdout
+    seed = check_int("seed", seed, 0, math.inf)  # numpy refuses negative seeds
     selected = [c for c in _CRITERIA
                 if only is None or only in (str(c[0]), c[1])]
     if not selected:

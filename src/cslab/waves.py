@@ -27,6 +27,7 @@ focusing list.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,9 +39,9 @@ from .errors import (
     DimensionMismatch,
     FamilyUnavailable,
     InvalidParameter,
-    PoleOnCircle,
     TruncationOverflow,
 )
+from .errors import K_MAX, check_in_disc, check_int, check_K, check_real, check_sign
 from .hardy import HardyCoeffs, nonlinearity
 
 __all__ = [
@@ -81,37 +82,23 @@ class WaveParams:
     c: float
 
 
-def _check_pole(p: complex) -> complex:
-    p = complex(p)
-    if abs(p) >= 1.0:
-        raise PoleOnCircle(f"pole parameter |p| = {abs(p):.6f} >= 1")
-    if p == 0:
-        raise InvalidParameter("pole parameter p must be nonzero (use the plane family)")
-    return p
-
-
 def solve_wave_constraint(sign: str, N: int, p: complex, beta: float) -> float:
     """Solve the pole-family constraint for alpha at given beta.
 
     alpha = -/+ N / beta - beta / (1 - |p|^2)   (- defocusing, + focusing)
     """
-    p = _check_pole(p)
-    if N < 1:
-        raise InvalidParameter("base frequency N must be a positive integer")
+    check_sign(sign)
+    N = check_int("N", N, 1, K_MAX)
+    q = 1.0 / (1.0 - abs(check_in_disc("pole parameter", p)) ** 2)
     if beta == 0.0:
         raise InvalidParameter("beta must be nonzero")
-    q = 1.0 / (1.0 - abs(p) ** 2)
-    if sign == "defocusing":
-        return -N / beta - beta * q
-    if sign == "focusing":
-        return N / beta - beta * q
-    raise InvalidParameter(f"unknown sign {sign!r}")
+    return (N if sign == "focusing" else -N) / beta - beta * q
 
 
 def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
               beta: float | None = None, C: complex | None = None,
               theta: float = 0.0, branch: int = 1) -> WaveParams:
-    """Construct validated WaveParams for one family.
+    """Construct WaveParams for one family, checked by ``validate_wave``.
 
     plane:      needs N and C (complex amplitude).
     pole:       needs N, p, beta; alpha is solved from the constraint.
@@ -119,68 +106,63 @@ def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
                 needs p; beta = branch / sqrt((m-1)/2 + 1/(1-|p|^2)).
     stationary: focusing only; needs N and p.
     """
-    if sign not in ("focusing", "defocusing"):
-        raise InvalidParameter(f"unknown sign {sign!r}")
+    check_sign(sign)
+    N = check_int("N", N, 1, K_MAX)
     if family == PLANE:
-        if C is None:
-            raise InvalidParameter("plane family needs the amplitude C")
-        if N < 1:
-            raise InvalidParameter("plane-wave frequency N must be >= 1")
-        return WaveParams(sign=sign, family=PLANE, N=N, p=0.0, alpha=0.0,
-                          beta=abs(C), theta=float(np.angle(C)), c=float(N))
-    if family == POLE:
+        if C is None or not cmath.isfinite(C):  # abs() of a NaN may raise
+            raise InvalidParameter("plane family needs a finite amplitude C")
+        w = WaveParams(sign=sign, family=PLANE, N=N, p=0.0, alpha=0.0,
+                       beta=abs(C), theta=float(np.angle(C)), c=float(N))
+    elif family == POLE:
         if beta is None:
             raise InvalidParameter("pole family needs beta (alpha is solved)")
         alpha = solve_wave_constraint(sign, N, p, beta)
         c = -N * (1.0 + 2.0 * alpha / beta)
-        return WaveParams(sign=sign, family=POLE, N=N, p=complex(p),
-                          alpha=alpha, beta=float(beta), theta=theta, c=c)
-    if family == MODULATED:
+        w = WaveParams(sign=sign, family=POLE, N=N, p=complex(p),
+                       alpha=alpha, beta=float(beta), theta=theta, c=c)
+    elif family == MODULATED:
         if sign != "focusing":
             raise FamilyUnavailable("the modulated family exists only in the focusing case")
-        m = N
-        if m < 1:
-            raise InvalidParameter("modulation index m must be >= 1")
-        p = _check_pole(p)
+        p = check_in_disc("pole parameter", p)
         q = 1.0 / (1.0 - abs(p) ** 2)
-        denom = 0.5 * (m - 1) + q
-        if denom <= 0.0:  # cannot happen for valid p, m; guard anyway
-            raise ConstraintViolation("modulated constraint has no real solution")
-        beta = (1 if branch >= 0 else -1) / math.sqrt(denom)
-        alpha = 0.5 * beta * (m - 1)
-        return WaveParams(sign=sign, family=MODULATED, N=m, p=p,
-                          alpha=alpha, beta=beta, theta=theta, c=float(m))
-    if family == STATIONARY:
+        beta = (1 if branch >= 0 else -1) / math.sqrt(0.5 * (N - 1) + q)
+        alpha = 0.5 * beta * (N - 1)
+        w = WaveParams(sign=sign, family=MODULATED, N=N, p=p,
+                       alpha=alpha, beta=beta, theta=theta, c=float(N))
+    elif family == STATIONARY:
         if sign != "focusing":
             raise FamilyUnavailable(
                 "no defocusing stationary waves: the defocusing speed always exceeds N")
-        p = _check_pole(p)
-        if N < 1:
-            raise InvalidParameter("base frequency N must be >= 1")
+        p = check_in_disc("pole parameter", p)
         alpha = math.sqrt(N * (1.0 - abs(p) ** 2) / (2.0 * (1.0 + abs(p) ** 2)))
-        return WaveParams(sign=sign, family=STATIONARY, N=N, p=p,
-                          alpha=alpha, beta=-2.0 * alpha, theta=theta, c=0.0)
-    raise InvalidParameter(f"unknown family {family!r}")
+        w = WaveParams(sign=sign, family=STATIONARY, N=N, p=p,
+                       alpha=alpha, beta=-2.0 * alpha, theta=theta, c=0.0)
+    else:
+        raise InvalidParameter(f"unknown family {family!r}")
+    validate_wave(w)
+    return w
 
 
 def validate_wave(w: WaveParams) -> dict:
     """Constraint residuals of a WaveParams; raises ConstraintViolation when
-    one exceeds 1e-12 or is not a number (huge parameters give inf - inf)."""
+    one exceeds 1e-12 or is not a number (huge parameters give inf - inf).
+    The sign, N and a nonzero pole of the open disc are checked first."""
+    check_sign(w.sign)
+    check_int("N", w.N, 1, K_MAX)
     res: dict[str, float] = {}
+    try:
+        beta2 = w.beta ** 2
+    except OverflowError:  # a Python float past the largest double
+        beta2 = math.inf
     if w.family == PLANE:
         if w.p != 0:
             raise InvalidParameter("plane waves have no pole parameter")
+        check_real("|C|^2", beta2, 0.0, math.inf)  # the squared L2 norm
         res["speed"] = abs(w.c - w.N)
     elif w.family in (POLE, STATIONARY, MODULATED):
-        if abs(w.p) >= 1.0:
-            raise PoleOnCircle(f"pole parameter |p| = {abs(w.p):.6f} >= 1")
-        if w.p == 0:
+        if check_in_disc("pole parameter", w.p) == 0:
             raise InvalidParameter(f"the {w.family} family needs a nonzero pole")
         q = 1.0 / (1.0 - abs(w.p) ** 2)
-        try:
-            beta2 = w.beta ** 2
-        except OverflowError:  # a Python float past the largest double
-            beta2 = math.inf
         if w.family == MODULATED:
             res["constraint"] = abs(w.alpha * w.beta + beta2 * q - 1.0)
             res["modulation"] = abs(w.beta * (w.N - 1) - 2.0 * w.alpha)
@@ -221,8 +203,7 @@ def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
     Every family obeys the traveling-wave modal law
     u_hat(n, t) = u_hat(n, 0) e^{-i n c t}.
     """
-    if K < 1:
-        raise DimensionMismatch("K must be >= 1")
+    K = check_K(K)
     validate_wave(w)
     c0 = np.zeros(K, dtype=np.complex128)
     ph = np.exp(1j * w.theta)
@@ -230,29 +211,20 @@ def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
         if w.N >= K:
             raise DimensionMismatch(f"plane frequency N={w.N} does not fit K={K}")
         c0[w.N] = w.beta * ph
-    elif w.family in (POLE, STATIONARY):
-        kmax = (K - 1) // w.N
-        c0[0] = ph * (w.alpha + w.beta)
-        pk = w.p ** np.arange(1, kmax + 1)
-        c0[w.N * np.arange(1, kmax + 1)] = ph * w.beta * pk
+    else:
+        # e^{i theta} z^s (alpha + beta / (1 - p z^d)): s = m and d = 1 for
+        # the modulated family, s = 0 and d = N for the pole families
+        s, d = (w.N, 1) if w.family == MODULATED else (0, w.N)
+        if s >= K:
+            raise DimensionMismatch(f"modulation index m={s} does not fit K={K}")
+        kmax = (K - 1 - s) // d
+        c0[s] = ph * (w.alpha + w.beta)
+        k = np.arange(1, kmax + 1)
+        c0[s + d * k] = ph * w.beta * w.p ** k
         tail = abs(w.beta) * abs(w.p) ** (kmax + 1)
         if tail > 1e-12:
-            warnings.warn(
-                f"pole-family tail {tail:.3e} truncated at K={K}",
-                TruncationOverflow, stacklevel=2)
-    else:  # modulated
-        m = w.N
-        if m >= K:
-            raise DimensionMismatch(f"modulation index m={m} does not fit K={K}")
-        kmax = K - 1 - m
-        c0[m] = ph * (w.alpha + w.beta)
-        pk = w.p ** np.arange(1, kmax + 1)
-        c0[m + np.arange(1, kmax + 1)] = ph * w.beta * pk
-        tail = abs(w.beta) * abs(w.p) ** (kmax + 1)
-        if tail > 1e-12:
-            warnings.warn(
-                f"modulated-family tail {tail:.3e} truncated at K={K}",
-                TruncationOverflow, stacklevel=2)
+            warnings.warn(f"{w.family}-family tail {tail:.3e} truncated at K={K}",
+                          TruncationOverflow, stacklevel=2)
     n = np.arange(K)
     return HardyCoeffs(c0 * np.exp(-1j * n * w.c * t))
 
@@ -280,8 +252,7 @@ def pde_residual(sampler: WaveSampler, sign: str, t: float = 0.0,
     u and its analytic time derivative come from the sampler.  Returns
     ||residual||_2 / max(1, ||u||_2); a wave of the other sign yields O(1).
     """
-    if sign not in ("focusing", "defocusing"):
-        raise InvalidParameter(f"unknown sign {sign!r}")
+    check_sign(sign)
     u = sampler(t, K)
     ut = sampler.dt_coeffs(t, K).coeffs
     n = np.arange(K)

@@ -23,6 +23,7 @@ from cslab import (
     HardyCoeffs,
     Inconclusive,
     InvalidParameter,
+    build_lax,
     evolve,
     evolve_basis,
     make_fixture,
@@ -216,10 +217,14 @@ def test_malformed_coefficient_file_is_io_error(tmp_path):
 def test_non_finite_coefficients_are_refused(tmp_path):
     with pytest.raises(InvalidParameter):
         HardyCoeffs(np.array([1.0, np.nan]))
+    with pytest.raises(InvalidParameter):  # ||u||^2 overflows: no Lax matrix
+        build_lax(HardyCoeffs(np.array([1e200, 1e200])), "focusing")
     bad = tmp_path / "nan.json"
-    bad.write_text("[[1, 0], [NaN, 0]]")
-    assert run("spectrum", "--input", str(bad), "--sign", "focusing",
-               "--out-dir", str(tmp_path)) == 3
+    # a NaN, and finite entries whose ||u||^2 overflows (refused before LAPACK)
+    for text in ("[[1, 0], [NaN, 0]]", "[[1e200, 0], [1e200, 0], [0.5, 0]]"):
+        bad.write_text(text)
+        assert run("spectrum", "--input", str(bad), "--sign", "focusing",
+                   "--out-dir", str(tmp_path)) == 3, text
 
 
 def test_verify_only_matches_exactly(capsys):
@@ -258,15 +263,27 @@ def test_constraint_failures_exit_3(tmp_path):
         for cmd in ("spectrum", "evolve"):
             assert run(cmd, *state, "--K", "-3",
                        "--out-dir", str(tmp_path)) == 3, (cmd, state)
-    # poles outside the disc or non-finite, and a non-finite pinned a
+    # poles outside the disc or non-finite, a non-finite pinned a, and a
+    # negative multiplicity (its start sqrt(m (1 - |p|^2)) is NaN)
     for extra in (["--pole", "1.5,0:1"], ["--pole", "nan,0:1"],
-                  ["--pole", "0.5,0", "--pin-a", "nan"]):
+                  ["--pole", "0.5,0", "--pin-a", "nan"], ["--pole", "0.5:-1"]):
         assert run("finitegap", "--sign", "focusing", *extra,
                    "--out-dir", str(tmp_path)) == 3, extra
     for flag, value in [("--T", "nan"), ("--T", "inf"),
                         ("--dt", "nan"), ("--dt", "inf")]:
         assert run("evolve", "--fixture", "appendix1", "--K", "64", flag,
                    value, "--out-dir", str(tmp_path)) == 3, (flag, value)
+    # malformed fixture names, and a K above the limit on every subcommand
+    for name in ("wave:focusing:x:0.5:1", "plane:1:zz", "appendix1:3"):
+        assert run("spectrum", "--fixture", name,
+                   "--out-dir", str(tmp_path)) == 3, name
+    huge = ["--K", "100000000000", "--out-dir", str(tmp_path)]
+    for argv in (["spectrum", "--fixture", "appendix1"],
+                 ["spectrum", "--input", str(coeffs), "--sign", "focusing"],
+                 ["evolve", "--fixture", "appendix1"],
+                 ["wave", "--sign", "focusing", "--p", "0.5", "--beta", "1"],
+                 ["finitegap", "--sign", "focusing", "--pole", "0.5"]):
+        assert run(*argv, *huge) == 3, argv
 
 
 def test_state_flag_mistakes_are_usage_errors(tmp_path):

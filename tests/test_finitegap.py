@@ -117,10 +117,20 @@ def test_residue_system_error_paths():
     for pole in (1.5, complex(float("nan"), 0.0), float("inf")):
         with pytest.raises(PoleOnCircle):
             solve_residue_system("focusing", 0, [pole], [1])
+    nan_pole = complex(float("nan"), 0.0)
+    with pytest.raises(PoleOnCircle):  # errno left at ERANGE, see reconstruct's test
+        float("1e400")
+        solve_residue_system("focusing", 0, [nan_pole], [1])
     for kwargs in (dict(pin_a=float("nan")), dict(init=(float("nan"), [0.5])),
                    dict(init=(0.0, [complex(0.5, float("inf"))]))):
         with pytest.raises(InvalidParameter):
             solve_residue_system("focusing", 0, [0.5], [1], **kwargs)
+    # m0 < 0, a multiplicity below 1 or not an integer, a zero pole: refused
+    # before the start sqrt(m (1 - |p|^2)) could hand NaN to lstsq
+    for m0, poles, mults in [(-1, [0.5], [1]), (1.5, [0.5], [1]), (0, [0.5], [-1]),
+                             (0, [0.5], [0]), (0, [0.5], [1.5]), (0, [0.0], [1])]:
+        with pytest.raises(InvalidParameter):
+            solve_residue_system("focusing", m0, poles, mults)
 
 
 def test_finite_gap_potential_validation():
@@ -139,12 +149,18 @@ def test_finite_gap_potential_validation():
     with pytest.raises(ConstraintViolation):
         FiniteGapPotential(sign="focusing", m0=1, poles=(0.5,), mults=(1,),
                            a=0.0, residues=(np.sqrt(0.75),))
+    for m0, mults in [(1.5, (1,)), (0, (1.5,))]:  # not truncated to integers
+        with pytest.raises(InvalidParameter):
+            FiniteGapPotential(sign="focusing", m0=m0, poles=(0.5,), mults=mults,
+                               a=1.0, residues=(1.0,))
 
 
 def test_potential_coeffs_aliasing_guard():
     fg = solve_residue_system("focusing", 0, [0.9], [1])
     with pytest.raises(NumericalAliasing):
         potential_coeffs(fg, 16)
+    with pytest.raises(InvalidParameter):
+        potential_coeffs(fg, 256.0)
 
 
 # ----------------------------------------------------------------------
@@ -199,6 +215,9 @@ def test_ladder_blaschke_matches_solved_poles():
     base_dev, res = blaschke_eigen_check(u, psi, fg.sign, kmax=6)
     assert base_dev < 1e-10
     assert res.max() < 1e-8
+    for kmax in (-1, 33, 2.5):  # at most K/8 = 32 rungs, an integer
+        with pytest.raises(InvalidParameter):
+            blaschke_eigen_check(u, psi, fg.sign, kmax=kmax)
 
 
 @pytest.fixture(scope="module")
@@ -461,6 +480,11 @@ def test_reconstruct_rejects_points_outside_disc():
               complex(float("inf"), float("nan"))]:
         for use_reduced in (False, True):
             with pytest.raises(InvalidParameter):
+                reconstruct(red, z, use_reduced=use_reduced)
+            # float("1e400") leaves errno at ERANGE, under which CPython's
+            # abs() of a complex NaN raises OverflowError
+            with pytest.raises(InvalidParameter):
+                float("1e400")
                 reconstruct(red, z, use_reduced=use_reduced)
     assert reconstruct(data, 0.0) == pytest.approx(u.coeffs[0], abs=1e-10)
     # frozen value: u(1/2) = sqrt(3/4)/(3/4) = 2/sqrt(3)

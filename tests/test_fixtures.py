@@ -34,9 +34,14 @@ def test_name_parse_errors():
     for bad in ("wave:defocusing:1:0.5",  # missing beta
                 "plane:2",                # missing amplitude
                 "modulated:3",            # missing pole
-                "nonsense"):
+                "nonsense",
+                "wave:focusing:x:0.5:1",  # N does not parse
+                "plane:1:zz",             # C does not parse
+                "appendix1:3"):           # a trailing part
         with pytest.raises(InvalidParameter):
             make_fixture(bad)
+    with pytest.raises(InvalidParameter):
+        make_fixture("appendix1").coeffs(64.0)  # K is not an integer
 
 
 def test_pole_override():

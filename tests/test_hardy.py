@@ -29,6 +29,7 @@ from cslab import (
     BlaschkeProduct,
     DimensionMismatch,
     HardyCoeffs,
+    InvalidParameter,
     PoleOnCircle,
     blaschke_eval,
     blaschke_to_coeffs,
@@ -316,6 +317,8 @@ def test_grid_transform_guards():
     u = HardyCoeffs(np.ones(8, dtype=complex))
     with pytest.raises(DimensionMismatch):
         grid_transform(u, 4)  # grid shorter than K
+    with pytest.raises(InvalidParameter):
+        grid_transform(u, 16.0)
 
 
 # ----------------------------------------------------------------------
@@ -345,5 +348,8 @@ def test_blaschke_monomial_coefficients():
 
 
 def test_blaschke_zero_outside_disc_rejected():
-    with pytest.raises(PoleOnCircle):
-        BlaschkeProduct(zeros=(1.0,), power=0, phase=0.0)
+    for w in (1.0, float("nan")):
+        with pytest.raises(PoleOnCircle):
+            BlaschkeProduct(zeros=(w,), power=0, phase=0.0)
+    with pytest.raises(InvalidParameter):
+        BlaschkeProduct(zeros=(0.5,), power=1.5, phase=0.0)

@@ -158,6 +158,17 @@ def test_family_and_parameter_guards():
         make_wave("focusing", "plane", N=1, C=None)
     with pytest.raises(InvalidParameter):
         make_wave("focusing", "banana", N=1, p=0.5)
+    for N in (1.5, True):  # not an integer
+        with pytest.raises(InvalidParameter):
+            make_wave("focusing", "pole", N=N, p=0.5, beta=1.0)
+    # a NaN amplitude (with errno left at ERANGE, under which CPython's abs()
+    # of a complex NaN raises), and one whose |C|^2 overflows
+    for C in (complex(1.0, float("nan")), 1e308):
+        with pytest.raises(InvalidParameter):
+            float("1e400")
+            make_wave("focusing", "plane", N=1, C=C)
+    with pytest.raises(InvalidParameter):
+        sample_wave(make_wave("focusing", "pole", N=1, p=0.5, beta=1.0), 0.0, 64.5)
 
 
 def test_validate_wave_rejects_tampering():
