@@ -19,16 +19,17 @@ exact: a stacked FFT transforms each row as it would alone and every
 spectral product keeps its operand order, so results are bit-identical to
 convolving term by term, step by step.
 
-Each evolve and evolve_basis call makes one FFT workspace, used by all its
-steps and dropped on return (nothing is cached across calls): the
-zero-padded (..., L) input buffers and the output buffers of the
-nonlinearity (hardy._ConvWorkspace), of the kernel spectra
-(_KernelWorkspace) and of the B action (_ActionWorkspace).  Inputs go into
-the first K slots of a buffer, whose padding stays zero, stacked operands
-into slices of one buffer, and every FFT call writes through ``out=``.
-This too is bit-identical: the FFT of a buffer padded with zeros to L is
-the FFT of its first K entries taken with n = L.  Slopes, stage states and
-recorded states are new arrays, never views of the workspace.
+Each evolve and evolve_basis call makes its FFT workspaces once, used by
+all its steps and dropped on return (nothing is cached across calls), all
+of one class, hardy._FFTWorkspace: zero-padded (n_operands, ..., L)
+buffers with two operands for the nonlinearity, four (the kernel axis
+first) for the kernel spectra and three for the B action.  Inputs go into
+the first K slots of a buffer, whose padding stays zero, and every FFT
+call writes through ``out=``; T_k x is read off the head of a
+convolution and T_{conj k} x off its tail.  This too is bit-identical:
+the FFT of a buffer padded with zeros to L is the FFT of its first K
+entries taken with n = L.  Slopes, stage states and recorded states are
+new arrays, never views of the workspace.
 
 The evolving orthonormal basis g_n^t solves d/dt g = B_{u(t)} g with
 g|0 = f_n, an eigenvector of the Lax operator of u(0); B is the
@@ -61,8 +62,8 @@ from .errors import (
     UnderResolved,
 )
 from .errors import K_MAX, check_int, check_real, check_sign
-from .hardy import HardyCoeffs, _ConvWorkspace, _conv_length, _nonlinearity
-from .lax import build_lax, spectral_decompose
+from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity
+from .lax import build_lax, shift_columns, spectral_decompose
 
 __all__ = [
     "EvolveConfig",
@@ -88,13 +89,15 @@ _EIG_SNAPSHOTS = 9
 #: Steps of evolve_basis whose stage states and B-kernel spectra are made
 #: in one stacked call.
 _STEP_BLOCK = 8
+#: Most steps round(T/dt) of one run: about an hour at K = 256 on 2 vCPUs.
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
 class EvolveConfig:
     """Integration parameters of the integrating-factor (Lawson) RK4 scheme:
     integers K in [2, K_MAX] and record_every >= 1, finite reals T >= 0 and
-    dt > 0 with a finite T/dt (InvalidParameter otherwise)."""
+    dt > 0 with T/dt <= MAX_STEPS (InvalidParameter otherwise)."""
 
     sign: str
     K: int
@@ -109,7 +112,7 @@ class EvolveConfig:
                            check_int("record_every", self.record_every, 1, math.inf))
         check_real("T", self.T, 0.0, math.inf)
         check_real("dt", self.dt, math.ulp(0.0), math.inf)  # the least double > 0
-        check_real("T/dt", self.T / self.dt, 0.0, math.inf)  # a finite step count
+        check_real("T/dt", self.T / self.dt, 0.0, MAX_STEPS)
 
 
 @dataclass(frozen=True)
@@ -144,7 +147,7 @@ def _lawson_setup(cfg: EvolveConfig):
 
 def _lawson_stages(c: NDArray[np.complex128], h: float, s2i: complex,
                    E1: NDArray[np.complex128], E2: NDArray[np.complex128],
-                   ws: _ConvWorkspace):
+                   ws: _FFTWorkspace):
     """Stage states (U2, U3, U4) at t+h/2, t+h/2, t+h of one Lawson step from c,
     with the slopes (k1, k2, k3) taken at c, U2 and U3.
 
@@ -202,7 +205,7 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
                     cfg.dt * (K - 1) ** 2)
 
     n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
-    ws = _ConvWorkspace(c.shape)
+    ws = _FFTWorkspace(2, c.shape)
     times = [0.0]
     states = [HardyCoeffs(c.copy())]
     tails = [_tail_rel(c)]
@@ -303,61 +306,24 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     return c
 
 
-class _KernelWorkspace:
-    """Zero-padded FFT buffers of ``_b_kernels`` for (..., K) stacks of one
-    shape.
+def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
+    """Spectra of the four Toeplitz kernels of B_u for each state u in
+    ``ws.slots[0]``, written there by the caller.
 
-    ``pad`` (..., 4, L) takes u, du, conj(u reversed) and conj(du reversed)
-    in the first K slots of its rows; the slots after them stay zero.
-    ``spec`` takes their transforms and is what ``_b_kernels`` returns.
+    ``ws`` is a four-operand workspace of the states' shape (..., K); the
+    result is its ``spec``, of shape (4, ..., L) with rows u, du,
+    conj(u reversed) and conj(du reversed), zero-padded to the exact
+    convolution length L.  One FFT call serves the whole stack.
     """
-
-    def __init__(self, shape: tuple) -> None:
-        K = shape[-1]
-        self.pad = np.zeros((*shape[:-1], 4, _conv_length(K)), dtype=np.complex128)
-        self.spec = np.empty_like(self.pad)
-        self.ik = 1j * np.arange(K)
-        self.u, self.du, self.ub, self.dub = (self.pad[..., s, :K] for s in range(4))
-
-
-def _b_kernels(U: NDArray[np.complex128], ws: _KernelWorkspace) -> NDArray[np.complex128]:
-    """Spectra of the four Toeplitz kernels of B_u for each state u of U.
-
-    U is one state (K,) or a (..., K) stack of them; the result has shape
-    (..., 4, L) with rows u, du, conj(u reversed) and conj(du reversed),
-    zero-padded to the exact convolution length L.  One FFT call serves the
-    whole stack.  U is copied into the workspace ``ws`` of its shape,
-    unless it is ``ws.u`` already filled in place; the result is
-    ``ws.spec``.
-    """
-    if U is not ws.u:
-        np.copyto(ws.u, U)
-    np.multiply(ws.ik, ws.u, out=ws.du)
-    np.conjugate(ws.u[..., ::-1], out=ws.ub)
-    np.conjugate(ws.du[..., ::-1], out=ws.dub)
+    u, du, ub, dub = ws.slots
+    np.multiply(1j * ws.n, u, out=du)
+    np.conjugate(u[..., ::-1], out=ub)
+    np.conjugate(du[..., ::-1], out=dub)
     return np.fft.fft(ws.pad, out=ws.spec)
 
 
-class _ActionWorkspace:
-    """Zero-padded FFT buffers of ``_apply_b_cols`` on (m, K) rows.
-
-    ``pad``, ``spec``, ``prod`` and ``conv`` are (3, m, L): up to three
-    sibling convolutions go through one call.  Rows are written into the
-    first K slots of ``pad``, whose padding stays zero.
-    """
-
-    def __init__(self, shape: tuple) -> None:
-        K = shape[-1]
-        pad = np.zeros((3, *shape[:-1], _conv_length(K)), dtype=np.complex128)
-        self.pad, self.spec, self.prod, self.conv = (
-            pad, np.empty_like(pad), np.empty_like(pad), np.empty_like(pad))
-        self.slots = pad[..., :K]
-        self.heads = self.conv[..., :K]
-        self.tails = self.conv[..., K - 1:2 * K - 1]
-
-
 def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
-                  sign: str, ws: _ActionWorkspace) -> NDArray[np.complex128]:
+                  sign: str, ws: _FFTWorkspace) -> NDArray[np.complex128]:
     """B_u applied to the rows of G (m, K) without forming the matrix.
 
     ``kernels`` is the (4, L) block of ``_b_kernels`` for this u.
@@ -368,8 +334,8 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
 
     Eight FFT calls: one transform of G and stacked calls for the sibling
     convolutions; T_{conj u} G serves both the second term and
-    P(G) = T_u T_{conj u} G.  They run on the workspace ``ws`` of G's shape;
-    the result is a new array.
+    P(G) = T_u T_{conj u} G.  They run on the three-operand workspace ``ws``
+    of G's shape; the result is a new array.
     """
     k_u, k_du, k_ub, k_dub = kernels
     pad, spec, prod, conv = ws.pad, ws.spec, ws.prod, ws.conv
@@ -457,27 +423,27 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     G = F.T.copy()
     u_mat = traj.coeff_matrix()
     # the workspace of this call: stage stacks, their kernels, the action
-    stage_ws = _ConvWorkspace((_STEP_BLOCK, K))
-    kern_ws = _KernelWorkspace((4, _STEP_BLOCK, K))
-    act_ws = _ActionWorkspace(G.shape)
+    stage_ws = _FFTWorkspace(2, (_STEP_BLOCK, K))
+    kern_ws = _FFTWorkspace(4, (4, _STEP_BLOCK, K))
+    act_ws = _FFTWorkspace(3, G.shape)
 
     for b in range(0, n_steps, _STEP_BLOCK):
         u1 = u_mat[b:min(b + _STEP_BLOCK, n_steps)]
         if u1.shape[0] < _STEP_BLOCK:  # the last block may be shorter
-            stage_ws = _ConvWorkspace((u1.shape[0], K))
-            kern_ws = _KernelWorkspace((4, u1.shape[0], K))
-        # stage s (u1, U2, U3, U4) of step b + j goes to kern_ws.u[s, j] and
-        # its kernel spectra to kern[s, j]
-        U = kern_ws.u
+            stage_ws = _FFTWorkspace(2, u1.shape)
+            kern_ws = _FFTWorkspace(4, (4, *u1.shape))
+        # stage s (u1, U2, U3, U4) of step b + j goes to slot [0, s, j] and
+        # its kernel spectra to kern[:, s, j]
+        U = kern_ws.slots[0]
         U[0] = u1
         U[1], U[2], U[3] = _lawson_stages(u1, h, s2i, E1, E2, stage_ws)[0]
-        kern = _b_kernels(U, kern_ws)
+        kern = _b_kernels(kern_ws)
         for j in range(u1.shape[0]):
             i = b + j
-            l1 = _apply_b_cols(kern[0, j], G, sign, act_ws)
-            l2 = _apply_b_cols(kern[1, j], G + (h / 2.0) * l1, sign, act_ws)
-            l3 = _apply_b_cols(kern[2, j], G + (h / 2.0) * l2, sign, act_ws)
-            l4 = _apply_b_cols(kern[3, j], G + h * l3, sign, act_ws)
+            l1 = _apply_b_cols(kern[:, 0, j], G, sign, act_ws)
+            l2 = _apply_b_cols(kern[:, 1, j], G + (h / 2.0) * l1, sign, act_ws)
+            l3 = _apply_b_cols(kern[:, 2, j], G + (h / 2.0) * l2, sign, act_ws)
+            l4 = _apply_b_cols(kern[:, 3, j], G + h * l3, sign, act_ws)
             G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
             dev = float(np.max(np.abs(np.linalg.norm(G, axis=-1) / norm0 - 1.0)))
             # negated, so a NaN deviation drifts too
@@ -521,8 +487,7 @@ def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
 
     shift = 0.0
     for p in range(m):
-        Sg = np.zeros_like(cols[:, :, p])
-        Sg[:, 1:] = cols[:, :-1, p]
+        Sg = shift_columns(cols[:, :, p].T).T  # S g_p^t at every t
         for n in range(m):
             overlap = np.einsum("tk,tk->t", Sg, np.conj(cols[:, :, n]))
             expected = overlap[0] * np.exp(1j * ((lam[p] + 1.0) ** 2 - lam[n] ** 2) * t)

@@ -49,7 +49,7 @@ from .hardy import (
     blaschke_to_coeffs,
     grid_transform,
 )
-from .lax import SpectralDecomposition, build_lax, _matrices_in_basis
+from .lax import SpectralDecomposition, build_lax, _matrices_in_basis, shift_columns
 
 __all__ = [
     "FiniteGapPotential",
@@ -157,11 +157,15 @@ def gram_matrix(poles) -> NDArray[np.complex128]:
 
 
 def residue_residuals(sign: str, a: complex, residues, poles, mults) -> NDArray[np.complex128]:
-    """Per-pole residual of the residue conditions (zero at a solution)."""
-    s = 1.0 if sign == "focusing" else -1.0
-    c = np.asarray(residues, dtype=np.complex128)
-    m = np.asarray(mults, dtype=float)
-    G = gram_matrix(poles)
+    """Per-pole residual of the residue conditions (zero at a solution);
+    a sign other than 'focusing' or 'defocusing' raises InvalidParameter."""
+    s = 1.0 if check_sign(sign) == "focusing" else -1.0
+    return _residuals(s, a, np.asarray(residues, dtype=np.complex128),
+                      gram_matrix(poles), np.asarray(mults, dtype=float))
+
+
+def _residuals(s: float, a: complex, c, G, m) -> NDArray[np.complex128]:
+    """``residue_residuals`` for s = +1 (focusing) or -1 and the Gram matrix G."""
     return np.conj(a) * c + c * (G @ np.conj(c)) - s * m
 
 
@@ -244,7 +248,9 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
     pinned = pin_a is not None
 
     G = gram_matrix(poles)
-    F = residue_residuals(sign, a, c, poles, mults)
+    s = 1.0 if sign == "focusing" else -1.0
+    m = np.asarray(mults, dtype=float)
+    F = _residuals(s, a, c, G, m)
     res = float(np.linalg.norm(F))
     for _ in range(max_iter):
         if res < _NEWTON_TOL:
@@ -258,7 +264,7 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
         for _halving in range(40):
             a_try = a if pinned else a + t * dz[0]
             c_try = c + t * (dz if pinned else dz[1:])
-            F_try = residue_residuals(sign, a_try, c_try, poles, mults)
+            F_try = _residuals(s, a_try, c_try, G, m)
             res_try = float(np.linalg.norm(F_try))
             if res_try < res:
                 a, c, F, res = a_try, c_try, F_try, res_try
@@ -345,8 +351,7 @@ def blaschke_eigen_check(u: HardyCoeffs, psi: BlaschkeProduct, sign: str,
     for k in range(kmax + 1):
         Lv = L @ v
         residuals[k] = np.linalg.norm(Lv[:rows] - (nu + k) * v[:rows])
-        # shift up by one slot for the next rung
-        v = np.concatenate([[0.0], v[:-1]])
+        v = shift_columns(v)  # S v, the next rung
     return nu, residuals
 
 

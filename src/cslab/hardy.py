@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.typing import NDArray
@@ -154,57 +155,65 @@ def _conv_length(K: int) -> int:
     return 1 << (2 * K - 2).bit_length()
 
 
-class _ConvWorkspace:
-    """Zero-padded FFT buffers of ``nonlinearity`` for (..., K) stacks of one
-    shape, made once per integration and reused by every call on it.
+class _FFTWorkspace:
+    """Zero-padded FFT buffers for ``n_operands`` Toeplitz convolutions of
+    (..., K) stacks of one shape, made once per integration and reused.
 
-    ``pad`` (2, ..., L) takes c and conj(c reversed) in its first K slots;
-    the slots after them, up to the convolution length L, are zero and stay
-    zero, since only the first K are ever written.  ``spec`` takes the
-    transforms of ``pad``, ``prod`` a spectral product and ``conv`` its
-    inverse transform.  Results are views of these buffers, so a caller
-    consumes one before the next call on the same workspace.
+    ``pad``, ``spec``, ``prod`` and ``conv`` are (n_operands, ..., L).
+    Operands go into ``slots``, the first K entries of ``pad``; the slots
+    after them, up to the convolution length L, are zero and stay zero,
+    since nothing else is ever written.  Two views of ``conv`` read a
+    Toeplitz product off a convolution: ``heads`` (the first K entries) is
+    T_k x for x convolved with k, and ``tails`` (entries K-1 to 2K-2) is
+    T_{conj k} x for x convolved with conj(k reversed).  ``operands[i]``
+    holds row i of each of these seven arrays.  Results are views of the
+    buffers, so a caller consumes one before the next call on the same
+    workspace.
     """
 
-    def __init__(self, shape: tuple) -> None:
+    def __init__(self, n_operands: int, shape: tuple) -> None:
         K = shape[-1]
-        self.pad = np.zeros((2, *shape[:-1], _conv_length(K)), dtype=np.complex128)
-        self.spec = np.empty_like(self.pad)
-        self.prod, self.conv = np.empty_like(self.pad[0]), np.empty_like(self.pad[0])
+        self.pad = np.zeros((n_operands, *shape[:-1], _conv_length(K)), dtype=np.complex128)
+        self.spec, self.prod, self.conv = (np.empty_like(self.pad) for _ in range(3))
         self.n = np.arange(K)
-        self.r_pad = self.pad[1]
-        self.c_in, self.r_in = self.pad[0, ..., :K], self.r_pad[..., :K]
-        self.fc, self.fr = self.spec
-        self.pi = self.conv[..., K - 1:2 * K - 1]
-        self.out = self.conv[..., :K]
+        self.slots = self.pad[..., :K]
+        self.heads = self.conv[..., :K]
+        self.tails = self.conv[..., K - 1:2 * K - 1]
+        # rows made once: views made per call slow the nonlinearity by ~5%
+        names = ("pad", "spec", "prod", "conv", "slots", "heads", "tails")
+        self.operands = tuple(SimpleNamespace(**{a: getattr(self, a)[i] for a in names})
+                              for i in range(n_operands))
 
 
-def _modulus_spectra(c: NDArray[np.complex128], ws: _ConvWorkspace):
+def _modulus_spectra(c: NDArray[np.complex128], ws: _FFTWorkspace):
     """(Pi(|u|^2), fft of c): the correlation of c with itself, plus the
     zero-padded spectrum of c that produced it, for each row of a (..., K)
     stack.
 
     c and conj(c reversed) go through one stacked transform; each row of a
     stacked FFT is bit-identical to the row transformed alone.  Both
-    results are views of the workspace ``ws``, made for c's shape.
+    results are views of the two-operand workspace ``ws``, made for c's
+    shape.
     """
-    ws.c_in[...] = c
-    np.conjugate(c[..., ::-1], out=ws.r_in)
+    a, b = ws.operands
+    a.slots[...] = c
+    np.conjugate(c[..., ::-1], out=b.slots)
     np.fft.fft(ws.pad, out=ws.spec)
-    np.multiply(ws.fc, ws.fr, out=ws.prod)
-    np.fft.ifft(ws.prod, out=ws.conv)
-    return ws.pi, ws.fc
+    np.multiply(a.spec, b.spec, out=a.prod)
+    np.fft.ifft(a.prod, out=a.conv)
+    return a.tails, a.spec
 
 
-def _nonlinearity(c: NDArray[np.complex128], ws: _ConvWorkspace) -> NDArray[np.complex128]:
+def _nonlinearity(c: NDArray[np.complex128], ws: _FFTWorkspace) -> NDArray[np.complex128]:
     """``nonlinearity`` of c on the buffers of ``ws``; the result is a view
     of them, valid until the next call on ``ws``."""
     pi, fc = _modulus_spectra(c, ws)
-    np.multiply(ws.n, pi, out=ws.r_in)
-    np.fft.fft(ws.r_pad, out=ws.fr)
-    np.multiply(ws.fr, fc, out=ws.prod)
-    np.fft.ifft(ws.prod, out=ws.conv)
-    return ws.out
+    a, b = ws.operands
+    np.multiply(ws.n, pi, out=b.slots)
+    np.fft.fft(b.pad, out=b.spec)
+    np.multiply(b.spec, fc, out=a.prod)
+    np.fft.ifft(a.prod, out=a.conv)
+    return a.heads
 
 
 def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -219,7 +228,7 @@ def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     The integrators run the same code on one workspace per integration;
     this call makes its own, sized from ``c.shape``.
     """
-    return _nonlinearity(c, _ConvWorkspace(c.shape))
+    return _nonlinearity(c, _FFTWorkspace(2, c.shape))
 
 
 def derivative(u: HardyCoeffs) -> HardyCoeffs:

@@ -117,15 +117,13 @@ class GapProfile:
     """Gaps gamma_n = nu_n - nu_{n-1} - 1 and shift-collinearity data.
 
     ``collinearity[n-1]`` holds <S f_{n-1} | f_n> for n = 1 .. reliable-1;
-    ``collinearity_set`` lists the n at which it vanishes below tol (the
-    set I(u), empty for defocusing symbols).
+    ``collinearity_set`` lists the n at which its modulus is below 1e-6
+    (the set I(u), empty for defocusing symbols).
     """
 
     gaps: NDArray[np.float64]
     collinearity: NDArray[np.complex128]
     collinearity_set: tuple
-    reliable: int
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,9 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
 
     ``collinearity_set`` collects the indices n with |collin| < 1e-6 (the
     set I(u)); by the defocusing collinearity theorem it must be empty for
-    defocusing symbols.
+    defocusing symbols.  u must have dec's truncation K (InvalidParameter).
     """
+    check_same_K(u, dec)
     R = dec.reliable
     ev = dec.eigenvalues
     F = dec.vectors
@@ -274,8 +273,7 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
     # <S f_{n-1} | f_n> = sum_j (S f_{n-1})_j conj(f_n)_j
     collin = np.einsum("jn,jn->n", SF, np.conj(F[:, 1:R]))
     cset = tuple(int(n) for n in (np.flatnonzero(np.abs(collin) < _COLLINEAR_TOL) + 1))
-    return GapProfile(gaps=gaps, collinearity=collin, collinearity_set=cset,
-                      reliable=R, tol=_COLLINEAR_TOL)
+    return GapProfile(gaps=gaps, collinearity=collin, collinearity_set=cset)
 
 
 def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,

@@ -273,6 +273,9 @@ def test_constraint_failures_exit_3(tmp_path):
                         ("--dt", "nan"), ("--dt", "inf")]:
         assert run("evolve", "--fixture", "appendix1", "--K", "64", flag,
                    value, "--out-dir", str(tmp_path)) == 3, (flag, value)
+    # 1e304 steps: finite, but above MAX_STEPS (it used to run until killed)
+    assert run("evolve", "--fixture", "wave:focusing:1:0.5:1", "--K", "64",
+               "--T", "1e300", "--out-dir", str(tmp_path)) == 3
     # malformed fixture names, and a K above the limit on every subcommand
     for name in ("wave:focusing:x:0.5:1", "plane:1:zz", "appendix1:3"):
         assert run("spectrum", "--fixture", name,

@@ -35,14 +35,13 @@ from cslab import (
 )
 from cslab.errors import K_MAX
 from cslab.evolve import (
-    _ActionWorkspace,
-    _KernelWorkspace,
+    MAX_STEPS,
     _apply_b_cols,
     _b_kernels,
     _lawson_setup,
     _lawson_stages,
 )
-from cslab.hardy import _ConvWorkspace, _conv_length, nonlinearity
+from cslab.hardy import _FFTWorkspace, _conv_length, nonlinearity
 from cslab.lax import _b_block
 
 
@@ -74,10 +73,13 @@ def test_config_validation():
                   (1.0, float("nan")), (1.0, float("inf"))]:
         with pytest.raises(InvalidParameter):
             EvolveConfig(sign="defocusing", K=8, T=T, dt=dt)
-    # K above K_MAX, and a step count T/dt that overflows to inf
-    for bad in (dict(K=K_MAX + 1, T=1.0, dt=1e-3), dict(K=8, T=1e308, dt=1e-10)):
+    # K above K_MAX, a step count T/dt that overflows to inf, and finite
+    # step counts above MAX_STEPS, which no run finishes
+    for bad in (dict(K=K_MAX + 1, T=1.0, dt=1e-3), dict(K=8, T=1e308, dt=1e-10),
+                dict(K=8, T=1e300), dict(K=8, T=MAX_STEPS + 1.0, dt=1.0)):
         with pytest.raises(InvalidParameter):
             EvolveConfig(sign="defocusing", **bad)
+    EvolveConfig(sign="defocusing", K=8, T=float(MAX_STEPS), dt=1.0)
 
 
 def test_plane_wave_evolution_is_exact():
@@ -251,8 +253,8 @@ def test_b_action_matches_dense_generator(sign):
     rng = np.random.default_rng(5)
     F = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
     want = _b_block(u, sign, K, K) @ F
-    kernels = _b_kernels(u.coeffs, _KernelWorkspace((K,)))
-    got = _apply_b_cols(kernels, F.T, sign, _ActionWorkspace((3, K))).T
+    kernels = _kernels(u.coeffs)
+    got = _apply_b_cols(kernels, F.T, sign, _FFTWorkspace(3, (3, K))).T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -270,13 +272,14 @@ def test_stepper_fft_call_counts(monkeypatch):
 
     u = random_decaying(11, 64, rho=0.8)
     traj = _defocusing_wave_trajectory()
-    kern_ws, act_ws = _KernelWorkspace((64,)), _ActionWorkspace((2, 64))
+    kern_ws, act_ws = _FFTWorkspace(4, (64,)), _FFTWorkspace(3, (2, 64))
+    kern_ws.slots[0] = u.coeffs
     for name in ("fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     nonlinearity(u.coeffs)
     assert len(calls) == 4
     calls.clear()
-    kernels = _b_kernels(u.coeffs, kern_ws)
+    kernels = _b_kernels(kern_ws)
     assert len(calls) == 1
     calls.clear()
     _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), "focusing", act_ws)
@@ -284,6 +287,13 @@ def test_stepper_fft_call_counts(monkeypatch):
     calls.clear()
     evolve_basis(traj, np.eye(64, 2, dtype=complex))
     assert len(calls) == 32 * 10 + 13 * 2  # 10 steps, blocks of 8 and 2
+
+
+def _kernels(U, ws=None):
+    """``_b_kernels`` of the states U, on ``ws`` or a fresh workspace."""
+    ws = _FFTWorkspace(4, U.shape) if ws is None else ws
+    ws.slots[0] = U
+    return _b_kernels(ws)
 
 
 def _b_kernels_allocating(U):
@@ -316,24 +326,25 @@ def _apply_b_cols_allocating(kernels, G, sign):
 def test_b_action_workspace_matches_allocating_form(sign, K):
     """Kernel spectra and B action on workspaces are bit-identical to the
     allocating forms: one state and (4, B, K) stage stacks, m = 1 and 3
-    rows, fresh workspaces and reused ones."""
+    rows, fresh workspaces and reused ones.  The workspace puts the kernel
+    axis first, the allocating form next to last."""
     rng = np.random.default_rng(K)
-    kern_ws = _KernelWorkspace((4, 5, K))
-    act_ws = {m: _ActionWorkspace((m, K)) for m in (1, 3)}
+    kern_ws = _FFTWorkspace(4, (4, 5, K))
+    act_ws = {m: _FFTWorkspace(3, (m, K)) for m in (1, 3)}
     for _ in range(2):  # the second round reuses every workspace
         U = rng.standard_normal((4, 5, K)) + 1j * rng.standard_normal((4, 5, K))
         want = _b_kernels_allocating(U)
-        assert np.array_equal(_b_kernels(U[0, 0], _KernelWorkspace((K,))), want[0, 0])
-        assert np.array_equal(_b_kernels(U, _KernelWorkspace(U.shape)), want)
-        kern = _b_kernels(U, kern_ws)
-        assert np.array_equal(kern, want)
+        assert np.array_equal(_kernels(U[0, 0]), want[0, 0])
+        assert np.array_equal(np.moveaxis(_kernels(U), 0, -2), want)
+        kern = _kernels(U, kern_ws)
+        assert np.array_equal(np.moveaxis(kern, 0, -2), want)
         for m in (1, 3):
             G = rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))
             for s, j in ((0, 0), (3, 4)):
                 expect = _apply_b_cols_allocating(want[s, j], G, sign)
-                fresh = _ActionWorkspace(G.shape)
+                fresh = _FFTWorkspace(3, G.shape)
                 assert np.array_equal(_apply_b_cols(want[s, j], G, sign, fresh), expect)
-                assert np.array_equal(_apply_b_cols(kern[s, j], G, sign, act_ws[m]), expect)
+                assert np.array_equal(_apply_b_cols(kern[:, s, j], G, sign, act_ws[m]), expect)
 
 
 def test_integrator_results_do_not_alias_the_workspace():
@@ -344,14 +355,14 @@ def test_integrator_results_do_not_alias_the_workspace():
     a, b = 0.1 * (rng.standard_normal((2, K)) + 1j * rng.standard_normal((2, K)))
     n_steps, h, s2i, E1, E2 = _lawson_setup(EvolveConfig(sign="focusing", K=K,
                                                          T=1e-3, dt=1e-4))
-    ws = _ConvWorkspace((K,))
+    ws = _FFTWorkspace(2, (K,))
     first = [x for pair in _lawson_stages(a, h, s2i, E1, E2, ws) for x in pair]
     kept = [x.copy() for x in first]
     _lawson_stages(b, h, s2i, E1, E2, ws)
     assert all(np.array_equal(x, y) for x, y in zip(first, kept))
 
-    kern = _b_kernels(a, _KernelWorkspace((K,)))
-    act = _ActionWorkspace((2, K))
+    kern = _kernels(a)
+    act = _FFTWorkspace(3, (2, K))
     first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), "focusing", act)
     kept_b = first_b.copy()
     _apply_b_cols(kern, np.eye(2, K, 3, dtype=complex), "focusing", act)
@@ -388,15 +399,15 @@ def _evolve_basis_step_by_step(traj, F):
     G = F.T.copy()
     cols = [F]
     K = traj.cfg.K
-    conv, kern = _ConvWorkspace((K,)), _KernelWorkspace((K,))
-    act = _ActionWorkspace(G.shape)
+    conv, kern = _FFTWorkspace(2, (K,)), _FFTWorkspace(4, (K,))
+    act = _FFTWorkspace(3, G.shape)
     for i in range(n_steps):
         u1 = traj.states[i].coeffs
         u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2, conv)[0]
-        l1 = _apply_b_cols(_b_kernels(u1, kern), G, sign, act)
-        l2 = _apply_b_cols(_b_kernels(u2, kern), G + (h / 2.0) * l1, sign, act)
-        l3 = _apply_b_cols(_b_kernels(u3, kern), G + (h / 2.0) * l2, sign, act)
-        l4 = _apply_b_cols(_b_kernels(u4, kern), G + h * l3, sign, act)
+        l1 = _apply_b_cols(_kernels(u1, kern), G, sign, act)
+        l2 = _apply_b_cols(_kernels(u2, kern), G + (h / 2.0) * l1, sign, act)
+        l3 = _apply_b_cols(_kernels(u3, kern), G + (h / 2.0) * l2, sign, act)
+        l4 = _apply_b_cols(_kernels(u4, kern), G + h * l3, sign, act)
         G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         cols.append(G.T)
     return np.stack(cols)

@@ -131,6 +131,8 @@ def test_residue_system_error_paths():
                              (0, [0.5], [0]), (0, [0.5], [1.5]), (0, [0.0], [1])]:
         with pytest.raises(InvalidParameter):
             solve_residue_system("focusing", m0, poles, mults)
+    with pytest.raises(InvalidParameter):  # read as defocusing before
+        residue_residuals("sideways", 0.5, [0.5], [0.3], [1])
 
 
 def test_finite_gap_potential_validation():

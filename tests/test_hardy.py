@@ -42,7 +42,7 @@ from cslab import (
     zero_pad,
 )
 from cslab.hardy import (
-    _ConvWorkspace,
+    _FFTWorkspace,
     _conv_length,
     _modulus_spectra,
     _nonlinearity,
@@ -104,7 +104,7 @@ def test_zero_pad_extends_with_zeros():
 
 
 def test_projected_modulus_squared_two_mode_oracles():
-    ws = _ConvWorkspace((2,))
+    ws = _FFTWorkspace(2, (2,))
     u = np.array([1.0, 1.0], dtype=complex)
     assert np.allclose(_modulus_spectra(u, ws)[0], [2.0, 1.0])
     # u = 1 + 2i z: entry 0 = 1 + 4 = 5, entry 1 = u1 * conj(u0) = 2i
@@ -120,7 +120,7 @@ def test_projected_modulus_squared_matches_direct_sum(c):
     entry n = sum_m u(n+m) conj(u(m)), and entry 0 is the squared norm.
     """
     u = HardyCoeffs(c)
-    got = _modulus_spectra(u.coeffs, _ConvWorkspace(c.shape))[0]
+    got = _modulus_spectra(u.coeffs, _FFTWorkspace(2, c.shape))[0]
     K = c.shape[0]
     direct = np.array(
         [np.sum(c[n:] * np.conj(c[: K - n])) for n in range(K)]
@@ -194,7 +194,7 @@ def test_nonlinearity_workspace_matches_allocating_form(K):
     for stack in draws:
         assert np.array_equal(nonlinearity(stack[0]), _nonlinearity_allocating(stack[0]))
         assert np.array_equal(nonlinearity(stack), _nonlinearity_allocating(stack))
-    one, many = _ConvWorkspace((K,)), _ConvWorkspace((5, K))
+    one, many = _FFTWorkspace(2, (K,)), _FFTWorkspace(2, (5, K))
     for stack in draws:
         assert np.array_equal(_nonlinearity(stack[0], one),
                               _nonlinearity_allocating(stack[0]))

@@ -136,6 +136,8 @@ def test_identity_check_rejects_mismatched_truncations():
     dec = spectral_decompose(build_lax(fx.coeffs(64), fx.sign))
     with pytest.raises(InvalidParameter):
         check_spectral_identities(fx.coeffs(128), dec)
+    with pytest.raises(InvalidParameter):
+        gap_profile(dec, fx.coeffs(128))
 
 
 def test_identity_check_buffer_guard():
