@@ -52,7 +52,6 @@ from .lax import (
 )
 from .waves import (
     WaveParams,
-    WaveSampler,
     make_wave,
     pde_residual,
     sample_wave,
@@ -107,7 +106,7 @@ __all__ = [
     "NewtonDivergence", "NotATravelingWave", "NumericalAliasing",
     "OutsideTheory", "PoleOnCircle", "RATIONAL_FIXTURES", "SingularSystem",
     "SpectralDecomposition", "Trajectory", "TruncationOverflow",
-    "UnderResolved", "WAVE_SPEED_FIXTURES", "WaveParams", "WaveSampler",
+    "UnderResolved", "WAVE_SPEED_FIXTURES", "WaveParams",
     "blaschke_eigen_check", "blaschke_eval", "blaschke_to_coeffs", "build_lax",
     "check_spectral_identities", "classify", "conservation_report",
     "derivative", "evolve", "evolve_basis", "gap_profile", "grid_transform",

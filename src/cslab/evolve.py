@@ -62,8 +62,8 @@ from .errors import (
     UnderResolved,
 )
 from .errors import K_MAX, check_int, check_real, check_sign
-from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity
-from .lax import build_lax, shift_columns, spectral_decompose
+from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity, shift_columns
+from .lax import build_lax, spectral_decompose
 
 __all__ = [
     "EvolveConfig",
@@ -338,28 +338,28 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
     of G's shape; the result is a new array.
     """
     k_u, k_du, k_ub, k_dub = kernels
-    pad, spec, prod, conv = ws.pad, ws.spec, ws.prod, ws.conv
-    ws.slots[0] = G
-    fG = np.fft.fft(pad[0], out=spec[0])
+    a, b, c = ws.operands
+    a.slots[...] = G
+    fG = np.fft.fft(a.pad, out=a.spec)
     # spectra of T_{conj du} G and T_{conj u} G; the second feeds two terms
-    np.multiply(k_dub, fG, out=prod[0])
-    np.multiply(k_ub, fG, out=prod[1])
-    np.fft.ifft(prod[:2], out=conv[:2])
+    np.multiply(k_dub, fG, out=a.prod)
+    np.multiply(k_ub, fG, out=b.prod)
+    np.fft.ifft(ws.prod[:2], out=ws.conv[:2])
     ws.slots[:2] = ws.tails[:2]
-    bar_du, bar_u = np.fft.fft(pad[:2], out=spec[:2])
-    np.multiply(k_u, bar_du, out=prod[0])
-    np.multiply(k_du, bar_u, out=prod[1])
-    np.multiply(k_u, bar_u, out=prod[2])
-    np.fft.ifft(prod, out=conv)
-    first, second, PF = ws.heads
-    # the last term, i T_u T_{conj u} PF, runs on the third row of each buffer
-    ws.slots[2] = PF
-    np.multiply(k_ub, np.fft.fft(pad[2], out=spec[2]), out=prod[2])
-    np.fft.ifft(prod[2], out=conv[2])
-    ws.slots[2] = ws.tails[2]
-    np.multiply(k_u, np.fft.fft(pad[2], out=spec[2]), out=prod[2])
-    np.fft.ifft(prod[2], out=conv[2])
-    quad = 1j * ws.heads[2]
+    bar_du, bar_u = np.fft.fft(ws.pad[:2], out=ws.spec[:2])
+    np.multiply(k_u, bar_du, out=a.prod)
+    np.multiply(k_du, bar_u, out=b.prod)
+    np.multiply(k_u, bar_u, out=c.prod)
+    np.fft.ifft(ws.prod, out=ws.conv)
+    # the last term, i T_u T_{conj u} PF with PF = c.heads, runs on operand c
+    c.slots[...] = c.heads
+    np.multiply(k_ub, np.fft.fft(c.pad, out=c.spec), out=c.prod)
+    np.fft.ifft(c.prod, out=c.conv)
+    c.slots[...] = c.tails
+    np.multiply(k_u, np.fft.fft(c.pad, out=c.spec), out=c.prod)
+    np.fft.ifft(c.prod, out=c.conv)
+    first, second = a.heads, b.heads
+    quad = 1j * c.heads
     if sign == "focusing":
         return first - second + quad
     return -first + second + quad

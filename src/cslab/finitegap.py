@@ -28,7 +28,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .errors import (
@@ -46,10 +45,12 @@ from .errors import K_MAX, check_in_disc, check_int, check_K, check_same_K, chec
 from .hardy import (
     BlaschkeProduct,
     HardyCoeffs,
+    _shifted_columns,
     blaschke_to_coeffs,
     grid_transform,
+    shift_columns,
 )
-from .lax import SpectralDecomposition, build_lax, _matrices_in_basis, shift_columns
+from .lax import SpectralDecomposition, build_lax, _matrices_in_basis
 
 __all__ = [
     "FiniteGapPotential",
@@ -68,6 +69,7 @@ __all__ = [
 ]
 
 _NEWTON_TOL = 1e-13
+_NEWTON_MAX_ITER = 100
 _ZERO_TOL = 1e-10
 _WALK_TOL = 1e-5
 #: A gap within this of 1 counts as closed in ``classify``.
@@ -194,35 +196,31 @@ def _newton_jacobian(a: complex, c: NDArray[np.complex128],
     ])
 
 
-def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
-                         pin_a: complex | None = None,
-                         max_iter: int = 100) -> FiniteGapPotential:
+def solve_residue_system(sign: str, m0: int, poles, mults, *,
+                         pin_a: complex | None = None) -> FiniteGapPotential:
     """Newton-solve the residue conditions for (a, c_1, ..., c_r).
 
     The system is underdetermined (2r real equations, 2(r+1) unknowns:
     a global phase plus a one-parameter family), so steps are taken as
     minimum-norm least-squares solutions, with halving damping whenever a
-    full step fails to reduce the residual.  Default initialization is the
-    decoupled single-pole solution c_j = sqrt(m_j (1 - |p_j|^2)) with a = 0
-    for m0 = 0 and a = 1 otherwise; ``init = (a0, [c0...])`` overrides it,
-    and ``pin_a`` freezes a at the given value (removing it from the
-    unknowns).  Raises InfeasibleSign for the defocusing system with a
-    pinned to 0: summing the conditions would force the positive-definite
-    Gram form sum c_j conj(c_k) G_jk to equal -sum m_j < 0.  The pole
-    data (as for ``FiniteGapPotential``) and the finiteness of ``pin_a``
-    and ``init`` are checked on entry, before any linear algebra.
+    full step fails to reduce the residual, for at most _NEWTON_MAX_ITER
+    steps (NewtonDivergence beyond).  The start is the decoupled
+    single-pole solution c_j = sqrt(m_j (1 - |p_j|^2)) with a = 0 for
+    m0 = 0 and a = 1 otherwise; ``pin_a`` freezes a at the given value
+    (removing it from the unknowns).  Raises InfeasibleSign for the
+    defocusing system with a pinned to 0: summing the conditions would
+    force the positive-definite Gram form sum c_j conj(c_k) G_jk to equal
+    -sum m_j < 0.  The pole data (as for ``FiniteGapPotential``) and the
+    finiteness of ``pin_a`` are checked on entry, before any linear algebra.
     """
     check_sign(sign)
     m0, poles, mults = _checked_pole_data(m0, poles, mults)
     r = len(poles)
     if pin_a is not None and not np.isfinite(complex(pin_a)):
         raise InvalidParameter(f"pin_a = {pin_a} is not finite")
-    if init is not None and not (np.isfinite(complex(init[0])) and np.all(
-            np.isfinite(np.asarray(init[1], dtype=np.complex128)))):
-        raise InvalidParameter("init must be finite")
     if r == 0:
         # Plane-wave branch: nothing to solve, the amplitude is free.
-        amp = pin_a if pin_a is not None else (init[0] if init else 1.0)
+        amp = pin_a if pin_a is not None else 1.0
         return FiniteGapPotential(sign=sign, m0=m0, poles=(), mults=(),
                                   a=amp, residues=())
     if pin_a is not None and abs(pin_a) < _ZERO_TOL:
@@ -234,15 +232,9 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
         if m0 >= 1:
             raise ConstraintViolation("a must be nonzero when m0 >= 1")
 
-    if init is not None:
-        a = complex(init[0])
-        c = np.asarray(init[1], dtype=np.complex128).copy()
-        if c.shape[0] != r:
-            raise InvalidParameter("init residues must match the pole count")
-    else:
-        c = np.array([np.sqrt(m * (1.0 - abs(p) ** 2))
-                      for p, m in zip(poles, mults)], dtype=np.complex128)
-        a = 0.0 + 0.0j if m0 == 0 else 1.0 + 0.0j
+    c = np.array([np.sqrt(m * (1.0 - abs(p) ** 2))
+                  for p, m in zip(poles, mults)], dtype=np.complex128)
+    a = 0.0 + 0.0j if m0 == 0 else 1.0 + 0.0j
     if pin_a is not None:
         a = complex(pin_a)
     pinned = pin_a is not None
@@ -252,7 +244,7 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
     m = np.asarray(mults, dtype=float)
     F = _residuals(s, a, c, G, m)
     res = float(np.linalg.norm(F))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if res < _NEWTON_TOL:
             break
         J = _newton_jacobian(a, c, G, pinned)
@@ -275,7 +267,7 @@ def solve_residue_system(sign: str, m0: int, poles, mults, init=None, *,
                 f"line search stalled at residual {res:.3e}")
     else:
         raise NewtonDivergence(
-            f"no convergence after {max_iter} iterations; residual {res:.3e}")
+            f"no convergence after {_NEWTON_MAX_ITER} iterations; residual {res:.3e}")
     if np.any(np.abs(c) < _ZERO_TOL):
         raise ConstraintViolation(
             "a residue coefficient collapsed to 0: the conditions would "
@@ -368,20 +360,6 @@ class ClassifyResult:
     N_estimate: int
     ladder_members: int
     ladder_base: NDArray[np.complex128] = field(compare=False, repr=False)
-
-
-def _shifted_columns(w: NDArray[np.complex128], n: int,
-                     backward: bool) -> NDArray[np.complex128]:
-    """K x n matrix whose column k is (S*)^k w (``backward``) or S^k w.
-
-    The columns are exact copies of entries of w: one zero-padded vector,
-    a strided view of its length-K windows, and one copy.
-    """
-    K = w.shape[0]
-    pad = np.zeros(n - 1, dtype=w.dtype)
-    if backward:
-        return sliding_window_view(np.concatenate([w, pad]), K).T.copy()
-    return sliding_window_view(np.concatenate([pad, w]), K)[::-1].T.copy()
 
 
 def _ladder_walk(dec: SpectralDecomposition):

@@ -94,21 +94,6 @@ class Fixture:
             return ladder_blaschke(self.finite_gap)
         return None
 
-    def spectrum_head(self, count: int):
-        """Leading exact eigenvalues, or None when not certified."""
-        if self.kind == "appendix1":
-            return np.array([-1.0] + list(range(count - 1)), dtype=float)[:count]
-        if self.kind == "appendix2":
-            return np.array([-1.0, 0.0] + list(range(count - 2)), dtype=float)[:count]
-        if (self.kind == "wave" and self.sign == "defocusing"
-                and self.wave is not None and self.wave.N == 1):
-            # One model eigenvalue lam_0 = (c - N)/2, then the unit ladder
-            # from lam_u = N + ||u||^2.
-            lam0 = (self.wave.c - 1.0) / 2.0
-            lam_u = 1.0 + (self.wave.alpha ** 2 + self.wave.alpha * self.wave.beta - 1.0)
-            return np.array([lam0] + [lam_u + k for k in range(count - 1)])[:count]
-        return None
-
 
 def appendix1(p: complex = 0.5) -> Fixture:
     fg = FiniteGapPotential(sign="focusing", m0=0, poles=(p,), mults=(1,),

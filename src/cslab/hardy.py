@@ -8,9 +8,14 @@ stored as dense complex128 vectors ``(u_hat(0), ..., u_hat(K-1))`` of a
 fixed truncation length K.  A function with that expansion is the boundary
 trace of the analytic function u(z) = sum u_hat(n) z^n on the unit disc.
 
-This module supplies the basic vocabulary: the lower-triangular Toeplitz
-block of an analytic symbol, grid synthesis, Blaschke products, the
-projected modulus Pi(|u|^2), and the flow's nonlinearity (D Pi(|u|^2)) u.
+This module supplies the basic vocabulary: the shift S and its adjoint
+S*, grid synthesis, Blaschke products, the projected modulus Pi(|u|^2),
+and the flow's nonlinearity (D Pi(|u|^2)) u.  S and S* act by index
+shifts, never as dense operators: on a vector or every column
+(``shift_columns``, ``unshift_columns``), or as a stack of the shifted
+copies S^k w or (S*)^k w (``_shifted_columns``).  The lower-triangular
+Toeplitz block T_u of an analytic symbol is such a stack, column k being
+S^k u.
 """
 
 from __future__ import annotations
@@ -21,8 +26,8 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
-from scipy.linalg import toeplitz as _sp_toeplitz
 
 from .errors import (
     DimensionMismatch,
@@ -104,12 +109,41 @@ class BlaschkeProduct:
         object.__setattr__(self, "power", check_int("power", self.power, 0, K_MAX))
 
 
+def shift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Apply S to a vector or every column (rows down by one, top row zero)."""
+    out = np.zeros_like(F)
+    out[1:] = F[:-1]
+    return out
+
+
+def unshift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """Apply S* to a vector or every column (rows up by one, bottom row zero)."""
+    out = np.zeros_like(F)
+    out[:-1] = F[1:]
+    return out
+
+
+def _shifted_columns(w: NDArray[np.complex128], n: int,
+                     backward: bool) -> NDArray[np.complex128]:
+    """K x n matrix whose column k is (S*)^k w (``backward``) or S^k w.
+
+    The entries are exact copies of entries of w, or zeros: row i is a
+    length-n window of w padded with n - 1 zeros, at i (entry k is
+    w[i + k], 0 past the end), or for S^k of w reversed and padded, at
+    K-1-i (entry k is w[i - k], 0 for k > i).  One strided view and one
+    C-contiguous copy.
+    """
+    pad = np.zeros(n - 1, dtype=w.dtype)
+    if backward:
+        return sliding_window_view(np.concatenate([w, pad]), n).copy()
+    return sliding_window_view(np.concatenate([w[::-1], pad]), n)[::-1].copy()
+
+
 def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
-    """Lower-triangular Toeplitz block T_u for an analytic symbol u."""
-    col = u.coeffs
-    row = np.zeros(u.K, dtype=np.complex128)
-    row[0] = col[0]
-    return _sp_toeplitz(col, row)
+    """Lower-triangular Toeplitz block T_u for an analytic symbol u: the
+    K x K stack whose column k is S^k u, so T[i, j] = u_hat(i - j) for
+    i >= j and 0 above the diagonal."""
+    return _shifted_columns(u.coeffs, u.K, backward=False)
 
 
 def grid_transform(u: HardyCoeffs, M: int) -> NDArray[np.complex128]:

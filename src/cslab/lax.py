@@ -25,7 +25,8 @@ polluted by the cut; indices above the reliability cutoff (default
 K - K/8) should never be trusted; a zero buffer (K < 8 by default) is refused.
 One potential has one decomposition, which keeps its Lax matrix: spectral
 consumers read L and the eigenbasis coordinates (``_matrices_in_basis``)
-from it, and S, S* act by index shifts, never as dense matrices.
+from it.  T_u, S, S* and the S^k stacks come from ``hardy``, which applies
+them as index shifts, never as dense matrices.
 
 The identity check reads the commutators only on the block of indices
 below R = K - buffer, so it forms only what that block reads: B and L^2
@@ -49,7 +50,13 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EigensolveFailure, check_int, check_real, check_same_K, check_sign
-from .hardy import HardyCoeffs, derivative, analytic_toeplitz_block
+from .hardy import (
+    HardyCoeffs,
+    analytic_toeplitz_block,
+    derivative,
+    shift_columns,
+    unshift_columns,
+)
 
 __all__ = [
     "FOCUSING",
@@ -67,7 +74,6 @@ __all__ = [
 FOCUSING = "focusing"
 DEFOCUSING = "defocusing"
 
-CLUSTER_TOL = 1e-8
 _PHASE_TOL = 1e-8
 #: |<S f_{n-1} | f_n>| below this puts n in the collinearity set I(u).
 _COLLINEAR_TOL = 1e-6
@@ -93,10 +99,10 @@ class SpectralDecomposition:
     """Eigenvalues (ascending) and phase-fixed eigenvector columns of a LaxBlock.
 
     ``matrix`` is the diagonalized Lax matrix (the LaxBlock's array, shared).
-    ``reliable`` is the index cutoff below which eigen-data may be trusted;
-    ``clusters`` lists index ranges [start, stop) of numerically degenerate
-    eigenvalues (within CLUSTER_TOL), inside which individual eigenvectors
-    are only defined up to unitary mixing.
+    ``reliable`` is the index cutoff below which eigen-data may be trusted.
+    Where eigenvalues coincide to roundoff, the eigenvectors of the run are
+    only defined up to unitary mixing; the decomposition does not mark such
+    runs.
     """
 
     eigenvalues: NDArray[np.float64]
@@ -105,7 +111,6 @@ class SpectralDecomposition:
     sign: str
     K: int
     buffer: int
-    clusters: tuple = ()
 
     @property
     def reliable(self) -> int:
@@ -197,24 +202,13 @@ def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return vectors * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
 
 
-def _find_clusters(ev: NDArray[np.float64]) -> tuple:
-    clusters = []
-    start = 0
-    for i in range(1, ev.shape[0] + 1):
-        if i == ev.shape[0] or ev[i] - ev[i - 1] > CLUSTER_TOL:
-            if i - start >= 2:
-                clusters.append((start, i))
-            start = i
-    return tuple(clusters)
-
-
 def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomposition:
     """Dense Hermitian eigendecomposition of a LaxBlock.
 
     Eigenvalues come back ascending; eigenvector phases are fixed so the
     first coefficient with modulus > 1e-8 is real positive, which makes
-    outputs reproducible across LAPACK builds (outside degenerate
-    clusters, where only the spanned subspace is well defined).
+    outputs reproducible across LAPACK builds, except at eigenvalues that
+    coincide to roundoff, where only the spanned subspace is well defined.
     """
     buffer = check_int("buffer (K/8 by default)", L.K // 8 if buffer is None else buffer,
                        1, L.K - 1)
@@ -229,22 +223,7 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
         sign=L.sign,
         K=L.K,
         buffer=buffer,
-        clusters=_find_clusters(ev),
     )
-
-
-def shift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Apply S to a vector or every column (rows down by one, top row zero)."""
-    out = np.zeros_like(F)
-    out[1:] = F[:-1]
-    return out
-
-
-def unshift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Apply S* to a vector or every column (rows up by one, bottom row zero)."""
-    out = np.zeros_like(F)
-    out[:-1] = F[1:]
-    return out
 
 
 def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128]):

@@ -29,7 +29,7 @@ from .fixtures import RATIONAL_FIXTURES, WAVE_SPEED_FIXTURES, make_fixture, \
 from .hardy import HardyCoeffs
 from .lax import build_lax, check_spectral_identities, gap_profile, \
     spectral_decompose
-from .waves import WaveSampler, pde_residual, sample_wave
+from .waves import pde_residual, sample_wave
 
 __all__ = [
     "Check",
@@ -245,8 +245,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
     with _quiet():
         for name, sign in cases:
             fx = make_fixture(name, sign=sign)
-            sampler = WaveSampler(fx.wave)
-            worst = max(worst, pde_residual(sampler, fx.sign, t=0.0, K=256))
+            worst = max(worst, pde_residual(fx.wave, fx.sign, t=0.0, K=256))
     return _result(5, "pde-residual", t0, [
         Check("max_relative_residual", worst, 1e-10),
     ])

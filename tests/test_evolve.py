@@ -21,7 +21,6 @@ from cslab import (
     NotATravelingWave,
     OutsideTheory,
     UnderResolved,
-    WaveSampler,
     build_lax,
     conservation_report,
     evolve,
@@ -482,5 +481,5 @@ def test_time_sampler_agrees_with_flow():
     cfg = EvolveConfig(sign="focusing", K=64, T=0.1, dt=2e-4)
     with pytest.warns(OutsideTheory):  # norm^2 = 13/7 exceeds the smallness bar
         traj = evolve(u0, cfg)
-    exact = WaveSampler(w)(0.1, 64).coeffs
+    exact = sample_wave(w, 0.1, 64).coeffs
     assert np.abs(traj.states[-1].coeffs - exact).max() < 1e-10

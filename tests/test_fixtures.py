@@ -15,6 +15,7 @@ from cslab import (
     random_pole_config,
     sample_wave,
     spectral_decompose,
+    wave_l2,
 )
 
 
@@ -51,19 +52,24 @@ def test_pole_override():
 
 
 def test_spectrum_heads():
-    np.testing.assert_allclose(make_fixture("appendix1").spectrum_head(5),
-                               [-1, 0, 1, 2, 3], atol=0)
-    np.testing.assert_allclose(make_fixture("appendix2").spectrum_head(5),
-                               [-1, 0, 0, 1, 2], atol=0)
+    """The certified leading eigenvalues of the appendix potentials."""
+    for name, head in (("appendix1", [-1, 0, 1, 2, 3]),
+                       ("appendix2", [-1, 0, 0, 1, 2])):
+        fx = make_fixture(name)
+        dec = spectral_decompose(build_lax(fx.coeffs(256), fx.sign))
+        np.testing.assert_allclose(dec.eigenvalues[:5], head, atol=1e-8)
 
 
 def test_spectrum_head_matches_eigensolver():
-    for name in ("appendix1", "appendix2"):
+    """A defocusing pole wave with N = 1 has one model eigenvalue
+    lambda_0 = (c - N)/2, then the unit ladder from N + ||u||^2."""
+    for name in ("wave:defocusing:1:0.5:1", "wave:defocusing:1:0.3:2",
+                 "wave:defocusing:1:-0.4:0.7"):
         fx = make_fixture(name)
-        u = fx.coeffs(256)
-        dec = spectral_decompose(build_lax(u, fx.sign))
-        np.testing.assert_allclose(dec.eigenvalues[:5], fx.spectrum_head(5),
-                                   atol=1e-8)
+        w = fx.wave
+        head = [(w.c - w.N) / 2.0] + [w.N + wave_l2(w) + k for k in range(4)]
+        dec = spectral_decompose(build_lax(fx.coeffs(256), fx.sign))
+        np.testing.assert_allclose(dec.eigenvalues[:5], head, atol=1e-8)
 
 
 def test_fixture_coeffs_agree_with_producing_module():

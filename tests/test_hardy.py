@@ -13,12 +13,16 @@ Frozen oracle values used below are derived in place:
 
 Property tests (hypothesis) check identities that must hold for every
 coefficient vector: Parseval against the grid transform, adjointness of the
-index shifts S and S* of the lax module, and the exactness of the
-zero-padded convolution behind Pi(|u|^2).
+index shifts S and S*, and the exactness of the zero-padded convolution
+behind Pi(|u|^2).
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,8 +52,11 @@ from cslab.hardy import (
     _nonlinearity,
     analytic_toeplitz_block,
     nonlinearity,
+    shift_columns,
+    unshift_columns,
 )
-from cslab.lax import shift_columns, unshift_columns
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _coeff_vectors(max_k=8, scale=1.0):
@@ -65,6 +72,17 @@ def _coeff_vectors(max_k=8, scale=1.0):
 
 # ----------------------------------------------------------------------
 # construction / serialization
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: importing it (command line
+    included) loads no scipy module."""
+    code = ("import sys, cslab, cslab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_hardy_coeffs_basic_properties():
@@ -222,6 +240,21 @@ def test_nonlinearity_results_do_not_alias():
 def test_toeplitz_block_small_oracle():
     T = analytic_toeplitz_block(HardyCoeffs(np.array([3.0, 5.0j])))
     assert np.array_equal(T, np.array([[3.0, 0.0], [5.0j, 3.0]]))
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 37, 256])
+def test_toeplitz_block_matches_definition(K):
+    """T[i, j] = u_hat(i - j) for i >= j and 0 above the diagonal, exactly,
+    in a C-contiguous complex128 array."""
+    rng = np.random.default_rng(K)
+    c = rng.normal(size=K) + 1j * rng.normal(size=K)
+    want = np.zeros((K, K), dtype=np.complex128)
+    for i in range(K):
+        for j in range(i + 1):
+            want[i, j] = c[i - j]
+    T = analytic_toeplitz_block(HardyCoeffs(c))
+    assert T.dtype == np.complex128 and T.flags.c_contiguous
+    assert np.array_equal(T, want)
 
 
 def test_toeplitz_block_acts_as_projected_multiplication():

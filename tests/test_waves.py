@@ -30,7 +30,6 @@ from cslab import (
     PoleOnCircle,
     TruncationOverflow,
     WaveParams,
-    WaveSampler,
     make_wave,
     pde_residual,
     sample_wave,
@@ -135,12 +134,11 @@ def test_modal_traveling_law():
 
 def test_pde_residual_accepts_solutions_and_rejects_wrong_sign():
     w = make_wave("defocusing", "pole", N=1, p=0.5, beta=1.0)
-    s = WaveSampler(w)
-    assert pde_residual(s, "defocusing", K=128) < 1e-10
-    assert pde_residual(s, "focusing", K=128) > 1e-2  # negative control
+    assert pde_residual(w, "defocusing", K=128) < 1e-10
+    assert pde_residual(w, "focusing", K=128) > 1e-2  # negative control
 
     m = make_wave("focusing", "modulated", N=3, p=0.5)
-    assert pde_residual(WaveSampler(m), "focusing", K=128) < 1e-10
+    assert pde_residual(m, "focusing", K=128) < 1e-10
 
 
 def test_family_and_parameter_guards():
