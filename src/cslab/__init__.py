@@ -8,112 +8,28 @@ potentials (residue conditions, classification, spectral inversion),
 ``evolve`` integrates the flow and the Lax eigenbasis along it, and
 ``fixtures``/``verify`` hold the worked examples and the acceptance
 criteria.  The ``cslab`` console script fronts all of it.
+
+The public API is the union of the modules' ``__all__`` lists, in the
+order of ``_MODULES``; this file names no function or class itself.
 """
-from .errors import (
-    AliasWarning,
-    BasisDrift,
-    BlowupDetected,
-    ConstraintViolation,
-    CslabError,
-    CslabWarning,
-    DimensionMismatch,
-    EigensolveFailure,
-    FamilyUnavailable,
-    Inconclusive,
-    InfeasibleSign,
-    InvalidParameter,
-    NewtonDivergence,
-    NotATravelingWave,
-    NumericalAliasing,
-    OutsideTheory,
-    PoleOnCircle,
-    SingularSystem,
-    TruncationOverflow,
-    UnderResolved,
-)
-from .hardy import (
-    BlaschkeProduct,
-    HardyCoeffs,
-    blaschke_eval,
-    blaschke_to_coeffs,
-    derivative,
-    grid_transform,
-    zero_pad,
-)
-from .lax import (
-    GapProfile,
-    IdentityReport,
-    LaxBlock,
-    SpectralDecomposition,
-    build_lax,
-    check_spectral_identities,
-    gap_profile,
-    spectral_decompose,
-)
-from .waves import (
-    WaveParams,
-    make_wave,
-    pde_residual,
-    sample_wave,
-    solve_wave_constraint,
-    validate_wave,
-    wave_l2,
-)
-from .finitegap import (
-    ClassifyResult,
-    FiniteGapPotential,
-    InversionData,
-    blaschke_eigen_check,
-    classify,
-    inversion_data,
-    ladder_blaschke,
-    potential_coeffs,
-    predicted_l2,
-    reconstruct,
-    residue_residuals,
-    solve_residue_system,
-)
-from .evolve import (
-    ConservationReport,
-    EvolveConfig,
-    EvolvedBasis,
-    Trajectory,
-    conservation_report,
-    evolve,
-    evolve_basis,
-    measure_speed,
-    phase_law_report,
-)
-from .fixtures import (
-    RATIONAL_FIXTURES,
-    WAVE_SPEED_FIXTURES,
-    Fixture,
-    make_fixture,
-    random_decaying,
-    random_pole_config,
-)
-from .verify import run_verify
+import importlib
+
+from .errors import *
+from .hardy import *
+from .lax import *
+from .waves import *
+from .finitegap import *
+from .evolve import *
+from .fixtures import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AliasWarning", "BasisDrift", "BlaschkeProduct", "BlowupDetected",
-    "ClassifyResult", "ConservationReport", "ConstraintViolation",
-    "CslabError", "CslabWarning", "DimensionMismatch", "EigensolveFailure",
-    "EvolveConfig", "EvolvedBasis", "FamilyUnavailable", "FiniteGapPotential",
-    "Fixture", "GapProfile", "HardyCoeffs", "IdentityReport", "Inconclusive",
-    "InfeasibleSign", "InvalidParameter", "InversionData", "LaxBlock",
-    "NewtonDivergence", "NotATravelingWave", "NumericalAliasing",
-    "OutsideTheory", "PoleOnCircle", "RATIONAL_FIXTURES", "SingularSystem",
-    "SpectralDecomposition", "Trajectory", "TruncationOverflow",
-    "UnderResolved", "WAVE_SPEED_FIXTURES", "WaveParams",
-    "blaschke_eigen_check", "blaschke_eval", "blaschke_to_coeffs", "build_lax",
-    "check_spectral_identities", "classify", "conservation_report",
-    "derivative", "evolve", "evolve_basis", "gap_profile", "grid_transform",
-    "inversion_data", "ladder_blaschke", "make_fixture", "make_wave",
-    "measure_speed", "pde_residual", "phase_law_report", "potential_coeffs",
-    "predicted_l2", "random_decaying", "random_pole_config", "reconstruct",
-    "residue_residuals", "run_verify", "sample_wave", "solve_residue_system",
-    "solve_wave_constraint", "spectral_decompose", "validate_wave", "wave_l2",
-    "zero_pad",
-]
+_MODULES = ("errors", "hardy", "lax", "waves", "finitegap", "evolve",
+            "fixtures", "verify")
+
+# import_module, not ``from . import evolve``: after the star imports
+# ``cslab.evolve`` is the function, which a re-import would pick up; and
+# __package__, since this file can be imported under its own name.
+__all__ = [name for m in _MODULES
+           for name in importlib.import_module(f".{m}", __package__).__all__]

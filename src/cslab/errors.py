@@ -14,6 +14,29 @@ import cmath
 import numbers
 import sys
 
+__all__ = [
+    "CslabError",
+    "DimensionMismatch",
+    "InvalidParameter",
+    "PoleOnCircle",
+    "EigensolveFailure",
+    "NewtonDivergence",
+    "InfeasibleSign",
+    "ConstraintViolation",
+    "FamilyUnavailable",
+    "NotATravelingWave",
+    "BlowupDetected",
+    "UnderResolved",
+    "BasisDrift",
+    "SingularSystem",
+    "NumericalAliasing",
+    "Inconclusive",
+    "CslabWarning",
+    "TruncationOverflow",
+    "AliasWarning",
+    "OutsideTheory",
+]
+
 
 class CslabError(Exception):
     """Base class for all package-specific failures."""

@@ -278,12 +278,15 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     c_n = -slope_n / n from a least-squares fit of the unwrapped phase;
     the return value averages them with weights n^2 |u_hat(0,n)|^2 (phase
     signal strength).  Raises NotATravelingWave when the per-mode estimates
-    spread beyond 1e-3 relative to max(1, |c|).
+    spread beyond 1e-3 relative to max(1, |c|), and InvalidParameter for a
+    trajectory of one snapshot, which fixes no slope.
     """
     if base.K != traj.cfg.K:
         raise DimensionMismatch("base truncation differs from the trajectory")
     if np.linalg.norm(traj.states[0].coeffs - base.coeffs) > 1e-12:
         raise InvalidParameter("trajectory was not generated from this base state")
+    if len(traj.times) < 2:
+        raise InvalidParameter("need at least 2 snapshots to fit a speed")
     modes = np.nonzero(np.abs(base.coeffs) > 1e-6)[0]
     modes = modes[modes >= 1]
     if modes.size < 2:

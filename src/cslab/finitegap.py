@@ -50,13 +50,12 @@ from .hardy import (
     grid_transform,
     shift_columns,
 )
-from .lax import SpectralDecomposition, build_lax, _matrices_in_basis
+from .lax import SpectralDecomposition, _matrices_in_basis
 
 __all__ = [
     "FiniteGapPotential",
     "ClassifyResult",
     "InversionData",
-    "gram_matrix",
     "residue_residuals",
     "solve_residue_system",
     "potential_coeffs",
@@ -324,17 +323,18 @@ def ladder_blaschke(fg: FiniteGapPotential) -> BlaschkeProduct:
     return BlaschkeProduct(zeros=tuple(zeros), power=fg.m0)
 
 
-def blaschke_eigen_check(u: HardyCoeffs, psi: BlaschkeProduct, sign: str,
+def blaschke_eigen_check(dec: SpectralDecomposition, psi: BlaschkeProduct,
                          kmax: int):
     """Residuals of the ladder relation L_u S^k psi = (nu + k) S^k psi.
 
+    L_u is ``dec.matrix``, the Lax matrix the decomposition was made from.
     nu is estimated once by the Rayleigh quotient <L psi | psi>; the
     residual norms are measured on the truncation-reliable rows
     [0, K - K/4) and returned for k = 0..kmax together with nu.
     """
-    K = u.K
+    K = dec.K
     kmax = check_int("kmax (at most K/8)", kmax, 0, K // 8)
-    L = build_lax(u, sign).matrix
+    L = dec.matrix
     rows = K - K // 4
     v = blaschke_to_coeffs(psi, K).coeffs
     v = v / np.linalg.norm(v)
@@ -563,23 +563,21 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
                          X_red=X_red, Y_red=Y_red, M_red=M_red)
 
 
-def reconstruct(data: InversionData, z: complex,
-                use_reduced: bool | None = None) -> complex:
+def reconstruct(data: InversionData, z: complex, *, use_reduced: bool) -> complex:
     """Evaluate u(z) = <(Id - zM)^{-1} X | Y> at a point of the open disc.
 
-    Uses the reduced block when present (or as forced by ``use_reduced``).
-    In the full basis the resolvent series terminates (M is nilpotent, as
-    ``inversion_data`` checks), so u(z) is the sum of ``data.moments[k] z^k``,
-    evaluated by Horner in O(K) with no solve.  The reduced block is not
-    nilpotent (its eigenvalues are the poles): it is solved, behind a
-    determinant guard, since its determinant is an honest degree-N
-    polynomial in z.  A non-finite z is refused before any arithmetic.
+    ``use_reduced`` picks the reduced block (InvalidParameter when the data
+    has none) over the full basis.  In the full basis the resolvent series
+    terminates (M is nilpotent, as ``inversion_data`` checks), so u(z) is
+    the sum of ``data.moments[k] z^k``, evaluated by Horner in O(K) with no
+    solve.  The reduced block is not nilpotent (its eigenvalues are the
+    poles): it is solved, behind a determinant guard, since its determinant
+    is an honest degree-N polynomial in z.  A non-finite z is refused
+    before any arithmetic.
     """
     z = complex(z)
     if not np.abs(z) < 1.0:  # negated for NaN; abs() of a NaN may raise (errors.py)
         raise InvalidParameter(f"z = {z} is not a point of the open disc")
-    if use_reduced is None:
-        use_reduced = data.reduced_dim is not None
     if not use_reduced:
         value = 0j
         for c in reversed(data.moments.tolist()):

@@ -32,8 +32,6 @@ from .waves import WaveParams, make_wave, sample_wave
 __all__ = [
     "Fixture",
     "make_fixture",
-    "appendix1",
-    "appendix2",
     "random_decaying",
     "random_pole_config",
     "RATIONAL_FIXTURES",
@@ -146,12 +144,11 @@ _NAME_FORMS = {
 }
 
 
-def make_fixture(name: str, p: complex | None = None,
-                 sign: str | None = None) -> Fixture:
+def make_fixture(name: str, sign: str | None = None) -> Fixture:
     """Build a fixture from its name.
 
-    The forms are those of ``_NAME_FORMS`` (appendix1 and appendix2 take
-    an optional p override); any other name is refused (InvalidParameter).
+    The forms are those of ``_NAME_FORMS``; any other name is refused
+    (InvalidParameter).
     ``sign`` overrides the default for sign-agnostic fixtures (plane waves).
     """
     head, *fields = name.split(":")
@@ -163,9 +160,9 @@ def make_fixture(name: str, p: complex | None = None,
     except ValueError:
         raise InvalidParameter(f"expected {form}, got {name!r}") from None
     if head == "appendix1":
-        return appendix1(0.5 if p is None else p)
+        return appendix1()
     if head == "appendix2":
-        return appendix2(0.6 if p is None else p)
+        return appendix2()
     if head == "wave":
         wsign, N, pw, beta = fields
         w = make_wave(wsign, "pole", N=N, p=pw, beta=beta)

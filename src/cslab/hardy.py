@@ -41,11 +41,9 @@ import warnings
 __all__ = [
     "HardyCoeffs",
     "BlaschkeProduct",
-    "analytic_toeplitz_block",
     "grid_transform",
     "blaschke_to_coeffs",
     "blaschke_eval",
-    "nonlinearity",
     "derivative",
     "zero_pad",
 ]

@@ -59,8 +59,6 @@ from .hardy import (
 )
 
 __all__ = [
-    "FOCUSING",
-    "DEFOCUSING",
     "LaxBlock",
     "SpectralDecomposition",
     "GapProfile",
@@ -255,8 +253,8 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
     return GapProfile(gaps=gaps, collinearity=collin, collinearity_set=cset)
 
 
-def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
-                              buffer: int | None = None) -> IdentityReport:
+def check_spectral_identities(u: HardyCoeffs,
+                              dec: SpectralDecomposition) -> IdentityReport:
     """Residuals of the exact eigenbasis and commutator identities.
 
     With s = +1 (defocusing, eigenvalues lambda) or s = -1 (focusing,
@@ -270,11 +268,11 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
         L S - S L - S - s <.|S* u> u            = 0
         S* B - B S* - i (S* L^2 - (L + 1)^2 S*) = 0
 
-    all evaluated on truncated data over indices below R = K - buffer
-    (default buffer K/4, sized for the quadratic term of B; an integer
-    with 1 <= buffer < K, else ``InvalidParameter``).  L is dec's own
-    matrix and <S f_p|f_n> = conj(M[p, n]) with M from
-    ``_matrices_in_basis``.  Residuals are plain max-abs values.
+    all evaluated on truncated data over indices below R = K - buffer,
+    with buffer = K/4 sized for the quadratic term of B (K < 4 leaves no
+    buffer: ``InvalidParameter``).  L is dec's own matrix and
+    <S f_p|f_n> = conj(M[p, n]) with M from ``_matrices_in_basis``.
+    Residuals are plain max-abs values.
 
     Since (A S)[i, j] = A[i, j+1] and (A S*)[i, j] = A[i, j-1], the R x R
     block of the commutators reads L on [:R, :R+1], B and L^2 on
@@ -285,8 +283,7 @@ def check_spectral_identities(u: HardyCoeffs, dec: SpectralDecomposition,
     """
     check_same_K(u, dec)
     K = u.K
-    buffer = check_int("buffer (K/4 by default)", K // 4 if buffer is None else buffer,
-                       1, K - 1)
+    buffer = check_int("buffer K/4", K // 4, 1, K - 1)
     R = K - buffer
     s = 1.0 if dec.sign == DEFOCUSING else -1.0
 

@@ -228,15 +228,15 @@ def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
     return HardyCoeffs(c0 * np.exp(-1j * n * w.c * t))
 
 
-def pde_residual(w: WaveParams, sign: str, t: float = 0.0, K: int = 256) -> float:
-    """Relative residual of i u_t + u_xx +/- 2 D Pi(|u|^2) u at time t.
+def pde_residual(w: WaveParams, sign: str, K: int = 256) -> float:
+    """Relative residual of i u_t + u_xx +/- 2 D Pi(|u|^2) u at t = 0.
 
     u comes from ``sample_wave`` and its exact time derivative from the
-    traveling-wave law, u_t = -i n c u_hat(n, t).  Returns
+    traveling-wave law, u_t = -i n c u_hat(n).  Returns
     ||residual||_2 / max(1, ||u||_2); a wave of the other sign yields O(1).
     """
     check_sign(sign)
-    u = sample_wave(w, t, K)
+    u = sample_wave(w, 0.0, K)
     n = np.arange(K)
     ut = -1j * n * w.c * u.coeffs
     s = 1.0 if sign == "focusing" else -1.0

@@ -1,17 +1,24 @@
-"""The package keeps no code that only the tests reach.
+"""The package keeps no code that only the tests reach, and declares each
+public name and each acceptance criterion once.
 
 Every module-level function and class of ``src/cslab`` must be referenced
 somewhere in ``src/cslab`` outside its own definition: by name in its own
 module, by name in a module that imports it, or as an attribute.  Import
 statements, ``__all__`` strings and the re-exports of ``cslab/__init__.py``
 are not references.  Methods are out of scope.
+
+The package's ``__all__`` is the union of its modules' lists, each name
+exported by the module that defines it; each criterion of ``verify`` carries
+its number, slug and wall gate from its one ``_criterion`` declaration.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import cslab
+from cslab import InvalidParameter, verify
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cslab"
 
@@ -59,3 +66,47 @@ def test_exported_names_resolve():
         mod = importlib.import_module(f"cslab.{module}")
         missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
         assert missing == [], module
+
+
+def test_package_api_is_the_union_of_the_module_lists():
+    assert len(cslab.__all__) == len(set(cslab.__all__))
+    for name in cslab._MODULES:
+        mod = importlib.import_module(f"cslab.{name}")
+        for export in mod.__all__:
+            obj = getattr(mod, export)
+            assert getattr(cslab, export) is obj
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == mod.__name__, export
+
+
+def test_reload_keeps_the_exports():
+    names = list(cslab.__all__)
+    importlib.reload(cslab)
+    assert inspect.isfunction(cslab.evolve)
+    assert cslab.__all__ == names
+
+
+def test_criteria_are_numbered_once_with_fixed_wall_gates():
+    assert [fn.cid for fn in verify._CRITERIA] == list(range(1, 11))
+    assert len({fn.slug for fn in verify._CRITERIA}) == 10
+    # the wall_seconds gates, pinned so that none is loosened unnoticed
+    assert {fn.cid: fn.wall for fn in verify._CRITERIA if fn.wall is not None} \
+        == {1: 10.0, 2: 10.0, 3: 180.0, 8: 300.0}
+    result = verify._criterion(0, "no-work", wall=5.0)(lambda seed: [])(0)
+    assert [(c.name, c.bound) for c in result.checks] == [("wall_seconds", 5.0)]
+    assert result.passed
+
+
+def test_a_failing_criterion_is_reported_and_the_next_one_runs(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise InvalidParameter("no fixtures today")
+
+    monkeypatch.setattr(verify, "make_fixture", refuse)
+    monkeypatch.setattr(verify, "_CRITERIA", (verify.criterion_1, verify.criterion_5))
+    results = verify.run_verify()
+    assert [(r.cid, r.passed, r.checks) for r in results] == [(1, False, ()), (5, False, ())]
+    assert all(r.error == "InvalidParameter: no fixtures today" for r in results)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines[:2]] == ["1", "5"]
+    assert "[InvalidParameter: no fixtures today]" in lines[0]
+    assert lines[-1] == "0/2 criteria passed"

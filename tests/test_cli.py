@@ -138,6 +138,16 @@ def test_evolve_summary_and_trajectory(tmp_path):
     assert float(l2_0) == pytest.approx(7.0 / 9.0, abs=1e-12)
 
 
+def test_evolve_to_time_zero_measures_no_speed(tmp_path):
+    """One snapshot fixes no speed: the summary says null, not 0."""
+    out = tmp_path / "e"
+    assert run("evolve", "--fixture", "wave:defocusing:1:0.5:1", "--K", "64",
+               "--T", "0", "--out-dir", str(out)) == 0
+    summary = json.loads((out / "evolve_summary.json").read_text())
+    assert summary["snapshots"] == 1
+    assert summary["measured_speed"] is None
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -153,6 +153,10 @@ def test_measure_speed_guards():
         measure_speed(traj, other)
     with pytest.raises(DimensionMismatch):
         measure_speed(traj, make_fixture("wave:defocusing:1:0.5:1").coeffs(48))
+    # one snapshot fixes no slope: the fit's minimum-norm answer would be c = 0
+    still = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.0, dt=5e-4))
+    with pytest.raises(InvalidParameter):
+        measure_speed(still, u0)
 
 
 def test_superposition_is_not_a_traveling_wave():

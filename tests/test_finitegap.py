@@ -48,6 +48,7 @@ from cslab import (
     spectral_decompose,
 )
 import cslab.finitegap as finitegap
+import cslab.fixtures as fixtures
 from cslab.finitegap import _ladder_walk, _model_space
 from cslab.hardy import _shifted_columns
 
@@ -74,7 +75,7 @@ def test_single_pole_solution_closed_form():
 
 def test_symmetric_pole_pair_closed_form():
     p = 0.5
-    fg = make_fixture("appendix2", p=p).finite_gap
+    fg = fixtures.appendix2(p).finite_gap
     c1 = np.sqrt(2 * (1 - p ** 4)) / (2 * p)
     got = sorted(abs(c) for c in fg.residues)
     assert got[0] == pytest.approx(c1, abs=1e-12)
@@ -86,12 +87,12 @@ def test_symmetric_pole_pair_closed_form():
 
 def test_potential_coeffs_geometric_series():
     p = 0.5
-    fg1 = make_fixture("appendix1", p=p).finite_gap
+    fg1 = fixtures.appendix1(p).finite_gap
     u1 = potential_coeffs(fg1, 48)
     n = np.arange(48)
     np.testing.assert_allclose(u1.coeffs, np.sqrt(1 - p * p) * p ** n,
                                atol=1e-14)
-    fg2 = make_fixture("appendix2", p=p).finite_gap
+    fg2 = fixtures.appendix2(p).finite_gap
     u2 = potential_coeffs(fg2, 48)
     want = 2 * abs(fg2.residues[0]) * p ** n
     want[::2] = 0.0
@@ -212,17 +213,18 @@ def test_classify_truncation_mismatch_guard():
 
 
 def test_ladder_blaschke_matches_solved_poles():
-    fg = make_fixture("appendix2", p=0.5).finite_gap
+    fg = fixtures.appendix2(0.5).finite_gap
     psi = ladder_blaschke(fg)
     assert psi.power == 0
     assert sorted(complex(z).real for z in psi.zeros) == [-0.5, 0.5]
     u = potential_coeffs(fg, 256)
-    base_dev, res = blaschke_eigen_check(u, psi, fg.sign, kmax=6)
+    dec = spectral_decompose(build_lax(u, fg.sign))
+    base_dev, res = blaschke_eigen_check(dec, psi, kmax=6)
     assert base_dev < 1e-10
     assert res.max() < 1e-8
     for kmax in (-1, 33, 2.5):  # at most K/8 = 32 rungs, an integer
         with pytest.raises(InvalidParameter):
-            blaschke_eigen_check(u, psi, fg.sign, kmax=kmax)
+            blaschke_eigen_check(dec, psi, kmax=kmax)
 
 
 @pytest.fixture(scope="module")
@@ -349,7 +351,8 @@ def test_rank_ambiguous_model_space_yields_unreduced_data(seed, K):
     assert data.unreduced_reason.startswith("model-space extraction is rank-ambiguous")
     assert np.max(np.abs(data.moments - u.coeffs)) <= 1e-12
     for z in (0.3, -0.5j, 0.6 + 0.2j):
-        assert reconstruct(data, z) == pytest.approx(_series_eval(u, z), abs=1e-12)
+        assert reconstruct(data, z, use_reduced=False) == pytest.approx(
+            _series_eval(u, z), abs=1e-12)
 
 
 # ----------------------------------------------------------------------
@@ -369,7 +372,7 @@ def test_inversion_round_trip(name):
     data = inversion_data(u, dec)
     for z in [0.0, 0.45, -0.6, 0.5j, 0.63 - 0.63j]:
         want = _series_eval(u, z)
-        assert reconstruct(data, z) == pytest.approx(want, abs=1e-8)
+        assert reconstruct(data, z, use_reduced=True) == pytest.approx(want, abs=1e-8)
         full = reconstruct(data, z, use_reduced=False)
         assert full == pytest.approx(want, abs=1e-8)
 
@@ -392,7 +395,7 @@ def test_inversion_neumann_degree_one():
     """For u = c0 + c1 z the resolvent series terminates at first order, so
     the full-basis evaluation is roundoff-exact.  The reduced block relies
     on finite-gap tail vanishing that generic data only satisfies to
-    truncation accuracy, hence the looser bound on the default path."""
+    truncation accuracy, hence the looser bound on the reduced path."""
     c = np.zeros(32, dtype=complex)
     c[0], c[1] = 0.1, 0.05 - 0.02j
     u = HardyCoeffs(c)
@@ -402,7 +405,7 @@ def test_inversion_neumann_degree_one():
         want = c[0] + c[1] * z
         assert reconstruct(data, z, use_reduced=False) == pytest.approx(
             want, abs=1e-12)
-        assert reconstruct(data, z) == pytest.approx(want, abs=1e-6)
+        assert reconstruct(data, z, use_reduced=True) == pytest.approx(want, abs=1e-6)
 
 
 def _inverted_fixtures(K=256):
@@ -475,7 +478,7 @@ def test_reconstruct_rejects_points_outside_disc():
     dec = spectral_decompose(build_lax(u, "focusing"))
     data = inversion_data(u, dec)
     with pytest.raises(InvalidParameter):
-        reconstruct(data, 1.0)
+        reconstruct(data, 1.0, use_reduced=False)
     # non-finite points compare false against the radius; both paths refuse them
     fx = make_fixture("appendix2")
     u2 = fx.coeffs(128)
@@ -491,15 +494,15 @@ def test_reconstruct_rejects_points_outside_disc():
             with pytest.raises(InvalidParameter):
                 float("1e400")
                 reconstruct(red, z, use_reduced=use_reduced)
-    assert reconstruct(data, 0.0) == pytest.approx(u.coeffs[0], abs=1e-10)
+    assert reconstruct(data, 0.0, use_reduced=False) == pytest.approx(u.coeffs[0], abs=1e-10)
     # frozen value: u(1/2) = sqrt(3/4)/(3/4) = 2/sqrt(3)
-    assert reconstruct(data, 0.5) == pytest.approx(2 / np.sqrt(3), abs=1e-9)
+    assert reconstruct(data, 0.5, use_reduced=False) == pytest.approx(2 / np.sqrt(3), abs=1e-9)
 
 
 def test_spectral_consumers_reuse_the_decomposition(monkeypatch):
-    """Once dec exists, the identity checks, classification and inversion
-    read its Lax matrix and never assemble L again."""
-    import cslab.finitegap
+    """Once dec exists, the identity checks, the ladder check, classification
+    and inversion read its Lax matrix and never assemble L again (finitegap
+    does not import build_lax at all)."""
     import cslab.lax
     from cslab import check_spectral_identities
 
@@ -511,8 +514,9 @@ def test_spectral_consumers_reuse_the_decomposition(monkeypatch):
         raise AssertionError("build_lax called after spectral_decompose")
 
     monkeypatch.setattr(cslab.lax, "build_lax", no_rebuild)
-    monkeypatch.setattr(cslab.finitegap, "build_lax", no_rebuild)
+    assert not hasattr(finitegap, "build_lax")
     assert check_spectral_identities(u, dec).max_residual() < 1e-8
+    assert blaschke_eigen_check(dec, fx.blaschke(), kmax=4)[1].max() < 1e-8
     cls = classify(dec, u)
     assert cls.is_finite_gap and cls.N_estimate == 2
     assert cls.ladder_members + cls.N_estimate == dec.reliable

@@ -17,6 +17,7 @@ from cslab import (
     spectral_decompose,
     wave_l2,
 )
+import cslab.fixtures as fixtures
 
 
 def test_all_rational_fixture_names_parse():
@@ -46,7 +47,7 @@ def test_name_parse_errors():
 
 
 def test_pole_override():
-    fx = make_fixture("appendix1", p=0.25)
+    fx = fixtures.appendix1(0.25)
     u = fx.coeffs(32)
     assert u.coeffs[1] / u.coeffs[0] == pytest.approx(0.25, abs=1e-14)
 
