@@ -25,11 +25,20 @@ of one class, hardy._FFTWorkspace: zero-padded (n_operands, ..., L)
 buffers with two operands for the nonlinearity, four (the kernel axis
 first) for the kernel spectra and three for the B action.  Inputs go into
 the first K slots of a buffer, whose padding stays zero, and every FFT
-call writes through ``out=``; T_k x is read off the head of a
+call writes into a workspace buffer; T_k x is read off the head of a
 convolution and T_{conj k} x off its tail.  This too is bit-identical:
 the FFT of a buffer padded with zeros to L is the FFT of its first K
 entries taken with n = L.  Slopes, stage states and recorded states are
-new arrays, never views of the workspace.
+new arrays, never views of the workspace.  The transforms are
+hardy._fft and hardy._ifft, looked up on the module at each call: numpy's
+pocketfft kernel called without the Python wrapper of np.fft (about 5 us
+of a 15 us call at K = 256), with the same normalisation and the same
+bits.
+
+conservation_report reads only eigenvalues, so its snapshots take the
+eigenvalues-only solve (lax.reliable_eigenvalues, about half the time of
+a full eigendecomposition at K = 256); its eigenvalue drift agrees with
+the one read off full decompositions to roundoff, not bit for bit.
 
 The evolving orthonormal basis g_n^t solves d/dt g = B_{u(t)} g with
 g|0 = f_n, an eigenvector of the Lax operator of u(0); B is the
@@ -62,8 +71,9 @@ from .errors import (
     UnderResolved,
 )
 from .errors import K_MAX, check_int, check_real, check_sign
+from . import hardy
 from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity, shift_columns
-from .lax import build_lax, spectral_decompose
+from .lax import build_lax, reliable_eigenvalues
 
 __all__ = [
     "EvolveConfig",
@@ -249,8 +259,10 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
 
     The norm and mean are read off every snapshot; eigenvalues (the first
     10 reliable ones) are computed on at most 9 evenly spaced snapshots,
-    endpoints included, since each requires a full Hermitian eigensolve; a
-    one-snapshot trajectory is compared with itself.
+    endpoints included, since each requires a full Hermitian eigensolve
+    (eigenvalues only: no eigenvector is read); a one-snapshot trajectory
+    is compared with itself.  K < 8 leaves no reliability buffer
+    (InvalidParameter).
     """
     l2_drift = float(np.max(np.abs(traj.l2 ** 2 - traj.l2[0] ** 2)))
     mean_drift = float(np.max(np.abs(traj.mean - traj.mean[0])))
@@ -259,8 +271,7 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
     ref = None
     eig_drift = 0.0
     for i in idx:
-        dec = spectral_decompose(build_lax(traj.states[i], traj.cfg.sign))
-        evs = dec.eigenvalues[:min(_N_EIGS, dec.reliable)]
+        evs = reliable_eigenvalues(build_lax(traj.states[i], traj.cfg.sign))[:_N_EIGS]
         if ref is None:
             ref = evs
         else:
@@ -280,6 +291,15 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     signal strength).  Raises NotATravelingWave when the per-mode estimates
     spread beyond 1e-3 relative to max(1, |c|), and InvalidParameter for a
     trajectory of one snapshot, which fixes no slope.
+
+    The phase of mode n turns by n c dt between snapshots dt apart, and
+    unwrapping alone reads that step modulo 2 pi.  So each step is moved
+    by the multiple of 2 pi that brings it nearest to the step the flow's
+    equation gives at t = 0, rate_n dt with rate_n = d/dt arg u_hat(n)
+    (one nonlinearity call on base).  For a traveling wave rate_n = -n c,
+    so records of any spacing give its speed.  Where no step is more than
+    pi from rate_n dt the multiple is 0 and the phase is np.unwrap's, bit
+    for bit.
     """
     if base.K != traj.cfg.K:
         raise DimensionMismatch("base truncation differs from the trajectory")
@@ -295,12 +315,18 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     mat = traj.coeff_matrix()
     t = traj.times
     A = np.vstack([t, np.ones_like(t)]).T
+    n2 = modes.astype(float) ** 2
+    # d/dt arg u_hat(n) = Im(-i n^2 + s2i N(u)_n / u_hat(n)) at t = 0
+    s2i = _lawson_setup(traj.cfg)[2]
+    rates = np.imag(s2i * hardy.nonlinearity(base.coeffs)[modes] / base.coeffs[modes]) - n2
     estimates = np.empty(modes.size)
     for k, n in enumerate(modes):
         phase = np.unwrap(np.angle(mat[:, n]))
+        turns = np.round((np.diff(phase) - rates[k] * np.diff(t)) / (2 * np.pi))
+        phase[1:] -= 2 * np.pi * np.cumsum(turns)
         slope, _ = np.linalg.lstsq(A, phase, rcond=None)[0]
         estimates[k] = -slope / n
-    weights = modes.astype(float) ** 2 * np.abs(base.coeffs[modes]) ** 2
+    weights = n2 * np.abs(base.coeffs[modes]) ** 2
     c = float(np.sum(weights * estimates) / np.sum(weights))
     spread = float(np.max(np.abs(estimates - c)))
     if spread > 1e-3 * max(1.0, abs(c)):
@@ -322,7 +348,7 @@ def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
     np.multiply(1j * ws.n, u, out=du)
     np.conjugate(u[..., ::-1], out=ub)
     np.conjugate(du[..., ::-1], out=dub)
-    return np.fft.fft(ws.pad, out=ws.spec)
+    return hardy._fft(ws.pad, ws.spec)
 
 
 def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
@@ -343,24 +369,24 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
     k_u, k_du, k_ub, k_dub = kernels
     a, b, c = ws.operands
     a.slots[...] = G
-    fG = np.fft.fft(a.pad, out=a.spec)
+    fG = hardy._fft(a.pad, a.spec)
     # spectra of T_{conj du} G and T_{conj u} G; the second feeds two terms
     np.multiply(k_dub, fG, out=a.prod)
     np.multiply(k_ub, fG, out=b.prod)
-    np.fft.ifft(ws.prod[:2], out=ws.conv[:2])
+    hardy._ifft(ws.prod[:2], ws.conv[:2])
     ws.slots[:2] = ws.tails[:2]
-    bar_du, bar_u = np.fft.fft(ws.pad[:2], out=ws.spec[:2])
+    bar_du, bar_u = hardy._fft(ws.pad[:2], ws.spec[:2])
     np.multiply(k_u, bar_du, out=a.prod)
     np.multiply(k_du, bar_u, out=b.prod)
     np.multiply(k_u, bar_u, out=c.prod)
-    np.fft.ifft(ws.prod, out=ws.conv)
+    hardy._ifft(ws.prod, ws.conv)
     # the last term, i T_u T_{conj u} PF with PF = c.heads, runs on operand c
     c.slots[...] = c.heads
-    np.multiply(k_ub, np.fft.fft(c.pad, out=c.spec), out=c.prod)
-    np.fft.ifft(c.prod, out=c.conv)
+    np.multiply(k_ub, hardy._fft(c.pad, c.spec), out=c.prod)
+    hardy._ifft(c.prod, c.conv)
     c.slots[...] = c.tails
-    np.multiply(k_u, np.fft.fft(c.pad, out=c.spec), out=c.prod)
-    np.fft.ifft(c.prod, out=c.conv)
+    np.multiply(k_u, hardy._fft(c.pad, c.spec), out=c.prod)
+    hardy._ifft(c.prod, c.conv)
     first, second = a.heads, b.heads
     quad = 1j * c.heads
     if sign == "focusing":

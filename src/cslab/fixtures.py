@@ -121,6 +121,10 @@ def _wave_to_finite_gap(w: WaveParams) -> FiniteGapPotential:
     if w.family == "plane":
         return FiniteGapPotential(sign=w.sign, m0=w.N, poles=(), mults=(),
                                   a=w.beta * ph, residues=())
+    if w.family == "modulated" and w.N == 1:
+        # alpha = 0: z beta/(1 - p z) = (beta/p)/(1 - p z) - beta/p, so m0 = 0
+        return FiniteGapPotential(sign=w.sign, m0=0, poles=(w.p,), mults=(1,),
+                                  a=-w.beta * ph / w.p, residues=(w.beta * ph / w.p,))
     if w.family == "modulated":
         return FiniteGapPotential(sign=w.sign, m0=w.N, poles=(w.p,), mults=(1,),
                                   a=w.alpha * ph, residues=(w.beta * ph,))

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
+import numpy.fft._pocketfft_umath as _pocketfft
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
@@ -187,6 +188,20 @@ def _conv_length(K: int) -> int:
     return 1 << (2 * K - 2).bit_length()
 
 
+def _fft(a: NDArray[np.complex128], out: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """``np.fft.fft(a, out=out)`` along the last axis, bit for bit, without
+    numpy's Python wrapper: the pocketfft kernel with the factor 1 that
+    ``norm=None`` passes.  a and out are complex128 arrays of one shape."""
+    return _pocketfft.fft(a, 1.0, out=out)
+
+
+def _ifft(a: NDArray[np.complex128], out: NDArray[np.complex128]) -> NDArray[np.complex128]:
+    """``np.fft.ifft(a, out=out)`` along the last axis, bit for bit: the
+    kernel with the factor 1/L that ``norm=None`` passes (the correctly
+    rounded reciprocal, as ``np.reciprocal(np.float64(L))``)."""
+    return _pocketfft.ifft(a, 1.0 / a.shape[-1], out=out)
+
+
 class _FFTWorkspace:
     """Zero-padded FFT buffers for ``n_operands`` Toeplitz convolutions of
     (..., K) stacks of one shape, made once per integration and reused.
@@ -230,9 +245,9 @@ def _modulus_spectra(c: NDArray[np.complex128], ws: _FFTWorkspace):
     a, b = ws.operands
     a.slots[...] = c
     np.conjugate(c[..., ::-1], out=b.slots)
-    np.fft.fft(ws.pad, out=ws.spec)
+    _fft(ws.pad, ws.spec)
     np.multiply(a.spec, b.spec, out=a.prod)
-    np.fft.ifft(a.prod, out=a.conv)
+    _ifft(a.prod, a.conv)
     return a.tails, a.spec
 
 
@@ -242,9 +257,9 @@ def _nonlinearity(c: NDArray[np.complex128], ws: _FFTWorkspace) -> NDArray[np.co
     pi, fc = _modulus_spectra(c, ws)
     a, b = ws.operands
     np.multiply(ws.n, pi, out=b.slots)
-    np.fft.fft(b.pad, out=b.spec)
+    _fft(b.pad, b.spec)
     np.multiply(b.spec, fc, out=a.prod)
-    np.fft.ifft(a.prod, out=a.conv)
+    _ifft(a.prod, a.conv)
     return a.heads
 
 

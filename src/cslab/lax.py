@@ -65,6 +65,7 @@ __all__ = [
     "IdentityReport",
     "build_lax",
     "spectral_decompose",
+    "reliable_eigenvalues",
     "gap_profile",
     "check_spectral_identities",
 ]
@@ -200,6 +201,18 @@ def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
     return vectors * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
 
 
+def _eigensolve(L: LaxBlock, buffer: int | None, solver):
+    """(buffer, solver(L.matrix)) for a LAPACK Hermitian solver: the buffer
+    checked (K/8 by default, 1 <= buffer < K, else InvalidParameter) and a
+    LAPACK failure raised as EigensolveFailure."""
+    buffer = check_int("buffer (K/8 by default)", L.K // 8 if buffer is None else buffer,
+                       1, L.K - 1)
+    try:
+        return buffer, solver(L.matrix)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
+        raise EigensolveFailure(str(exc)) from exc
+
+
 def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomposition:
     """Dense Hermitian eigendecomposition of a LaxBlock.
 
@@ -208,12 +221,7 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
     outputs reproducible across LAPACK builds, except at eigenvalues that
     coincide to roundoff, where only the spanned subspace is well defined.
     """
-    buffer = check_int("buffer (K/8 by default)", L.K // 8 if buffer is None else buffer,
-                       1, L.K - 1)
-    try:
-        ev, vec = np.linalg.eigh(L.matrix)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise EigensolveFailure(str(exc)) from exc
+    buffer, (ev, vec) = _eigensolve(L, buffer, np.linalg.eigh)
     return SpectralDecomposition(
         eigenvalues=ev,
         vectors=_fix_phases(vec),
@@ -222,6 +230,16 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
         K=L.K,
         buffer=buffer,
     )
+
+
+def reliable_eigenvalues(L: LaxBlock, buffer: int | None = None) -> NDArray[np.float64]:
+    """The eigenvalues of a LaxBlock below the reliability cutoff K - buffer,
+    ascending, without eigenvectors (``eigvalsh``, about half the time of
+    ``eigh`` at K = 256).  The buffer rule and the errors are those of
+    ``spectral_decompose``; the values agree with its eigenvalues to
+    roundoff, not bit for bit."""
+    buffer, ev = _eigensolve(L, buffer, np.linalg.eigvalsh)
+    return ev[:L.K - buffer]
 
 
 def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128]):

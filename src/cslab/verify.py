@@ -30,7 +30,7 @@ from .fixtures import RATIONAL_FIXTURES, WAVE_SPEED_FIXTURES, make_fixture, \
     random_decaying, random_pole_config
 from .hardy import HardyCoeffs
 from .lax import build_lax, check_spectral_identities, gap_profile, \
-    spectral_decompose
+    reliable_eigenvalues, spectral_decompose
 from .waves import pde_residual, sample_wave
 
 __all__ = ["run_verify"]
@@ -169,13 +169,11 @@ def criterion_3(seed: int) -> list:
         prof = gap_profile(dec, u)
         min_collin = min(min_collin, float(np.min(np.abs(prof.collinearity))))
 
-        decf = spectral_decompose(build_lax(u, "focusing"), buffer=buffer)
-        nu = decf.eigenvalues[:decf.reliable]
+        nu = reliable_eigenvalues(build_lax(u, "focusing"), buffer=buffer)
         min_foc_two = min(min_foc_two, float(np.min(nu[2:] - nu[:-2])))
 
         scaled = HardyCoeffs(u.coeffs * (np.sqrt(0.4) / u.norm()))
-        decs = spectral_decompose(build_lax(scaled, "focusing"), buffer=buffer)
-        nus = decs.eigenvalues[:decs.reliable]
+        nus = reliable_eigenvalues(build_lax(scaled, "focusing"), buffer=buffer)
         min_resc_diff = min(min_resc_diff, float(np.min(np.diff(nus))))
     return [
         Check("min_defocusing_gap", min_def_diff, 1.0 - 1e-8, kind="min"),

@@ -228,7 +228,7 @@ def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
     return HardyCoeffs(c0 * np.exp(-1j * n * w.c * t))
 
 
-def pde_residual(w: WaveParams, sign: str, K: int = 256) -> float:
+def pde_residual(w: WaveParams, sign: str, *, K: int) -> float:
     """Relative residual of i u_t + u_xx +/- 2 D Pi(|u|^2) u at t = 0.
 
     u comes from ``sample_wave`` and its exact time derivative from the

@@ -148,6 +148,33 @@ def test_evolve_to_time_zero_measures_no_speed(tmp_path):
     assert summary["measured_speed"] is None
 
 
+def test_evolve_with_coarse_records_measures_the_speed(tmp_path):
+    """Records 50 steps apart alias the high modes' phases; the speed is
+    still measured (it used to be written as null)."""
+    out = tmp_path / "e"
+    assert run("evolve", "--fixture", "wave:defocusing:1:0.5:0.2", "--K", "128",
+               "--T", "0.05", "--record-every", "50", "--out-dir", str(out)) == 0
+    summary = json.loads((out / "evolve_summary.json").read_text())
+    assert summary["snapshots"] == 11
+    assert summary["measured_speed"] == pytest.approx(155.0 / 3.0, rel=1e-8)
+
+
+def test_modulated_index_one_fixture(tmp_path):
+    """modulated:1:P has alpha = 0; its finite-gap record is m0 = 0 with
+    a = -beta/p, and the spectrum command runs on it."""
+    assert run("spectrum", "--fixture", "modulated:1:0.5", "--K", "64",
+               "--out-dir", str(tmp_path)) == 0
+    ident = json.loads((tmp_path / "spectrum_identities.json").read_text())
+    assert ident["max_residual"] < 1e-8
+
+
+def test_evolve_refuses_a_truncation_without_buffer(tmp_path):
+    coeffs = tmp_path / "u4.json"
+    coeffs.write_text("[[0.3, 0], [0.1, 0], [0, 0], [0, 0]]")
+    assert run("evolve", "--input", str(coeffs), "--sign", "defocusing",
+               "--T", "0.01", "--dt", "1e-3", "--out-dir", str(tmp_path)) == 3
+
+
 def test_reruns_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):

@@ -40,6 +40,7 @@ from cslab.evolve import (
     _lawson_setup,
     _lawson_stages,
 )
+from cslab import hardy
 from cslab.hardy import _FFTWorkspace, _conv_length, nonlinearity
 from cslab.lax import _b_block
 
@@ -141,6 +142,33 @@ def test_measured_speed_matches_closed_form():
     traj = evolve(u0, cfg)
     c = measure_speed(traj, u0)
     assert c == pytest.approx(-1.0 / 3.0, abs=1e-6)
+
+
+def test_coarse_records_give_the_speed():
+    """Records 50 steps apart turn the phase of mode n by n c dt = 0.258 n:
+    past pi for the significant modes 13 to 17, which alias unless they
+    are unwrapped against the equation's phase rates.  Records 1300 steps
+    apart alias every mode (c dt = 6.7), evenly spaced or with a shorter
+    last interval; unwrapped against mode 1 alone they would give
+    c - 2 pi/dt = 3.33.  The speed is the one an every-step record gives,
+    to the fit's roundoff."""
+    fx, u0 = _wave_state("wave:defocusing:1:0.5:0.2", 128)
+    modes = np.nonzero(np.abs(u0.coeffs) > 1e-6)[0]
+    assert list(modes[modes * fx.wave.c * 50e-4 > np.pi]) == [13, 14, 15, 16, 17]
+    speeds = []
+    for T, every in ((0.05, 1), (0.05, 50), (0.52, 1300), (0.5, 1300)):
+        cfg = EvolveConfig(sign="defocusing", K=128, T=T, dt=1e-4, record_every=every)
+        speeds.append(measure_speed(evolve(u0, cfg), u0))
+    assert speeds[0] == pytest.approx(fx.wave.c, rel=1e-9)
+    assert speeds[1:] == pytest.approx([speeds[0]] * 3, rel=1e-9)
+
+
+def test_conservation_report_refuses_a_truncation_without_buffer():
+    """K = 4 keeps no reliability buffer (K/8 = 0): no eigenvalue drift."""
+    u0 = HardyCoeffs(np.array([0.3, 0.1, 0.0, 0.0], dtype=complex))
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=4, T=0.01, dt=1e-3))
+    with pytest.raises(InvalidParameter):
+        conservation_report(traj)
 
 
 def test_measure_speed_guards():
@@ -264,7 +292,9 @@ def test_b_action_matches_dense_generator(sign):
 def test_stepper_fft_call_counts(monkeypatch):
     """Shared spectra: the nonlinearity makes 4 FFT calls, the kernel
     spectra 1 and the B action 8; evolve_basis makes 32 per step plus 13
-    per block of 8 steps (12 for the stacked stages, 1 for their kernels)."""
+    per block of 8 steps (12 for the stacked stages, 1 for their kernels).
+    Every transform goes through ``hardy._fft`` or ``hardy._ifft``, looked
+    up on the module, so patching the two counts them all."""
     calls = []
 
     def counted(real):
@@ -277,8 +307,8 @@ def test_stepper_fft_call_counts(monkeypatch):
     traj = _defocusing_wave_trajectory()
     kern_ws, act_ws = _FFTWorkspace(4, (64,)), _FFTWorkspace(3, (2, 64))
     kern_ws.slots[0] = u.coeffs
-    for name in ("fft", "ifft"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    for name in ("_fft", "_ifft"):
+        monkeypatch.setattr(hardy, name, counted(getattr(hardy, name)))
     nonlinearity(u.coeffs)
     assert len(calls) == 4
     calls.clear()

@@ -84,6 +84,19 @@ def test_fixture_coeffs_agree_with_producing_module():
                                atol=1e-15)
 
 
+@pytest.mark.parametrize("p", ["0.5", "-0.3", "0.2+0.4j"])
+def test_modulated_index_one_is_a_pole_record_without_power(p):
+    """m = 1 gives alpha = 0, and z beta/(1 - p z) = (beta/p)/(1 - p z) - beta/p:
+    the record has m0 = 0, a = -beta/p and residue beta/p (m0 = 1 with
+    a = 0 is refused), and it yields the wave's coefficients."""
+    fx = make_fixture(f"modulated:1:{p}")
+    fg = fx.finite_gap
+    assert (fg.m0, fg.N) == (0, 1)
+    assert fg.a == pytest.approx(-fx.wave.beta / complex(p))
+    np.testing.assert_allclose(potential_coeffs(fg, 64).coeffs, fx.coeffs(64).coeffs,
+                               atol=1e-15)
+
+
 @settings(deadline=None, max_examples=25, derandomize=True)
 @given(seed=st.integers(0, 10 ** 6))
 def test_random_decaying_respects_envelope(seed):

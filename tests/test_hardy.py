@@ -48,6 +48,8 @@ from cslab import (
 from cslab.hardy import (
     _FFTWorkspace,
     _conv_length,
+    _fft,
+    _ifft,
     _modulus_spectra,
     _nonlinearity,
     analytic_toeplitz_block,
@@ -224,6 +226,20 @@ def test_nonlinearity_workspace_matches_allocating_form(K):
         assert np.array_equal(
             pi, np.fft.ifft(want_fc * np.fft.fft(np.conj(stack[:, ::-1]), _conv_length(K)))
             [:, K - 1:2 * K - 1])
+
+
+@pytest.mark.parametrize("L", [4, 512, 4096])
+def test_fft_kernel_calls_equal_numpy_fft(L):
+    """``_fft``/``_ifft`` call numpy's pocketfft kernel without its wrapper;
+    on every workspace shape they must equal np.fft.fft/ifft bit for bit,
+    so a numpy that changes the private kernel fails here."""
+    rng = np.random.default_rng(L)
+    for shape in [(L,), (2, L), (4, 8, L), (3, 5, L)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for mine, ref in ((_fft, np.fft.fft), (_ifft, np.fft.ifft)):
+            out = np.empty_like(a)
+            assert mine(a, out) is out
+            assert np.array_equal(out, ref(a)), (mine.__name__, shape)
 
 
 def test_nonlinearity_results_do_not_alias():

@@ -30,6 +30,7 @@ from cslab import (
     gap_profile,
     make_fixture,
     random_decaying,
+    reliable_eigenvalues,
     spectral_decompose,
 )
 import cslab.lax as lax
@@ -109,6 +110,29 @@ def test_spectral_decompose_buffer_guard():
     dec = spectral_decompose(L, buffer=8)
     assert dec.reliable == 24
     assert dec.eigenvalues.shape == (32,)
+
+
+@settings(deadline=None, max_examples=12, derandomize=True)
+@given(seed=st.integers(0, 10 ** 6), sign=st.sampled_from(["focusing", "defocusing"]),
+       K=st.sampled_from([8, 37, 64, 128]), buffer=st.sampled_from([None, 1, 5]))
+def test_reliable_eigenvalues_agree_with_the_decomposition(seed, sign, K, buffer):
+    L = build_lax(random_decaying(seed, K, rho=0.8), sign)
+    dec = spectral_decompose(L, buffer=buffer)
+    ev = reliable_eigenvalues(L, buffer=buffer)
+    assert ev.shape == (dec.reliable,)
+    scale = max(1.0, float(np.max(np.abs(dec.eigenvalues))))  # ||L||_2
+    assert np.max(np.abs(ev - dec.eigenvalues[:dec.reliable])) <= 1e-12 * scale
+
+
+def test_reliable_eigenvalues_share_the_buffer_guard():
+    L4 = build_lax(random_decaying(3, 4), "defocusing")
+    for call in (lambda: reliable_eigenvalues(L4), lambda: spectral_decompose(L4)):
+        with pytest.raises(InvalidParameter):
+            call()
+    L = build_lax(random_decaying(3, 32), "focusing")
+    for bad in (0, 32, -1, 2.5):
+        with pytest.raises(InvalidParameter):
+            reliable_eigenvalues(L, buffer=bad)
 
 
 def test_identity_residuals_on_rational_fixtures():
