@@ -19,21 +19,18 @@ exact: a stacked FFT transforms each row as it would alone and every
 spectral product keeps its operand order, so results are bit-identical to
 convolving term by term, step by step.
 
-Each evolve and evolve_basis call makes its FFT workspaces once, used by
-all its steps and dropped on return (nothing is cached across calls), all
-of one class, hardy._FFTWorkspace: zero-padded (n_operands, ..., L)
-buffers with two operands for the nonlinearity, four (the kernel axis
-first) for the kernel spectra and three for the B action.  Inputs go into
-the first K slots of a buffer, whose padding stays zero, and every FFT
-call writes into a workspace buffer; T_k x is read off the head of a
-convolution and T_{conj k} x off its tail.  This too is bit-identical:
-the FFT of a buffer padded with zeros to L is the FFT of its first K
-entries taken with n = L.  Slopes, stage states and recorded states are
-new arrays, never views of the workspace.  The transforms are
-hardy._fft and hardy._ifft, looked up on the module at each call: numpy's
-pocketfft kernel called without the Python wrapper of np.fft (about 5 us
-of a 15 us call at K = 256), with the same normalisation and the same
-bits.
+Each evolve and evolve_basis call makes its zero-padded FFT workspaces
+(hardy._FFTWorkspace) once and drops them on return: two operands for the
+nonlinearity, four (the kernel axis first) for the kernel spectra and
+three for the B action.  The transforms are hardy._fft and hardy._ifft,
+looked up on the module at each call; both keep np.fft's bits.  Slopes,
+stage states and recorded states are new arrays, never views of a
+workspace.
+
+evolve records u(t) as the rows of one read-only complex (n_snapshots, K)
+array, allocated before the first step; every consumer reads its rows,
+wrapped in HardyCoeffs only for build_lax.  The blowup guard is negated,
+so the first step to a non-finite state raises BlowupDetected.
 
 conservation_report reads only eigenvalues, so its snapshots take the
 eigenvalues-only solve (lax.reliable_eigenvalues, about half the time of
@@ -127,18 +124,21 @@ class EvolveConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Recorded snapshots with per-snapshot diagnostics."""
+    """Recorded snapshots: row i of the read-only complex (n_snapshots, K)
+    array ``coeffs`` is the state at ``times[i]``, with its norm, mean and
+    top-K/8 tail energy share."""
 
     cfg: EvolveConfig
     times: NDArray[np.float64]
-    states: tuple
+    coeffs: NDArray[np.complex128]
     l2: NDArray[np.float64]
     mean: NDArray[np.complex128]
     tail: NDArray[np.float64]
 
-    def coeff_matrix(self) -> NDArray[np.complex128]:
-        """Snapshots stacked as rows (n_snapshots, K)."""
-        return np.vstack([s.coeffs for s in self.states])
+    @property
+    def states(self) -> tuple:
+        """The rows as HardyCoeffs, built on each access (bench/workloads.py reads them)."""
+        return tuple(HardyCoeffs(row) for row in self.coeffs)
 
 
 def _lawson_setup(cfg: EvolveConfig):
@@ -190,9 +190,10 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
     The step count is round(T/dt) with the step adjusted to land exactly on
     T.  Snapshots (state + L2 norm, mean, top-K/8 tail energy) are recorded
     every ``record_every`` steps and always at the final time.  Raises
-    BlowupDetected when any |u_hat| passes 1e6 and UnderResolved when the
-    relative tail energy of a recorded state exceeds 1e-8 (or when u0
-    itself carries energy above mode K/2).
+    BlowupDetected at the first step after which some |u_hat| passes 1e6 or
+    is not finite, UnderResolved when the relative tail energy of a recorded
+    state exceeds 1e-8 (or when u0 itself carries energy above mode K/2),
+    and InvalidParameter when the snapshots do not fit in memory.
     """
     if u0.K != cfg.K:
         raise DimensionMismatch(f"u0 has K={u0.K}, config says {cfg.K}")
@@ -215,32 +216,36 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
                     cfg.dt * (K - 1) ** 2)
 
     n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
+    # the state at t = 0, after every record_every steps and after the last
+    n_snap = 1 + -(-n_steps // cfg.record_every)
+    try:
+        coeffs = np.empty((n_snap, K), dtype=np.complex128)
+    except MemoryError:
+        raise InvalidParameter(f"{n_snap} snapshots of {K} modes do not fit in "
+                               "memory; raise record_every") from None
+    times, tails = np.zeros(n_snap), np.empty(n_snap)
+    coeffs[0], tails[0] = c, _tail_rel(c)
     ws = _FFTWorkspace(2, c.shape)
-    times = [0.0]
-    states = [HardyCoeffs(c.copy())]
-    tails = [_tail_rel(c)]
     for i in range(n_steps):
         (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2, ws)
         k4 = s2i * _nonlinearity(u4, ws)
         c = E2 * c + (h / 6.0) * (E2 * k1 + 2.0 * E1 * (k2 + k3) + k4)
-        if np.max(np.abs(c)) > _BLOWUP_THRESHOLD:
-            raise BlowupDetected(f"|u_hat| exceeded {_BLOWUP_THRESHOLD:.1e} "
-                                 f"at t = {(i + 1) * h:.6f}")
+        if not np.max(np.abs(c)) <= _BLOWUP_THRESHOLD:  # negated: NaN trips it
+            what = (f"exceeded {_BLOWUP_THRESHOLD:.1e}" if np.isfinite(c).all()
+                    else "is not finite")
+            raise BlowupDetected(f"|u_hat| {what} at t = {(i + 1) * h:.6f}")
         if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
             tail = _tail_rel(c)
             if tail > _TAIL_REL_TOL:
                 raise UnderResolved(
                     f"tail energy {tail:.3e} at t = {(i + 1) * h:.6f} "
                     f"exceeds {_TAIL_REL_TOL:.1e}; increase K")
-            times.append((i + 1) * h)
-            states.append(HardyCoeffs(c.copy()))
-            tails.append(tail)
+            r = -(-(i + 1) // cfg.record_every)
+            times[r], coeffs[r], tails[r] = (i + 1) * h, c, tail
 
-    mat = np.vstack([s.coeffs for s in states])
-    l2 = np.linalg.norm(mat, axis=1)
-    mean = mat[:, 0].copy()
-    return Trajectory(cfg=cfg, times=np.array(times), states=tuple(states),
-                      l2=l2, mean=mean, tail=np.array(tails))
+    coeffs.flags.writeable = False
+    return Trajectory(cfg, times, coeffs, np.linalg.norm(coeffs, axis=1),
+                      coeffs[:, 0].copy(), tails)
 
 
 @dataclass(frozen=True)
@@ -266,12 +271,12 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
     """
     l2_drift = float(np.max(np.abs(traj.l2 ** 2 - traj.l2[0] ** 2)))
     mean_drift = float(np.max(np.abs(traj.mean - traj.mean[0])))
-    n_snap = len(traj.states)
+    n_snap = len(traj.coeffs)
     idx = np.unique(np.linspace(0, n_snap - 1, min(n_snap, _EIG_SNAPSHOTS)).astype(int))
     ref = None
     eig_drift = 0.0
-    for i in idx:
-        evs = reliable_eigenvalues(build_lax(traj.states[i], traj.cfg.sign))[:_N_EIGS]
+    for row in traj.coeffs[idx]:
+        evs = reliable_eigenvalues(build_lax(HardyCoeffs(row), traj.cfg.sign))[:_N_EIGS]
         if ref is None:
             ref = evs
         else:
@@ -303,7 +308,7 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     """
     if base.K != traj.cfg.K:
         raise DimensionMismatch("base truncation differs from the trajectory")
-    if np.linalg.norm(traj.states[0].coeffs - base.coeffs) > 1e-12:
+    if np.linalg.norm(traj.coeffs[0] - base.coeffs) > 1e-12:
         raise InvalidParameter("trajectory was not generated from this base state")
     if len(traj.times) < 2:
         raise InvalidParameter("need at least 2 snapshots to fit a speed")
@@ -312,7 +317,6 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     if modes.size < 2:
         raise InvalidParameter(
             "need at least 2 significant oscillating modes to fit a speed")
-    mat = traj.coeff_matrix()
     t = traj.times
     A = np.vstack([t, np.ones_like(t)]).T
     n2 = modes.astype(float) ** 2
@@ -321,7 +325,7 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     rates = np.imag(s2i * hardy.nonlinearity(base.coeffs)[modes] / base.coeffs[modes]) - n2
     estimates = np.empty(modes.size)
     for k, n in enumerate(modes):
-        phase = np.unwrap(np.angle(mat[:, n]))
+        phase = np.unwrap(np.angle(traj.coeffs[:, n]))
         turns = np.round((np.diff(phase) - rates[k] * np.diff(t)) / (2 * np.pi))
         phase[1:] -= 2 * np.pi * np.cumsum(turns)
         slope, _ = np.linalg.lstsq(A, phase, rcond=None)[0]
@@ -440,7 +444,7 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     sign = cfg.sign
     n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
 
-    L0 = build_lax(traj.states[0], sign).matrix
+    L0 = build_lax(HardyCoeffs(traj.coeffs[0]), sign).matrix
     lams = np.real(np.einsum("km,km->m", np.conj(F), L0 @ F)
                    / np.einsum("km,km->m", np.conj(F), F))
 
@@ -450,14 +454,13 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     cols = np.empty((len(times), K, F.shape[1]), dtype=np.complex128)
     cols[0] = F
     G = F.T.copy()
-    u_mat = traj.coeff_matrix()
     # the workspace of this call: stage stacks, their kernels, the action
     stage_ws = _FFTWorkspace(2, (_STEP_BLOCK, K))
     kern_ws = _FFTWorkspace(4, (4, _STEP_BLOCK, K))
     act_ws = _FFTWorkspace(3, G.shape)
 
     for b in range(0, n_steps, _STEP_BLOCK):
-        u1 = u_mat[b:min(b + _STEP_BLOCK, n_steps)]
+        u1 = traj.coeffs[b:min(b + _STEP_BLOCK, n_steps)]
         if u1.shape[0] < _STEP_BLOCK:  # the last block may be shorter
             stage_ws = _FFTWorkspace(2, u1.shape)
             kern_ws = _FFTWorkspace(4, (4, *u1.shape))
@@ -498,7 +501,6 @@ def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
             f"basis columns have K={basis.columns.shape[1]}, the trajectory {traj.cfg.K}")
     if not np.array_equal(basis.times, traj.times):
         raise DimensionMismatch("basis and trajectory are sampled at different times")
-    u_mat = traj.coeff_matrix()
     t = basis.times
     lam = basis.eigenvalues
     cols = basis.columns
@@ -507,7 +509,7 @@ def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
     pot = 0.0
     mean = 0.0
     for j in range(m):
-        overlap = np.einsum("tk,tk->t", u_mat, np.conj(cols[:, :, j]))
+        overlap = np.einsum("tk,tk->t", traj.coeffs, np.conj(cols[:, :, j]))
         expected = overlap[0] * np.exp(-1j * lam[j] ** 2 * t)
         pot = max(pot, float(np.max(np.abs(overlap - expected))))
         ones = np.conj(cols[:, 0, j])

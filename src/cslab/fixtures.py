@@ -2,11 +2,11 @@
 
 Two exactly solvable examples anchor most oracle tests:
 
-  appendix1   u = sqrt(1-|p|^2)/(1 - p z), default p = 0.5 (focusing).
+  appendix1   u = sqrt(1-|p|^2)/(1 - p z), p = 0.5 (focusing).
               Spectrum {-1, 0, 1, 2, ...}: the potential itself is the
               eigenvector at -1, and psi = (z - conj p)/(1 - p z) heads the
               integer ladder.  A 0-gap potential whose f_1 != S f_0.
-  appendix2   u = sqrt(2(1-|p|^4)) z/(1 - p^2 z^2), default p = 0.6
+  appendix2   u = sqrt(2(1-|p|^4)) z/(1 - p^2 z^2), p = 0.6
               (focusing).  Spectrum {-1, 0, 0, 1, 2, ...} with a double
               eigenvalue 0 shared by the constant 1 and the degree-2
               Blaschke ladder head; <u|f_n> = 0 for every n >= 1 even
@@ -93,19 +93,18 @@ class Fixture:
         return None
 
 
-def appendix1(p: complex = 0.5) -> Fixture:
-    fg = FiniteGapPotential(sign="focusing", m0=0, poles=(p,), mults=(1,),
-                            a=0.0, residues=(np.sqrt(1.0 - abs(p) ** 2),))
-    return Fixture(name="appendix1", kind="appendix1", sign="focusing", p=p,
-                   finite_gap=fg)
-
-
-def appendix2(p: complex = 0.6) -> Fixture:
-    c1 = np.sqrt(2.0 * (1.0 - abs(p) ** 4)) / (2.0 * p)
-    fg = FiniteGapPotential(sign="focusing", m0=0, poles=(p, -p), mults=(1, 1),
-                            a=0.0, residues=(c1, -c1))
-    return Fixture(name="appendix2", kind="appendix2", sign="focusing", p=p,
-                   finite_gap=fg)
+_P1, _P2 = 0.5, 0.6  # the poles of appendix1 and appendix2
+_C2 = np.sqrt(2.0 * (1.0 - abs(_P2) ** 4)) / (2.0 * _P2)
+_APPENDIX = {
+    "appendix1": Fixture(
+        name="appendix1", kind="appendix1", sign="focusing", p=_P1,
+        finite_gap=FiniteGapPotential(sign="focusing", m0=0, poles=(_P1,), mults=(1,),
+                                      a=0.0, residues=(np.sqrt(1.0 - abs(_P1) ** 2),))),
+    "appendix2": Fixture(
+        name="appendix2", kind="appendix2", sign="focusing", p=_P2,
+        finite_gap=FiniteGapPotential(sign="focusing", m0=0, poles=(_P2, -_P2),
+                                      mults=(1, 1), a=0.0, residues=(_C2, -_C2))),
+}
 
 
 def _wave_to_finite_gap(w: WaveParams) -> FiniteGapPotential:
@@ -163,10 +162,8 @@ def make_fixture(name: str, sign: str | None = None) -> Fixture:
         fields = [kind(text) for kind, text in zip(types, fields, strict=True)]
     except ValueError:
         raise InvalidParameter(f"expected {form}, got {name!r}") from None
-    if head == "appendix1":
-        return appendix1()
-    if head == "appendix2":
-        return appendix2()
+    if head in _APPENDIX:
+        return _APPENDIX[head]
     if head == "wave":
         wsign, N, pw, beta = fields
         w = make_wave(wsign, "pole", N=N, p=pw, beta=beta)

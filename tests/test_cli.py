@@ -313,6 +313,11 @@ def test_constraint_failures_exit_3(tmp_path):
     # 1e304 steps: finite, but above MAX_STEPS (it used to run until killed)
     assert run("evolve", "--fixture", "wave:focusing:1:0.5:1", "--K", "64",
                "--T", "1e300", "--out-dir", str(tmp_path)) == 3
+    # a first step to NaN ends the run there (BlowupDetected), not 10^5 steps on
+    with np.errstate(all="ignore"):
+        assert run("evolve", "--input", str(coeffs), "--sign", "defocusing",
+                   "--K", "32", "--T", "1e15", "--dt", "1e10", "--record-every",
+                   "1000000000", "--out-dir", str(tmp_path)) == 3
     # malformed fixture names, and a K above the limit on every subcommand
     for name in ("wave:focusing:x:0.5:1", "plane:1:zz", "appendix1:3"):
         assert run("spectrum", "--fixture", name,

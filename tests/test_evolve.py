@@ -88,7 +88,7 @@ def test_plane_wave_evolution_is_exact():
     cfg = EvolveConfig(sign="defocusing", K=32, T=0.3, dt=1e-3)
     traj = evolve(u0, cfg)
     want = sample_wave(w, 0.3, 32).coeffs
-    assert np.abs(traj.states[-1].coeffs - want).max() < 1e-12
+    assert np.abs(traj.coeffs[-1] - want).max() < 1e-12
 
 
 def test_snapshot_cadence_and_final_time():
@@ -98,8 +98,18 @@ def test_snapshot_cadence_and_final_time():
     traj = evolve(u0, cfg)
     np.testing.assert_allclose(traj.times, [0.0, 0.003, 0.006, 0.009, 0.01],
                                atol=1e-15)
-    assert traj.coeff_matrix().shape == (5, 64)
+    assert traj.coeffs.shape == (5, 64)
     assert len(traj.l2) == len(traj.times) == len(traj.mean)
+
+
+def test_states_are_the_rows_of_coeffs():
+    """``states`` (read by the benchmark's flow workload) wraps each row."""
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3,
+                                   record_every=3))
+    assert len(traj.states) == len(traj.coeffs) == 5
+    for i, state in enumerate(traj.states):
+        assert np.array_equal(state.coeffs, traj.coeffs[i])
 
 
 def test_fourth_order_convergence_on_pole_wave():
@@ -112,7 +122,7 @@ def test_fourth_order_convergence_on_pole_wave():
                            record_every=10 ** 9)
         traj = evolve(u0, cfg)
         exact = sample_wave(w, T, 64).coeffs
-        errs.append(np.linalg.norm(traj.states[-1].coeffs - exact))
+        errs.append(np.linalg.norm(traj.coeffs[-1] - exact))
     assert errs[0] / errs[1] > 12.0, f"order ratio {errs[0]/errs[1]:.2f}"
 
 
@@ -203,8 +213,32 @@ def test_blowup_threshold_guard():
     c = np.zeros(64, dtype=complex)
     c[0] = 2e6
     cfg = EvolveConfig(sign="defocusing", K=64, T=0.05, dt=5e-4)
-    with pytest.raises(BlowupDetected):
+    with pytest.raises(BlowupDetected, match="exceeded"):
         evolve(HardyCoeffs(c), cfg)
+
+
+@pytest.mark.parametrize("every", [1, 10 ** 9])
+def test_blowup_guard_stops_the_first_non_finite_step(every):
+    """A step of 1e10 takes a 4-mode state to NaN, which compares False
+    with the threshold: the guard is negated, so the run stops there and
+    does not step NaN through the 10^5 steps to T, recorded or not."""
+    c = np.zeros(32, dtype=complex)
+    c[:4] = [0.3, 0.2j, 0.1, 0.05]
+    cfg = EvolveConfig(sign="focusing", K=32, T=1e15, dt=1e10, record_every=every)
+    with np.errstate(all="ignore"), pytest.raises(BlowupDetected, match="not finite"):
+        evolve(HardyCoeffs(c), cfg)
+
+
+def test_snapshots_that_do_not_fit_are_refused(monkeypatch):
+    """The snapshot array is allocated before the first step; an allocation
+    that fails is refused as a parameter error, not raised as MemoryError."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
+    cfg = EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3)
+    monkeypatch.setattr(np, "empty", no_memory)
+    with pytest.raises(InvalidParameter, match="record_every"):
+        evolve(u0, cfg)
 
 
 def test_under_resolved_initial_data_rejected():
@@ -382,7 +416,8 @@ def test_b_action_workspace_matches_allocating_form(sign, K):
 
 def test_integrator_results_do_not_alias_the_workspace():
     """Slopes, stage states and B actions from one call on a workspace are
-    unchanged by the next call on it; recorded states are distinct arrays."""
+    unchanged by the next call on it; the recorded states share no memory
+    with u0 and are read-only."""
     rng = np.random.default_rng(3)
     K = 64
     a, b = 0.1 * (rng.standard_normal((2, K)) + 1j * rng.standard_normal((2, K)))
@@ -403,10 +438,10 @@ def test_integrator_results_do_not_alias_the_workspace():
 
     _, u0 = _wave_state("wave:defocusing:1:0.5:1", K)
     traj = evolve(u0, EvolveConfig(sign="defocusing", K=K, T=0.01, dt=1e-3))
-    states = [s.coeffs for s in traj.states]
-    assert not any(np.shares_memory(x, y) for i, x in enumerate(states)
-                   for y in states[i + 1:])
-    assert not any(np.shares_memory(x, u0.coeffs) for x in states)
+    assert not np.shares_memory(traj.coeffs, u0.coeffs)
+    assert not traj.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        traj.coeffs[0, 0] = 1.0
     basis = evolve_basis(traj, np.eye(K, 2, dtype=complex))
     kept_cols = basis.columns.copy()
     evolve_basis(traj, np.eye(K, 2, -5, dtype=complex))
@@ -418,9 +453,8 @@ def test_evolve_tail_is_the_tail_of_each_recorded_state():
     _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
     traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.01, dt=1e-3,
                                    record_every=3))
-    want = [np.sum(np.abs(s.coeffs[56:]) ** 2) / np.sum(np.abs(s.coeffs) ** 2)
-            for s in traj.states]
-    assert len(traj.tail) == len(traj.states) == 5
+    want = [np.sum(np.abs(s[56:]) ** 2) / np.sum(np.abs(s) ** 2) for s in traj.coeffs]
+    assert len(traj.tail) == len(traj.coeffs) == 5
     np.testing.assert_allclose(traj.tail, want, rtol=1e-12, atol=0.0)
 
 
@@ -435,7 +469,7 @@ def _evolve_basis_step_by_step(traj, F):
     conv, kern = _FFTWorkspace(2, (K,)), _FFTWorkspace(4, (K,))
     act = _FFTWorkspace(3, G.shape)
     for i in range(n_steps):
-        u1 = traj.states[i].coeffs
+        u1 = traj.coeffs[i]
         u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2, conv)[0]
         l1 = _apply_b_cols(_kernels(u1, kern), G, sign, act)
         l2 = _apply_b_cols(_kernels(u2, kern), G + (h / 2.0) * l1, sign, act)
@@ -516,4 +550,4 @@ def test_time_sampler_agrees_with_flow():
     with pytest.warns(OutsideTheory):  # norm^2 = 13/7 exceeds the smallness bar
         traj = evolve(u0, cfg)
     exact = sample_wave(w, 0.1, 64).coeffs
-    assert np.abs(traj.states[-1].coeffs - exact).max() < 1e-10
+    assert np.abs(traj.coeffs[-1] - exact).max() < 1e-10

@@ -48,7 +48,6 @@ from cslab import (
     spectral_decompose,
 )
 import cslab.finitegap as finitegap
-import cslab.fixtures as fixtures
 from cslab.finitegap import _ladder_walk, _model_space
 from cslab.hardy import _shifted_columns
 
@@ -73,10 +72,20 @@ def test_single_pole_solution_closed_form():
     assert np.abs(res).max() < 1e-12
 
 
+def _pole_pair(p):
+    """The record of the potential sqrt(2(1-p^4)) z/(1 - p^2 z^2), appendix2's
+    profile at another pole: a = 0 and residues +/- c1 at the poles +/- p."""
+    c1 = np.sqrt(2 * (1 - p ** 4)) / (2 * p)
+    return FiniteGapPotential(sign="focusing", m0=0, poles=(p, -p), mults=(1, 1),
+                              a=0.0, residues=(c1, -c1))
+
+
 def test_symmetric_pole_pair_closed_form():
     p = 0.5
-    fg = fixtures.appendix2(p).finite_gap
+    fg = _pole_pair(p)
     c1 = np.sqrt(2 * (1 - p ** 4)) / (2 * p)
+    res = residue_residuals("focusing", fg.a, fg.residues, fg.poles, fg.mults)
+    assert np.abs(res).max() < 1e-12
     got = sorted(abs(c) for c in fg.residues)
     assert got[0] == pytest.approx(c1, abs=1e-12)
     assert got[1] == pytest.approx(c1, abs=1e-12)
@@ -87,12 +96,12 @@ def test_symmetric_pole_pair_closed_form():
 
 def test_potential_coeffs_geometric_series():
     p = 0.5
-    fg1 = fixtures.appendix1(p).finite_gap
+    fg1 = make_fixture("appendix1").finite_gap  # p = 0.5
     u1 = potential_coeffs(fg1, 48)
     n = np.arange(48)
     np.testing.assert_allclose(u1.coeffs, np.sqrt(1 - p * p) * p ** n,
                                atol=1e-14)
-    fg2 = fixtures.appendix2(p).finite_gap
+    fg2 = _pole_pair(p)
     u2 = potential_coeffs(fg2, 48)
     want = 2 * abs(fg2.residues[0]) * p ** n
     want[::2] = 0.0
@@ -213,7 +222,7 @@ def test_classify_truncation_mismatch_guard():
 
 
 def test_ladder_blaschke_matches_solved_poles():
-    fg = fixtures.appendix2(0.5).finite_gap
+    fg = _pole_pair(0.5)
     psi = ladder_blaschke(fg)
     assert psi.power == 0
     assert sorted(complex(z).real for z in psi.zeros) == [-0.5, 0.5]

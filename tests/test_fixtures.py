@@ -17,7 +17,6 @@ from cslab import (
     spectral_decompose,
     wave_l2,
 )
-import cslab.fixtures as fixtures
 
 
 def test_all_rational_fixture_names_parse():
@@ -46,12 +45,6 @@ def test_name_parse_errors():
         make_fixture("appendix1").coeffs(64.0)  # K is not an integer
 
 
-def test_pole_override():
-    fx = fixtures.appendix1(0.25)
-    u = fx.coeffs(32)
-    assert u.coeffs[1] / u.coeffs[0] == pytest.approx(0.25, abs=1e-14)
-
-
 def test_spectrum_heads():
     """The certified leading eigenvalues of the appendix potentials."""
     for name, head in (("appendix1", [-1, 0, 1, 2, 3]),
@@ -78,10 +71,11 @@ def test_fixture_coeffs_agree_with_producing_module():
     fx = make_fixture("wave:focusing:1:0.5:1")
     np.testing.assert_allclose(fx.coeffs(64).coeffs,
                                sample_wave(fx.wave, 0.0, 64).coeffs, atol=0)
-    fx = make_fixture("appendix2")
-    np.testing.assert_allclose(fx.coeffs(64).coeffs,
-                               potential_coeffs(fx.finite_gap, 64).coeffs,
-                               atol=1e-15)
+    for name in ("appendix1", "appendix2"):
+        fx = make_fixture(name)
+        np.testing.assert_allclose(fx.coeffs(64).coeffs,
+                                   potential_coeffs(fx.finite_gap, 64).coeffs,
+                                   atol=1e-15)
 
 
 @pytest.mark.parametrize("p", ["0.5", "-0.3", "0.2+0.4j"])
