@@ -171,5 +171,5 @@ def check_in_disc(name: str, z) -> complex:
 def check_same_K(u, dec) -> None:
     """Refuse a potential and a decomposition of different truncations."""
     if u.K != dec.K:
-        raise InvalidParameter(
+        raise DimensionMismatch(
             f"decomposition and potential truncations differ: K={dec.K} and K={u.K}")

@@ -14,10 +14,11 @@ Both FFT kernels share transforms: 4 calls per nonlinearity, and 8 per B
 action once the spectra of its four kernels are known.  evolve_basis takes
 the trajectory in blocks of steps: one stacked call of the stepper gives
 the stage states of a whole block (12 FFT calls) and one more call their
-kernel spectra, so a step costs about 34 calls, not 48.  All of it is
-exact: a stacked FFT transforms each row as it would alone and every
-spectral product keeps its operand order, so results are bit-identical to
-convolving term by term, step by step.
+kernel spectra, so a step costs about 34 calls, not 48; a short last
+block uses the leading rows.  All of it is exact: stacked FFTs and
+elementwise operations work row by row and every spectral product keeps
+its operand order, so results are bit-identical to convolving term by
+term, step by step.
 
 Each evolve and evolve_basis call makes its zero-padded FFT workspaces
 (hardy._FFTWorkspace) once and drops them on return: two operands for the
@@ -27,10 +28,11 @@ looked up on the module at each call; both keep np.fft's bits.  Slopes,
 stage states and recorded states are new arrays, never views of a
 workspace.
 
-evolve records u(t) as the rows of one read-only complex (n_snapshots, K)
-array, allocated before the first step; every consumer reads its rows,
-wrapped in HardyCoeffs only for build_lax.  The blowup guard is negated,
-so the first step to a non-finite state raises BlowupDetected.
+Stored states are rows, K last: evolve records u(t) in one read-only
+complex (n_snapshots, K) array, allocated before the first step, and
+evolve_basis g_n^t in an (n_snapshots, m, K) one.  The blowup guard is
+negated, so the first step to a non-finite state raises BlowupDetected;
+numpy's overflow and invalid-value warnings are off in the step loop.
 
 conservation_report reads only eigenvalues, so its snapshots take the
 eigenvalues-only solve (lax.reliable_eigenvalues, about half the time of
@@ -50,7 +52,6 @@ end-to-end integrator checks.
 
 from __future__ import annotations
 
-import logging
 import math
 import warnings
 from dataclasses import dataclass
@@ -69,7 +70,7 @@ from .errors import (
 )
 from .errors import K_MAX, check_int, check_real, check_sign
 from . import hardy
-from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity, shift_columns
+from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity
 from .lax import build_lax, reliable_eigenvalues
 
 __all__ = [
@@ -83,8 +84,6 @@ __all__ = [
     "evolve_basis",
     "phase_law_report",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Guards of evolve: the largest |u_hat(n)| after a step, and the largest
 #: share of a recorded state's energy in its top K/8 modes.
@@ -210,10 +209,6 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
             f"focusing norm {np.sqrt(total):.3f} >= 1: outside the "
             "global-well-posedness smallness condition",
             OutsideTheory, stacklevel=2)
-    if cfg.dt * (K - 1) ** 2 > 2.0:
-        logger.info("dt*(K-1)^2 = %.2f exceeds the dispersive-resolution "
-                    "advisory bound 2 (linear part is exact regardless)",
-                    cfg.dt * (K - 1) ** 2)
 
     n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
     # the state at t = 0, after every record_every steps and after the last
@@ -226,22 +221,24 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
     times, tails = np.zeros(n_snap), np.empty(n_snap)
     coeffs[0], tails[0] = c, _tail_rel(c)
     ws = _FFTWorkspace(2, c.shape)
-    for i in range(n_steps):
-        (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2, ws)
-        k4 = s2i * _nonlinearity(u4, ws)
-        c = E2 * c + (h / 6.0) * (E2 * k1 + 2.0 * E1 * (k2 + k3) + k4)
-        if not np.max(np.abs(c)) <= _BLOWUP_THRESHOLD:  # negated: NaN trips it
-            what = (f"exceeded {_BLOWUP_THRESHOLD:.1e}" if np.isfinite(c).all()
-                    else "is not finite")
-            raise BlowupDetected(f"|u_hat| {what} at t = {(i + 1) * h:.6f}")
-        if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
-            tail = _tail_rel(c)
-            if tail > _TAIL_REL_TOL:
-                raise UnderResolved(
-                    f"tail energy {tail:.3e} at t = {(i + 1) * h:.6f} "
-                    f"exceeds {_TAIL_REL_TOL:.1e}; increase K")
-            r = -(-(i + 1) // cfg.record_every)
-            times[r], coeffs[r], tails[r] = (i + 1) * h, c, tail
+    # the guard reports a step to inf or NaN, so numpy need not warn of it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_steps):
+            (_, _, u4), (k1, k2, k3) = _lawson_stages(c, h, s2i, E1, E2, ws)
+            k4 = s2i * _nonlinearity(u4, ws)
+            c = E2 * c + (h / 6.0) * (E2 * k1 + 2.0 * E1 * (k2 + k3) + k4)
+            if not np.max(np.abs(c)) <= _BLOWUP_THRESHOLD:  # negated: NaN trips it
+                what = (f"exceeded {_BLOWUP_THRESHOLD:.1e}" if np.isfinite(c).all()
+                        else "is not finite")
+                raise BlowupDetected(f"|u_hat| {what} at t = {(i + 1) * h:.6f}")
+            if (i + 1) % cfg.record_every == 0 or i + 1 == n_steps:
+                tail = _tail_rel(c)
+                if tail > _TAIL_REL_TOL:
+                    raise UnderResolved(
+                        f"tail energy {tail:.3e} at t = {(i + 1) * h:.6f} "
+                        f"exceeds {_TAIL_REL_TOL:.1e}; increase K")
+                r = -(-(i + 1) // cfg.record_every)
+                times[r], coeffs[r], tails[r] = (i + 1) * h, c, tail
 
     coeffs.flags.writeable = False
     return Trajectory(cfg, times, coeffs, np.linalg.norm(coeffs, axis=1),
@@ -400,14 +397,12 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
 
 @dataclass(frozen=True)
 class EvolvedBasis:
-    """Tracked basis columns g_n^t.
-
-    ``columns[i]`` holds the (K, m) matrix at snapshot i; eigenvalues are
-    the t=0 Rayleigh quotients.
-    """
+    """Tracked basis vectors g_n^t: row j of ``coeffs[i]``, a read-only
+    complex (n_snapshots, m, K) array, is g_j at ``times[i]``; eigenvalues
+    are the t=0 Rayleigh quotients."""
 
     times: NDArray[np.float64]
-    columns: NDArray[np.complex128]
+    coeffs: NDArray[np.complex128]
     eigenvalues: NDArray[np.float64]
 
 
@@ -419,10 +414,10 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     states of u, rebuilt with evolve's own step size and propagators (true
     co-integration, preserving the scheme's fourth order).  The stage
     states and their B-kernel spectra are made for blocks of steps at once.
-    f_init is one column (K,) or a (K, m) matrix of finite, nonzero columns
-    (DimensionMismatch or InvalidParameter otherwise).  B is skew-adjoint,
-    so the column norms are conserved; a relative deviation beyond 1e-5
-    raises BasisDrift.
+    f_init is one vector (K,) or a (K, m) matrix of finite, nonzero columns
+    (DimensionMismatch or InvalidParameter otherwise), transposed once to
+    the rows g_n.  B is skew-adjoint, so the norms are conserved; a
+    relative deviation beyond 1e-5 raises BasisDrift.
     """
     F = np.asarray(f_init, dtype=np.complex128)
     if F.ndim == 1:
@@ -433,7 +428,8 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
                                 f"with K={K} and m >= 1, got shape {F.shape}")
     if not np.isfinite(F).all():
         raise InvalidParameter("f_init entries must be finite")
-    norm0 = np.linalg.norm(F, axis=0)
+    G = F.T.copy()
+    norm0 = np.linalg.norm(G, axis=-1)
     if not (norm0 > 0).all():
         raise InvalidParameter("f_init has a zero column")
     cfg = traj.cfg
@@ -449,28 +445,24 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
                    / np.einsum("km,km->m", np.conj(F), F))
 
     times = traj.times
-    # the tracked columns are rows (m, K) inside the loop, so every FFT
-    # runs along the last axis
-    cols = np.empty((len(times), K, F.shape[1]), dtype=np.complex128)
-    cols[0] = F
-    G = F.T.copy()
+    coeffs = np.empty((len(times), *G.shape), dtype=np.complex128)
+    coeffs[0] = G
     # the workspace of this call: stage stacks, their kernels, the action
     stage_ws = _FFTWorkspace(2, (_STEP_BLOCK, K))
     kern_ws = _FFTWorkspace(4, (4, _STEP_BLOCK, K))
     act_ws = _FFTWorkspace(3, G.shape)
+    U = kern_ws.slots[0]
 
     for b in range(0, n_steps, _STEP_BLOCK):
-        u1 = traj.coeffs[b:min(b + _STEP_BLOCK, n_steps)]
-        if u1.shape[0] < _STEP_BLOCK:  # the last block may be shorter
-            stage_ws = _FFTWorkspace(2, u1.shape)
-            kern_ws = _FFTWorkspace(4, (4, *u1.shape))
-        # stage s (u1, U2, U3, U4) of step b + j goes to slot [0, s, j] and
-        # its kernel spectra to kern[:, s, j]
-        U = kern_ws.slots[0]
-        U[0] = u1
-        U[1], U[2], U[3] = _lawson_stages(u1, h, s2i, E1, E2, stage_ws)[0]
+        # stage s (u1, U2, U3, U4) of step b + j goes to U[s, j] and its
+        # kernel spectra to kern[:, s, j]; a short last block fills the
+        # leading rows, and the rest (an earlier block's states, or zeros)
+        # are dropped
+        n = min(_STEP_BLOCK, n_steps - b)
+        U[0, :n] = traj.coeffs[b:b + n]
+        U[1], U[2], U[3] = _lawson_stages(U[0], h, s2i, E1, E2, stage_ws)[0]
         kern = _b_kernels(kern_ws)
-        for j in range(u1.shape[0]):
+        for j in range(n):
             i = b + j
             l1 = _apply_b_cols(kern[:, 0, j], G, sign, act_ws)
             l2 = _apply_b_cols(kern[:, 1, j], G + (h / 2.0) * l1, sign, act_ws)
@@ -482,8 +474,9 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
             if not dev <= 1e-5:
                 raise BasisDrift(
                     f"basis norm drifted by {dev:.3e} at t = {times[i + 1]:.6f}")
-            cols[i + 1] = G.T
-    return EvolvedBasis(times=times, columns=cols, eigenvalues=lams)
+            coeffs[i + 1] = G
+    coeffs.flags.writeable = False
+    return EvolvedBasis(times=times, coeffs=coeffs, eigenvalues=lams)
 
 
 def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
@@ -493,34 +486,28 @@ def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
     mean_law:       <1|g_n^t>    = <1|f_n>  e^{-i lam_n^2 t}
     shift_law:      <S g_p^t|g_n^t> = <S f_p|f_n> e^{i((lam_p+1)^2 - lam_n^2) t}
 
-    The basis must be evolved along traj: the same snapshot times and the
-    same truncation K (DimensionMismatch otherwise).
+    Each law is one array over (t, n) or (t, p, n).  The basis must be
+    evolved along traj: the same snapshot times and the same truncation K
+    (DimensionMismatch otherwise).
     """
-    if basis.columns.shape[1] != traj.cfg.K:
+    g = basis.coeffs
+    if g.shape[-1] != traj.cfg.K:
         raise DimensionMismatch(
-            f"basis columns have K={basis.columns.shape[1]}, the trajectory {traj.cfg.K}")
+            f"basis vectors have K={g.shape[-1]}, the trajectory {traj.cfg.K}")
     if not np.array_equal(basis.times, traj.times):
         raise DimensionMismatch("basis and trajectory are sampled at different times")
-    t = basis.times
+    t = basis.times[:, None]
     lam = basis.eigenvalues
-    cols = basis.columns
-    m = cols.shape[2]
+    cg = np.conj(g)
+    rotation = np.exp(-1j * lam ** 2 * t)  # e^{-i lam_n^2 t}, (t, n)
 
-    pot = 0.0
-    mean = 0.0
-    for j in range(m):
-        overlap = np.einsum("tk,tk->t", traj.coeffs, np.conj(cols[:, :, j]))
-        expected = overlap[0] * np.exp(-1j * lam[j] ** 2 * t)
-        pot = max(pot, float(np.max(np.abs(overlap - expected))))
-        ones = np.conj(cols[:, 0, j])
-        expected1 = ones[0] * np.exp(-1j * lam[j] ** 2 * t)
-        mean = max(mean, float(np.max(np.abs(ones - expected1))))
+    overlap = np.einsum("tk,tnk->tn", traj.coeffs, cg)
+    pot = float(np.max(np.abs(overlap - overlap[0] * rotation)))
+    ones = cg[:, :, 0]
+    mean = float(np.max(np.abs(ones - ones[0] * rotation)))
 
-    shift = 0.0
-    for p in range(m):
-        Sg = shift_columns(cols[:, :, p].T).T  # S g_p^t at every t
-        for n in range(m):
-            overlap = np.einsum("tk,tk->t", Sg, np.conj(cols[:, :, n]))
-            expected = overlap[0] * np.exp(1j * ((lam[p] + 1.0) ** 2 - lam[n] ** 2) * t)
-            shift = max(shift, float(np.max(np.abs(overlap - expected))))
+    # <S g_p|g_n> = sum_k g_p[k-1] conj(g_n[k]); S g_p has no 0-mode
+    overlap = np.einsum("tpk,tnk->tpn", g[..., :-1], cg[..., 1:])
+    turn = np.exp(1j * ((lam[:, None] + 1.0) ** 2 - lam ** 2) * t[:, :, None])
+    shift = float(np.max(np.abs(overlap - overlap[0] * turn)))
     return {"potential_law": pot, "mean_law": mean, "shift_law": shift}

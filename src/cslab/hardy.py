@@ -33,6 +33,7 @@ from numpy.typing import NDArray
 from .errors import (
     DimensionMismatch,
     InvalidParameter,
+    NumericalAliasing,
     TruncationOverflow,
 )
 from .errors import K_MAX, check_in_disc, check_int, check_K
@@ -169,13 +170,20 @@ def blaschke_eval(psi: BlaschkeProduct, z) -> NDArray[np.complex128]:
 def blaschke_to_coeffs(psi: BlaschkeProduct, K: int) -> HardyCoeffs:
     """First K Taylor coefficients of a Blaschke product.
 
-    Sampled on a 4K grid and analyzed by FFT; the fold-back error is
-    O(max|w|^{4K-K}) and far below machine precision for |w| <= 0.95.
+    Sampled on an M-point grid and analyzed by FFT, which folds the
+    coefficients k + M, k + 2M, ... (decaying as max|w|^k) onto k.  M
+    doubles from max(4K, 64) until max|w|^{M-K} <= 1e-17; past 2^20 points
+    it raises NumericalAliasing.
     """
     K = check_K(K)
     if psi.power >= K:
         warnings.warn("Blaschke monomial power exceeds truncation", TruncationOverflow, stacklevel=2)
+    r = max((abs(w) for w in psi.zeros), default=0.0)
     M = max(4 * K, 64)
+    while r ** (M - K) > 1e-17:
+        M *= 2
+        if M > 1 << 20:
+            raise NumericalAliasing(f"a Blaschke zero of modulus {r} needs over 2^20 points")
     z = np.exp(2j * np.pi * np.arange(M) / M)
     vals = blaschke_eval(psi, z)
     full = np.fft.fft(vals) / M

@@ -257,7 +257,7 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
 
     ``collinearity_set`` collects the indices n with |collin| < 1e-6 (the
     set I(u)); by the defocusing collinearity theorem it must be empty for
-    defocusing symbols.  u must have dec's truncation K (InvalidParameter).
+    defocusing symbols.  u must have dec's truncation K (DimensionMismatch).
     """
     check_same_K(u, dec)
     R = dec.reliable

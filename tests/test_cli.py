@@ -215,13 +215,14 @@ def test_trajectory_csv_digest_is_pinned(tmp_path):
 
 def test_evolved_basis_digest_is_pinned():
     """Byte-identity guard for the B action: the digest of the co-evolved
-    columns must not move under refactors.  The columns start as the first
+    basis must not move under refactors.  The vectors start as the first
     two unit vectors, so, as for the trajectory file, only FFT and
-    elementwise results enter (no LAPACK)."""
+    elementwise results enter (no LAPACK).  The digest is taken over the
+    (n_snapshots, K, m) column layout the basis was first stored in."""
     u0 = make_fixture("wave:defocusing:1:0.5:1").coeffs(64)
     traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.02, dt=1e-3))
     basis = evolve_basis(traj, np.eye(64, 2, dtype=complex))
-    digest = hashlib.sha256(basis.columns.tobytes()).hexdigest()
+    digest = hashlib.sha256(np.swapaxes(basis.coeffs, 1, 2).tobytes()).hexdigest()
     assert digest == ("ed4c7f3e7a44d537cfb823bb6c78ab19"
                       "17b224f755253bc692952743e8a79ab8")
 

@@ -41,7 +41,7 @@ from cslab.evolve import (
     _lawson_stages,
 )
 from cslab import hardy
-from cslab.hardy import _FFTWorkspace, _conv_length, nonlinearity
+from cslab.hardy import _FFTWorkspace, _conv_length, nonlinearity, shift_columns
 from cslab.lax import _b_block
 
 
@@ -225,8 +225,10 @@ def test_blowup_guard_stops_the_first_non_finite_step(every):
     c = np.zeros(32, dtype=complex)
     c[:4] = [0.3, 0.2j, 0.1, 0.05]
     cfg = EvolveConfig(sign="focusing", K=32, T=1e15, dt=1e10, record_every=every)
-    with np.errstate(all="ignore"), pytest.raises(BlowupDetected, match="not finite"):
-        evolve(HardyCoeffs(c), cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings are off too
+        with pytest.raises(BlowupDetected, match="not finite"):
+            evolve(HardyCoeffs(c), cfg)
 
 
 def test_snapshots_that_do_not_fit_are_refused(monkeypatch):
@@ -269,7 +271,7 @@ def test_evolved_basis_norms_and_phase_laws():
     traj = evolve(u0, cfg)
     dec = spectral_decompose(build_lax(u0, "defocusing"))
     basis = evolve_basis(traj, dec.vectors[:, :4])
-    norms = np.linalg.norm(basis.columns[-1], axis=0)
+    norms = np.linalg.norm(basis.coeffs[-1], axis=-1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-10)
     rep = phase_law_report(traj, basis)
     for law in ("potential_law", "mean_law", "shift_law"):
@@ -442,10 +444,15 @@ def test_integrator_results_do_not_alias_the_workspace():
     assert not traj.coeffs.flags.writeable
     with pytest.raises(ValueError):
         traj.coeffs[0, 0] = 1.0
-    basis = evolve_basis(traj, np.eye(K, 2, dtype=complex))
-    kept_cols = basis.columns.copy()
+    F = np.eye(K, 2, dtype=complex)
+    basis = evolve_basis(traj, F)
+    assert not np.shares_memory(basis.coeffs, F)
+    assert not basis.coeffs.flags.writeable
+    with pytest.raises(ValueError):
+        basis.coeffs[0, 0, 0] = 1.0
+    kept = basis.coeffs.copy()
     evolve_basis(traj, np.eye(K, 2, -5, dtype=complex))
-    assert np.array_equal(basis.columns, kept_cols)
+    assert np.array_equal(basis.coeffs, kept)
 
 
 def test_evolve_tail_is_the_tail_of_each_recorded_state():
@@ -464,7 +471,7 @@ def _evolve_basis_step_by_step(traj, F):
     n_steps, h, s2i, E1, E2 = _lawson_setup(traj.cfg)
     sign = traj.cfg.sign
     G = F.T.copy()
-    cols = [F]
+    rows = [G]
     K = traj.cfg.K
     conv, kern = _FFTWorkspace(2, (K,)), _FFTWorkspace(4, (K,))
     act = _FFTWorkspace(3, G.shape)
@@ -476,8 +483,8 @@ def _evolve_basis_step_by_step(traj, F):
         l3 = _apply_b_cols(_kernels(u3, kern), G + (h / 2.0) * l2, sign, act)
         l4 = _apply_b_cols(_kernels(u4, kern), G + h * l3, sign, act)
         G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
-        cols.append(G.T)
-    return np.stack(cols)
+        rows.append(G)
+    return np.stack(rows)
 
 
 @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
@@ -485,7 +492,7 @@ def _evolve_basis_step_by_step(traj, F):
 @pytest.mark.parametrize("n_steps", [13, 21])
 @pytest.mark.parametrize("m", [1, 3])
 def test_evolve_basis_blocks_match_step_by_step(sign, K, n_steps, m):
-    """Blocks of steps give the step-by-step columns bit for bit, also when
+    """Blocks of steps give the step-by-step basis bit for bit, also when
     the step count is not a multiple of the block."""
     u = random_decaying(K + n_steps, K, rho=0.5)
     u = HardyCoeffs(u.coeffs * (0.6 / u.norm()))
@@ -493,9 +500,51 @@ def test_evolve_basis_blocks_match_step_by_step(sign, K, n_steps, m):
     rng = np.random.default_rng(m)
     F = rng.standard_normal((K, m)) + 1j * rng.standard_normal((K, m))
     F /= np.linalg.norm(F, axis=0)
-    got = evolve_basis(traj, F).columns
-    assert got.shape == (n_steps + 1, K, m)
+    got = evolve_basis(traj, F).coeffs
+    assert got.shape == (n_steps + 1, m, K)
     assert np.array_equal(got, _evolve_basis_step_by_step(traj, F))
+
+
+def _phase_law_report_by_loops(traj, basis):
+    """Oracle: the laws one vector and one pair (p, n) at a time, on the
+    basis as C-contiguous (n_snapshots, K, m) columns."""
+    t = basis.times
+    lam = basis.eigenvalues
+    cols = np.ascontiguousarray(np.swapaxes(basis.coeffs, 1, 2))
+    m = cols.shape[2]
+    pot = mean = shift = 0.0
+    for j in range(m):
+        overlap = np.einsum("tk,tk->t", traj.coeffs, np.conj(cols[:, :, j]))
+        expected = overlap[0] * np.exp(-1j * lam[j] ** 2 * t)
+        pot = max(pot, float(np.max(np.abs(overlap - expected))))
+        ones = np.conj(cols[:, 0, j])
+        expected1 = ones[0] * np.exp(-1j * lam[j] ** 2 * t)
+        mean = max(mean, float(np.max(np.abs(ones - expected1))))
+    for p in range(m):
+        Sg = shift_columns(cols[:, :, p].T).T  # S g_p^t at every t
+        for n in range(m):
+            overlap = np.einsum("tk,tk->t", Sg, np.conj(cols[:, :, n]))
+            expected = overlap[0] * np.exp(1j * ((lam[p] + 1.0) ** 2 - lam[n] ** 2) * t)
+            shift = max(shift, float(np.max(np.abs(overlap - expected))))
+    return {"potential_law": pot, "mean_law": mean, "shift_law": shift}
+
+
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+@pytest.mark.parametrize("K", [64, 128])
+@pytest.mark.parametrize("n_steps", [13, 21])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_phase_law_report_matches_the_loop_form(sign, K, n_steps, m):
+    """The whole-array laws equal the per-vector, per-pair loops exactly."""
+    u = random_decaying(K + n_steps, K, rho=0.5)
+    u = HardyCoeffs(u.coeffs * (0.6 / u.norm()))
+    traj = evolve(u, EvolveConfig(sign=sign, K=K, T=n_steps * 1e-4, dt=1e-4))
+    dec = spectral_decompose(build_lax(u, sign))
+    basis = evolve_basis(traj, dec.vectors[:, :m].copy())
+    assert basis.coeffs.shape == (n_steps + 1, m, K)
+    got, want = phase_law_report(traj, basis), _phase_law_report_by_loops(traj, basis)
+    assert got.keys() == want.keys()
+    for law in want:
+        assert got[law] == want[law], law
 
 
 def _defocusing_wave_trajectory():
@@ -532,12 +581,12 @@ def test_evolve_basis_refuses_zero_column():
 def test_evolve_basis_scaled_columns_keep_their_norm():
     """B is skew-adjoint, so a column of norm 2 keeps norm 2; drift is read
     against each column's initial norm.  Scaling by 2 is exact in floating
-    point and the flow is linear in g, so the columns scale bit for bit."""
+    point and the flow is linear in g, so the vectors scale bit for bit."""
     traj = _defocusing_wave_trajectory()
     unit = evolve_basis(traj, np.eye(64, 2, dtype=complex))
     twice = evolve_basis(traj, 2.0 * np.eye(64, 2, dtype=complex))
-    assert np.array_equal(twice.columns, 2.0 * unit.columns)
-    np.testing.assert_allclose(np.linalg.norm(twice.columns[-1], axis=0), 2.0,
+    assert np.array_equal(twice.coeffs, 2.0 * unit.coeffs)
+    np.testing.assert_allclose(np.linalg.norm(twice.coeffs[-1], axis=-1), 2.0,
                                atol=1e-10)
 
 

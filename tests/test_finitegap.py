@@ -24,6 +24,7 @@ import pytest
 from cslab import (
     BasisDrift,
     ConstraintViolation,
+    DimensionMismatch,
     HardyCoeffs,
     Inconclusive,
     InfeasibleSign,
@@ -213,7 +214,7 @@ def test_classify_generic_slow_decay_is_refused_or_negative():
 def test_classify_truncation_mismatch_guard():
     u = make_fixture("appendix1").coeffs(64)
     dec = spectral_decompose(build_lax(u, "focusing"))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(DimensionMismatch):
         classify(dec, make_fixture("appendix1").coeffs(128))
 
 

@@ -34,6 +34,7 @@ from cslab import (
     DimensionMismatch,
     HardyCoeffs,
     InvalidParameter,
+    NumericalAliasing,
     PoleOnCircle,
     blaschke_eval,
     blaschke_to_coeffs,
@@ -378,6 +379,21 @@ def test_blaschke_series_single_zero_oracle():
     psi = BlaschkeProduct(zeros=(0.5,), power=0, phase=0.0)
     got = blaschke_to_coeffs(psi, 4).coeffs
     np.testing.assert_allclose(got, [-0.5, 0.75, 0.375, 0.1875], atol=1e-15)
+
+
+@pytest.mark.parametrize("w, K", [(0.9, 16), (0.95, 16), (0.95, 32), (0.99, 64)])
+def test_blaschke_series_near_the_circle(w, K):
+    """The grid grows until the fold-back of the max|w|^k tail is below
+    roundoff; a fixed 4K grid leaves errors of 1.4e-4 to 4e-3 here."""
+    got = blaschke_to_coeffs(BlaschkeProduct(zeros=(w,)), K).coeffs
+    k = np.arange(1, K)
+    want = np.concatenate([[-w], (1.0 - w * w) * w ** (k - 1)])
+    assert np.max(np.abs(got - want)) <= 1e-15
+
+
+def test_blaschke_series_refuses_a_grid_past_2_to_the_20():
+    with pytest.raises(NumericalAliasing):
+        blaschke_to_coeffs(BlaschkeProduct(zeros=(0.99999,)), 64)
 
 
 def test_blaschke_eval_unimodular_and_vanishing():

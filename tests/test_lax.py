@@ -22,6 +22,7 @@ from hypothesis import given, settings, strategies as st
 
 from cslab import (
     RATIONAL_FIXTURES,
+    DimensionMismatch,
     HardyCoeffs,
     InvalidParameter,
     blaschke_eigen_check,
@@ -159,9 +160,9 @@ def test_identity_report_is_sensitive_to_wrong_potential():
 def test_identity_check_rejects_mismatched_truncations():
     fx = make_fixture("appendix1")
     dec = spectral_decompose(build_lax(fx.coeffs(64), fx.sign))
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(DimensionMismatch):
         check_spectral_identities(fx.coeffs(128), dec)
-    with pytest.raises(InvalidParameter):
+    with pytest.raises(DimensionMismatch):
         gap_profile(dec, fx.coeffs(128))
     u = fx.coeffs(3)  # K // 4 = 0 leaves the identities no buffer
     with pytest.raises(InvalidParameter):
