@@ -33,7 +33,6 @@ __all__ = [
     "Inconclusive",
     "CslabWarning",
     "TruncationOverflow",
-    "AliasWarning",
     "OutsideTheory",
 ]
 
@@ -95,7 +94,7 @@ class SingularSystem(CslabError):
 
 
 class NumericalAliasing(CslabError):
-    """Grid sampling produced non-negligible out-of-band energy."""
+    """Sampling needs over 2^20 points, or K keeps too little of the energy."""
 
 
 class Inconclusive(CslabError):
@@ -110,10 +109,6 @@ class CslabWarning(UserWarning):
 
 class TruncationOverflow(CslabWarning):
     """The truncation cut off a non-negligible coefficient."""
-
-
-class AliasWarning(CslabWarning):
-    """Sampled coefficients folded back tail energy above tolerance."""
 
 
 class OutsideTheory(CslabWarning):

@@ -39,16 +39,17 @@ from .errors import (
     NewtonDivergence,
     NumericalAliasing,
     SingularSystem,
-    AliasWarning,
+    TruncationOverflow,
 )
 from .errors import K_MAX, check_in_disc, check_int, check_K, check_same_K, check_sign
 from .hardy import (
     BlaschkeProduct,
     HardyCoeffs,
+    _disc_series,
     _shifted_columns,
+    blaschke_eval,
     blaschke_to_coeffs,
     grid_transform,
-    shift_columns,
 )
 from .lax import SpectralDecomposition, _matrices_in_basis
 
@@ -278,34 +279,27 @@ def solve_residue_system(sign: str, m0: int, poles, mults, *,
 def potential_coeffs(fg: FiniteGapPotential, K: int) -> HardyCoeffs:
     """First K Fourier coefficients of the rational potential.
 
-    Samples on a 2K grid and analyzes by FFT.  The function is analytic in
-    the disc, so the upper half of the spectrum holds only the fold-back of
-    the |p|^n tail: relative energy above 1e-12 is warned about, above 1e-8
-    it raises NumericalAliasing (the poles are too close to the circle for
-    this K).
+    ``hardy._disc_series`` samples (a + sum_j c_j/(1 - p_j z)) prod_j
+    B_j^{m_j - 1} (r = max|p_j|) and shifts it by m0.  A cut that drops over
+    1e-12 of the energy warns TruncationOverflow; over 1e-8 it raises
+    NumericalAliasing (poles too near the circle, or m0 too large, for K).
     """
     K = check_K(K)
-    M = 2 * K
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    vals = np.full(M, fg.a, dtype=np.complex128)
-    for p, c in zip(fg.poles, fg.residues):
-        vals += c / (1.0 - p * z)
-    for p, m in zip(fg.poles, fg.mults):
-        if m > 1:
-            vals *= ((z - np.conj(p)) / (1.0 - p * z)) ** (m - 1)
-    vals *= z ** fg.m0
-    full = np.fft.fft(vals) / M
-    total = float(np.sum(np.abs(full) ** 2))
-    tail = float(np.sum(np.abs(full[K:]) ** 2))
-    if total > 0:
-        rel = tail / total
-        if rel > 1e-8:
-            raise NumericalAliasing(
-                f"tail energy {rel:.3e} beyond mode {K - 1}; increase K")
-        if rel > 1e-12:
-            warnings.warn(f"tail energy {rel:.3e} folded back", AliasWarning,
-                          stacklevel=2)
-    return HardyCoeffs(full[:K].copy())
+    inner = BlaschkeProduct(zeros=tuple(np.conj(p) for p, m in zip(fg.poles, fg.mults)
+                                        for _ in range(m - 1)))
+
+    def profile(z):
+        terms = (c / (1.0 - p * z) for p, c in zip(fg.poles, fg.residues))
+        return sum(terms, np.full(z.shape, fg.a)) * blaschke_eval(inner, z)
+
+    r = max((abs(p) for p in fg.poles), default=0.0)
+    c, tail = _disc_series(profile, r, K, fg.m0)
+    if tail > 1e-8:
+        raise NumericalAliasing(f"tail energy {tail:.3e} beyond mode {K - 1}; increase K")
+    if tail > 1e-12:
+        warnings.warn(f"tail energy {tail:.3e} beyond mode {K - 1}", TruncationOverflow,
+                      stacklevel=2)
+    return HardyCoeffs(c)
 
 
 def predicted_l2(fg: FiniteGapPotential) -> float:
@@ -317,10 +311,8 @@ def predicted_l2(fg: FiniteGapPotential) -> float:
 
 def ladder_blaschke(fg: FiniteGapPotential) -> BlaschkeProduct:
     """The Blaschke product psi_u = z^{m0} prod_j ((z - conj(p_j))/(1 - p_j z))^{m_j}."""
-    zeros: list[complex] = []
-    for p, m in zip(fg.poles, fg.mults):
-        zeros.extend([np.conj(p)] * m)
-    return BlaschkeProduct(zeros=tuple(zeros), power=fg.m0)
+    return BlaschkeProduct(zeros=tuple(np.conj(p) for p, m in zip(fg.poles, fg.mults)
+                                       for _ in range(m)), power=fg.m0)
 
 
 def blaschke_eigen_check(dec: SpectralDecomposition, psi: BlaschkeProduct,
@@ -329,22 +321,26 @@ def blaschke_eigen_check(dec: SpectralDecomposition, psi: BlaschkeProduct,
 
     L_u is ``dec.matrix``, the Lax matrix the decomposition was made from.
     nu is estimated once by the Rayleigh quotient <L psi | psi>; the
-    residual norms are measured on the truncation-reliable rows
-    [0, K - K/4) and returned for k = 0..kmax together with nu.
+    residual norms of all rungs, on the truncation-reliable rows [0, K - K/4),
+    are returned for k = 0..kmax together with nu.  A power >= K leaves no
+    coefficient below K and raises InvalidParameter.
     """
     K = dec.K
     kmax = check_int("kmax (at most K/8)", kmax, 0, K // 8)
-    L = dec.matrix
-    rows = K - K // 4
+    if psi.power >= K:
+        raise InvalidParameter(f"power {psi.power} leaves psi no coefficient below K = {K}")
     v = blaschke_to_coeffs(psi, K).coeffs
     v = v / np.linalg.norm(v)
-    nu = float(np.real(np.vdot(v, L @ v)))
-    residuals = np.empty(kmax + 1)
-    for k in range(kmax + 1):
-        Lv = L @ v
-        residuals[k] = np.linalg.norm(Lv[:rows] - (nu + k) * v[:rows])
-        v = shift_columns(v)  # S v, the next rung
-    return nu, residuals
+    nu = float(np.real(np.vdot(v, dec.matrix @ v)))
+    rungs = _shifted_columns(v, kmax + 1, backward=False)  # column k is S^k psi
+    return nu, _rung_residuals(dec.matrix, rungs, nu + np.arange(kmax + 1))
+
+
+def _rung_residuals(L, rungs, expected) -> NDArray[np.float64]:
+    """||L r_k - expected[k] r_k|| for each column r_k of ``rungs``, on the
+    truncation-reliable rows [0, K - K/4), in one matrix product."""
+    rows = L.shape[0] - L.shape[0] // 4
+    return np.linalg.norm(L[:rows] @ rungs - expected * rungs[:rows], axis=0)
 
 
 @dataclass(frozen=True)
@@ -384,7 +380,6 @@ def _ladder_walk(dec: SpectralDecomposition):
     n_seed = min(dec.reliable, K - K // 4) - 1
     if n_seed < 1:
         raise Inconclusive("truncation too small to seed a ladder walk")
-    rows = K - K // 4
     w = dec.vectors[:, n_seed]
     tail = np.sqrt(np.cumsum(np.abs(w[::-1]) ** 2)[::-1])
     # step k keeps its norm when t_k >= (1 - tol) t_{k-1}, for k <= n_seed + 1
@@ -392,7 +387,7 @@ def _ladder_walk(dec: SpectralDecomposition):
     n_cand = 1 + (int(dropped[0]) if dropped.size else n_seed + 1)
     cand = _shifted_columns(w, n_cand, backward=True) / tail[:n_cand]
     expected = float(dec.eigenvalues[n_seed]) - np.arange(n_cand)
-    resid = np.linalg.norm(dec.matrix[:rows] @ cand - expected * cand[:rows], axis=0)
+    resid = _rung_residuals(dec.matrix, cand, expected)
     if resid[0] > _WALK_TOL:
         raise Inconclusive(
             f"seed eigenvector residual {resid[0]:.3e} exceeds walk tolerance")

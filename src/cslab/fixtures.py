@@ -59,14 +59,15 @@ WAVE_SPEED_FIXTURES = (
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named potential with whatever exact data is known for it."""
+    """A named potential: its finite-gap record, and a wave's parameters."""
 
     name: str
-    kind: str
-    sign: str
-    p: complex = 0.0
+    finite_gap: FiniteGapPotential
     wave: WaveParams | None = None
-    finite_gap: FiniteGapPotential | None = None
+
+    @property
+    def sign(self) -> str:
+        return self.finite_gap.sign
 
     def coeffs(self, K: int) -> HardyCoeffs:
         """Exact Fourier coefficients (closed form, not via grid sampling)."""
@@ -74,36 +75,32 @@ class Fixture:
         if self.wave is not None:
             return sample_wave(self.wave, 0.0, K)
         c = np.zeros(K, dtype=np.complex128)
-        p = self.p
-        if self.kind == "appendix1":
+        p = self.finite_gap.poles[0].real
+        if self.name == "appendix1":
             amp = np.sqrt(1.0 - abs(p) ** 2)
             c[:] = amp * p ** np.arange(K)
-        elif self.kind == "appendix2":
+        elif self.name == "appendix2":
             amp = np.sqrt(2.0 * (1.0 - abs(p) ** 4))
             odd = np.arange(1, K, 2)
             c[odd] = amp * p ** (odd - 1)
         else:
-            raise InvalidParameter(f"no closed-form coefficients for {self.kind}")
+            raise InvalidParameter(f"no closed-form coefficients for {self.name}")
         return HardyCoeffs(c)
 
-    def blaschke(self) -> BlaschkeProduct | None:
-        """Ladder-generating Blaschke product, when the fixture has one."""
-        if self.finite_gap is not None:
-            return ladder_blaschke(self.finite_gap)
-        return None
+    def blaschke(self) -> BlaschkeProduct:
+        """The Blaschke product that generates the fixture's shift ladder."""
+        return ladder_blaschke(self.finite_gap)
 
 
 _P1, _P2 = 0.5, 0.6  # the poles of appendix1 and appendix2
 _C2 = np.sqrt(2.0 * (1.0 - abs(_P2) ** 4)) / (2.0 * _P2)
 _APPENDIX = {
     "appendix1": Fixture(
-        name="appendix1", kind="appendix1", sign="focusing", p=_P1,
-        finite_gap=FiniteGapPotential(sign="focusing", m0=0, poles=(_P1,), mults=(1,),
-                                      a=0.0, residues=(np.sqrt(1.0 - abs(_P1) ** 2),))),
+        "appendix1", FiniteGapPotential(sign="focusing", m0=0, poles=(_P1,), mults=(1,),
+                                        a=0.0, residues=(np.sqrt(1.0 - abs(_P1) ** 2),))),
     "appendix2": Fixture(
-        name="appendix2", kind="appendix2", sign="focusing", p=_P2,
-        finite_gap=FiniteGapPotential(sign="focusing", m0=0, poles=(_P2, -_P2),
-                                      mults=(1, 1), a=0.0, residues=(_C2, -_C2))),
+        "appendix2", FiniteGapPotential(sign="focusing", m0=0, poles=(_P2, -_P2),
+                                        mults=(1, 1), a=0.0, residues=(_C2, -_C2))),
 }
 
 
@@ -151,8 +148,9 @@ def make_fixture(name: str, sign: str | None = None) -> Fixture:
     """Build a fixture from its name.
 
     The forms are those of ``_NAME_FORMS``; any other name is refused
-    (InvalidParameter).
-    ``sign`` overrides the default for sign-agnostic fixtures (plane waves).
+    (InvalidParameter).  ``sign`` picks the sign of a plane wave (default
+    focusing); every other fixture has its own sign, and a ``sign`` that
+    contradicts it is refused (InvalidParameter).
     """
     head, *fields = name.split(":")
     if head not in _NAME_FORMS:
@@ -162,22 +160,19 @@ def make_fixture(name: str, sign: str | None = None) -> Fixture:
         fields = [kind(text) for kind, text in zip(types, fields, strict=True)]
     except ValueError:
         raise InvalidParameter(f"expected {form}, got {name!r}") from None
-    if head in _APPENDIX:
-        return _APPENDIX[head]
     if head == "wave":
         wsign, N, pw, beta = fields
         w = make_wave(wsign, "pole", N=N, p=pw, beta=beta)
-        return Fixture(name=name, kind="wave", sign=wsign, p=pw, wave=w,
-                       finite_gap=_wave_to_finite_gap(w))
-    if head == "plane":
+    elif head == "plane":
         N, C = fields
         w = make_wave(sign or "focusing", "plane", N=N, C=C)
-        return Fixture(name=name, kind="plane", sign=sign or "focusing",
-                       wave=w, finite_gap=_wave_to_finite_gap(w))
-    N, pw = fields  # modulated (N is the index m) or stationary
-    w = make_wave("focusing", head, N=N, p=pw)
-    return Fixture(name=name, kind=head, sign="focusing", p=pw,
-                   wave=w, finite_gap=_wave_to_finite_gap(w))
+    elif head not in _APPENDIX:  # modulated (N is the index m) or stationary
+        N, pw = fields
+        w = make_wave("focusing", head, N=N, p=pw)
+    fx = _APPENDIX[head] if head in _APPENDIX else Fixture(name, _wave_to_finite_gap(w), w)
+    if sign is not None and sign != fx.sign:
+        raise InvalidParameter(f"fixture {name!r} is {fx.sign}, not {sign}")
+    return fx
 
 
 def random_decaying(seed, K: int, rho: float = 0.8) -> HardyCoeffs:

@@ -10,12 +10,13 @@ trace of the analytic function u(z) = sum u_hat(n) z^n on the unit disc.
 
 This module supplies the basic vocabulary: the shift S and its adjoint
 S*, grid synthesis, Blaschke products, the projected modulus Pi(|u|^2),
-and the flow's nonlinearity (D Pi(|u|^2)) u.  S and S* act by index
-shifts, never as dense operators: on a vector or every column
-(``shift_columns``, ``unshift_columns``), or as a stack of the shifted
-copies S^k w or (S*)^k w (``_shifted_columns``).  The lower-triangular
-Toeplitz block T_u of an analytic symbol is such a stack, column k being
-S^k u.
+and the flow's nonlinearity (D Pi(|u|^2)) u.  ``_disc_series`` samples
+every closed form on the disc, Blaschke products and the potentials of
+``finitegap``.  S and S* act by index shifts, never as dense operators: on
+a vector or every column (``shift_columns``, ``unshift_columns``), or as a
+stack of the shifted copies S^k w or (S*)^k w (``_shifted_columns``).  The
+lower-triangular Toeplitz block T_u of an analytic symbol is such a stack,
+column k being S^k u.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class HardyCoeffs:
 
 @dataclass(frozen=True)
 class BlaschkeProduct:
-    """Finite Blaschke product  psi(z) = e^{i theta} z^{m0} prod_j (z - w_j)/(1 - conj(w_j) z).
+    """Finite Blaschke product  psi(z) = z^{m0} prod_j (z - w_j)/(1 - conj(w_j) z).
 
     ``zeros`` lists the disc zeros w_j with multiplicity; all |w_j| < 1 is
     required, otherwise the mirror pole 1/conj(w_j) touches the closed disc.
@@ -101,7 +102,6 @@ class BlaschkeProduct:
 
     zeros: tuple = ()
     power: int = 0
-    phase: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "zeros",
@@ -161,33 +161,46 @@ def grid_transform(u: HardyCoeffs, M: int) -> NDArray[np.complex128]:
 def blaschke_eval(psi: BlaschkeProduct, z) -> NDArray[np.complex128]:
     """Evaluate the Blaschke product at complex points (vectorized)."""
     z = np.asarray(z, dtype=np.complex128)
-    out = np.exp(1j * psi.phase) * z**psi.power
+    out = z**psi.power
     for w in psi.zeros:
         out = out * (z - w) / (1.0 - np.conj(w) * z)
     return out
 
 
-def blaschke_to_coeffs(psi: BlaschkeProduct, K: int) -> HardyCoeffs:
-    """First K Taylor coefficients of a Blaschke product.
+def _disc_series(f, r: float, K: int, power: int):
+    """(c, tail): the first K Taylor coefficients of z^power f(z), and the
+    share of its energy past mode K - 1 (0 for f = 0).
 
-    Sampled on an M-point grid and analyzed by FFT, which folds the
-    coefficients k + M, k + 2M, ... (decaying as max|w|^k) onto k.  M
-    doubles from max(4K, 64) until max|w|^{M-K} <= 1e-17; past 2^20 points
-    it raises NumericalAliasing.
+    f, analytic for |z| < 1/r, is sampled on M points of the circle; the
+    FFT folds its coefficients k + M, k + 2M, ... onto k, so M doubles from
+    max(4K, 64) until r^{M-K} <= 1e-17 (NumericalAliasing past 2^20 points).
+    z^power shifts the coefficients and is never sampled.
     """
-    K = check_K(K)
-    if psi.power >= K:
-        warnings.warn("Blaschke monomial power exceeds truncation", TruncationOverflow, stacklevel=2)
-    r = max((abs(w) for w in psi.zeros), default=0.0)
     M = max(4 * K, 64)
     while r ** (M - K) > 1e-17:
         M *= 2
         if M > 1 << 20:
-            raise NumericalAliasing(f"a Blaschke zero of modulus {r} needs over 2^20 points")
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    vals = blaschke_eval(psi, z)
-    full = np.fft.fft(vals) / M
-    return HardyCoeffs(full[:K].copy())
+            raise NumericalAliasing(f"a zero or pole of modulus {r} needs over 2^20 points")
+    full = np.fft.fft(f(np.exp(2j * np.pi * np.arange(M) / M))) / M
+    kept = max(K - power, 0)
+    c = np.zeros(K, dtype=np.complex128)
+    c[K - kept:] = full[:kept]
+    total = float(np.sum(np.abs(full) ** 2))
+    return c, (float(np.sum(np.abs(full[kept:]) ** 2)) / total if total > 0 else 0.0)
+
+
+def blaschke_to_coeffs(psi: BlaschkeProduct, K: int) -> HardyCoeffs:
+    """First K Taylor coefficients of a Blaschke product, by ``_disc_series``
+    with r = max|w|; a cut that drops over 1e-12 of the energy, such as
+    power >= K, warns TruncationOverflow."""
+    K = check_K(K)
+    r = max((abs(w) for w in psi.zeros), default=0.0)
+    c, tail = _disc_series(lambda z: blaschke_eval(BlaschkeProduct(zeros=psi.zeros), z),
+                           r, K, psi.power)
+    if tail > 1e-12:
+        warnings.warn(f"tail energy {tail:.3e} beyond mode {K - 1}", TruncationOverflow,
+                      stacklevel=2)
+    return HardyCoeffs(c)
 
 
 def _conv_length(K: int) -> int:

@@ -319,6 +319,13 @@ def test_constraint_failures_exit_3(tmp_path):
         assert run("evolve", "--input", str(coeffs), "--sign", "defocusing",
                    "--K", "32", "--T", "1e15", "--dt", "1e10", "--record-every",
                    "1000000000", "--out-dir", str(tmp_path)) == 3
+    # a --sign that contradicts the fixture's own: refused, nothing written
+    for name in ("appendix1", "wave:focusing:1:0.5:1", "modulated:3:0.5",
+                 "stationary:1:0.5"):
+        out = tmp_path / "contradicted"
+        assert run("spectrum", "--fixture", name, "--sign", "defocusing", "--K", "64",
+                   "--out-dir", str(out)) == 3, name
+        assert not out.exists(), name
     # malformed fixture names, and a K above the limit on every subcommand
     for name in ("wave:focusing:x:0.5:1", "plane:1:zz", "appendix1:3"):
         assert run("spectrum", "--fixture", name,

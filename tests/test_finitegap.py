@@ -17,12 +17,14 @@ Solvable oracles used here:
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from cslab import (
     BasisDrift,
+    BlaschkeProduct,
     ConstraintViolation,
     DimensionMismatch,
     HardyCoeffs,
@@ -33,6 +35,7 @@ from cslab import (
     NumericalAliasing,
     PoleOnCircle,
     FiniteGapPotential,
+    TruncationOverflow,
     blaschke_eigen_check,
     build_lax,
     classify,
@@ -177,6 +180,23 @@ def test_potential_coeffs_aliasing_guard():
         potential_coeffs(fg, 16)
     with pytest.raises(InvalidParameter):
         potential_coeffs(fg, 256.0)
+    # e^{i m0 x} with m0 >= K has no mode below K; sampled on a 2K grid,
+    # m0 = 2K + 5 used to fold onto mode 5, and m0 = 600 at K = 256 onto 88
+    for m0, K in [(16, 16), (37, 16), (600, 256)]:
+        with pytest.raises(NumericalAliasing):
+            potential_coeffs(solve_residue_system("focusing", m0, [0.5], [1]), K)
+
+
+@pytest.mark.parametrize("p, K", [(0.8, 64), (0.9, 100), (0.9, 90), (0.95, 200)])
+def test_potential_coeffs_near_the_circle(p, K):
+    """The one-pole profile sqrt(1 - p^2)/(1 - p z) to roundoff; a fixed 2K
+    grid left fold-back errors of 2.4e-13 to 2.5e-9 here."""
+    fg = solve_residue_system("focusing", 0, [p], [1])
+    with warnings.catch_warnings():  # the cut drops up to 6e-9 of the energy
+        warnings.simplefilter("ignore", TruncationOverflow)
+        got = potential_coeffs(fg, K).coeffs
+    want = np.sqrt(1.0 - p * p) * p ** np.arange(K)
+    assert np.max(np.abs(got - want)) <= 1e-15
 
 
 # ----------------------------------------------------------------------
@@ -235,6 +255,9 @@ def test_ladder_blaschke_matches_solved_poles():
     for kmax in (-1, 33, 2.5):  # at most K/8 = 32 rungs, an integer
         with pytest.raises(InvalidParameter):
             blaschke_eigen_check(dec, psi, kmax=kmax)
+    for power in (256, 300):  # no coefficient below K: nothing to normalize
+        with pytest.raises(InvalidParameter):
+            blaschke_eigen_check(dec, BlaschkeProduct(zeros=psi.zeros, power=power), kmax=6)
 
 
 @pytest.fixture(scope="module")

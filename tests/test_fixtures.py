@@ -26,6 +26,24 @@ def test_all_rational_fixture_names_parse():
         assert fx.coeffs(64).K == 64
 
 
+def test_fixture_sign_is_fixed_except_for_plane_waves():
+    """A sign that contradicts the fixture's own is refused (it used to be
+    dropped without a word); plane:N:C takes either sign."""
+    for name, own, other in [("appendix1", "focusing", "defocusing"),
+                             ("appendix2", "focusing", "defocusing"),
+                             ("wave:defocusing:1:0.5:1", "defocusing", "focusing"),
+                             ("wave:focusing:1:0.5:1", "focusing", "defocusing"),
+                             ("modulated:3:0.5", "focusing", "defocusing"),
+                             ("stationary:1:0.5", "focusing", "defocusing")]:
+        assert make_fixture(name, sign=own).sign == own
+        with pytest.raises(InvalidParameter):
+            make_fixture(name, sign=other)
+    for sign in ("focusing", "defocusing"):
+        fx = make_fixture("plane:2:1", sign=sign)
+        assert fx.sign == fx.wave.sign == sign
+    assert make_fixture("plane:2:1").sign == "focusing"
+
+
 def test_wave_speed_fixture_table():
     speeds = [c for _, c in WAVE_SPEED_FIXTURES]
     assert speeds == pytest.approx([11.0 / 3.0, -1.0 / 3.0, 0.0])

@@ -29,13 +29,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cslab import (
-    AliasWarning,
     BlaschkeProduct,
     DimensionMismatch,
     HardyCoeffs,
     InvalidParameter,
     NumericalAliasing,
     PoleOnCircle,
+    TruncationOverflow,
     blaschke_eval,
     blaschke_to_coeffs,
     derivative,
@@ -169,7 +169,7 @@ def _seeded_draws(K):
         m0, poles, mults = random_pole_config(1234 + i)
         fg = solve_residue_system(sign, m0, poles, mults)
         with warnings.catch_warnings():  # the oracle takes the vector as cut
-            warnings.simplefilter("ignore", AliasWarning)
+            warnings.simplefilter("ignore", TruncationOverflow)
             c = potential_coeffs(fg, K).coeffs
         yield f"poles:{1234 + i}", c
 
@@ -376,16 +376,19 @@ def test_grid_transform_guards():
 
 
 def test_blaschke_series_single_zero_oracle():
-    psi = BlaschkeProduct(zeros=(0.5,), power=0, phase=0.0)
-    got = blaschke_to_coeffs(psi, 4).coeffs
+    psi = BlaschkeProduct(zeros=(0.5,), power=0)
+    with pytest.warns(TruncationOverflow):  # 0.25^4 of the energy is cut
+        got = blaschke_to_coeffs(psi, 4).coeffs
     np.testing.assert_allclose(got, [-0.5, 0.75, 0.375, 0.1875], atol=1e-15)
 
 
 @pytest.mark.parametrize("w, K", [(0.9, 16), (0.95, 16), (0.95, 32), (0.99, 64)])
 def test_blaschke_series_near_the_circle(w, K):
     """The grid grows until the fold-back of the max|w|^k tail is below
-    roundoff; a fixed 4K grid leaves errors of 1.4e-4 to 4e-3 here."""
-    got = blaschke_to_coeffs(BlaschkeProduct(zeros=(w,)), K).coeffs
+    roundoff; a fixed 4K grid leaves errors of 1.4e-4 to 4e-3 here.  The
+    cut itself drops 4e-3 to 2e-2 of the energy, and warns."""
+    with pytest.warns(TruncationOverflow):
+        got = blaschke_to_coeffs(BlaschkeProduct(zeros=(w,)), K).coeffs
     k = np.arange(1, K)
     want = np.concatenate([[-w], (1.0 - w * w) * w ** (k - 1)])
     assert np.max(np.abs(got - want)) <= 1e-15
@@ -397,7 +400,7 @@ def test_blaschke_series_refuses_a_grid_past_2_to_the_20():
 
 
 def test_blaschke_eval_unimodular_and_vanishing():
-    psi = BlaschkeProduct(zeros=(0.5, -0.3j), power=1, phase=0.25)
+    psi = BlaschkeProduct(zeros=(0.5, -0.3j), power=1)
     theta = np.linspace(0, 2 * np.pi, 17)
     on_circle = blaschke_eval(psi, np.exp(1j * theta))
     np.testing.assert_allclose(np.abs(on_circle), 1.0, atol=1e-14)
@@ -406,15 +409,19 @@ def test_blaschke_eval_unimodular_and_vanishing():
 
 
 def test_blaschke_monomial_coefficients():
-    psi = BlaschkeProduct(zeros=(), power=2, phase=0.0)
-    got = blaschke_to_coeffs(psi, 5).coeffs
-    # sampled through the FFT, so roundoff-level dust off the lattice
-    np.testing.assert_allclose(got, [0, 0, 1.0, 0, 0], atol=1e-14)
+    """z^power shifts the coefficients and is never sampled, so a monomial
+    is exact; a power past the truncation leaves zeros and warns (sampled
+    on 64 points, z^67 used to come back as z^3)."""
+    psi = BlaschkeProduct(zeros=(), power=2)
+    assert np.array_equal(blaschke_to_coeffs(psi, 5).coeffs, [0, 0, 1.0, 0, 0])
+    with pytest.warns(TruncationOverflow):
+        got = blaschke_to_coeffs(BlaschkeProduct(power=67), 16).coeffs
+    assert np.array_equal(got, np.zeros(16))
 
 
 def test_blaschke_zero_outside_disc_rejected():
     for w in (1.0, float("nan")):
         with pytest.raises(PoleOnCircle):
-            BlaschkeProduct(zeros=(w,), power=0, phase=0.0)
+            BlaschkeProduct(zeros=(w,), power=0)
     with pytest.raises(InvalidParameter):
-        BlaschkeProduct(zeros=(0.5,), power=1.5, phase=0.0)
+        BlaschkeProduct(zeros=(0.5,), power=1.5)
