@@ -10,23 +10,22 @@ treats it exactly; only the nonlinearity is stepped.  The mean u_hat(0) is
 conserved to the last bit by the scheme, since the nonlinearity has no
 0-mode.
 
-Both FFT kernels share transforms: 4 calls per nonlinearity, and 8 per B
-action once the spectra of its four kernels are known.  evolve_basis takes
-the trajectory in blocks of steps: one stacked call of the stepper gives
-the stage states of a whole block (12 FFT calls) and one more call their
-kernel spectra, so a step costs about 34 calls, not 48; a short last
-block uses the leading rows.  All of it is exact: stacked FFTs and
-elementwise operations work row by row and every spectral product keeps
-its operand order, so results are bit-identical to convolving term by
-term, step by step.
+The nonlinearity shares transforms: 4 FFT calls.  The B action and its
+kernel spectra are lax's (``lax._b_kernels``, ``lax._apply_b_cols``, 8
+calls per action); the identity check reads B off the same action.
+evolve_basis takes the trajectory in blocks of steps: one stacked call of
+the stepper gives the stage states of a whole block (12 FFT calls) and
+one more call their kernel spectra, so a step costs about 34 calls, not
+48; a short last block uses the leading rows.  All of it is exact:
+stacked FFTs and elementwise operations work row by row and every
+spectral product keeps its operand order, so results are bit-identical to
+convolving term by term, step by step.
 
 Each evolve and evolve_basis call makes its zero-padded FFT workspaces
 (hardy._FFTWorkspace) once and drops them on return: two operands for the
 nonlinearity, four (the kernel axis first) for the kernel spectra and
-three for the B action.  The transforms are hardy._fft and hardy._ifft,
-looked up on the module at each call; both keep np.fft's bits.  Slopes,
-stage states and recorded states are new arrays, never views of a
-workspace.
+three for the B action.  Slopes, stage states and recorded states are new
+arrays, never views of a workspace.
 
 Stored states are rows, K last: evolve records u(t) in one read-only
 complex (n_snapshots, K) array, allocated before the first step, and
@@ -41,8 +40,8 @@ the one read off full decompositions to roundoff, not bit for bit.
 
 The evolving orthonormal basis g_n^t solves d/dt g = B_{u(t)} g with
 g|0 = f_n, an eigenvector of the Lax operator of u(0); B is the
-skew-adjoint half of the Lax pair.  Its matrix is never formed: B is
-applied to the tracked columns by FFT convolutions, and u at the RK4 stage
+skew-adjoint half of the Lax pair.  Its matrix is never formed: lax's B
+action is applied to the tracked columns, and u at the RK4 stage
 times is re-derived from a trajectory recorded at every step with the
 same Lawson stages, so the two are co-integrated exactly.  The resulting
 basis obeys explicit phase laws
@@ -71,7 +70,7 @@ from .errors import (
 from .errors import K_MAX, check_int, check_real, check_sign
 from . import hardy
 from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity
-from .lax import build_lax, reliable_eigenvalues
+from .lax import _apply_b_cols, _b_kernels, build_lax, reliable_eigenvalues
 
 __all__ = [
     "EvolveConfig",
@@ -334,65 +333,6 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
         raise NotATravelingWave(
             f"per-mode speeds spread {spread:.3e} around {c:.6f}")
     return c
-
-
-def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
-    """Spectra of the four Toeplitz kernels of B_u for each state u in
-    ``ws.slots[0]``, written there by the caller.
-
-    ``ws`` is a four-operand workspace of the states' shape (..., K); the
-    result is its ``spec``, of shape (4, ..., L) with rows u, du,
-    conj(u reversed) and conj(du reversed), zero-padded to the exact
-    convolution length L.  One FFT call serves the whole stack.
-    """
-    u, du, ub, dub = ws.slots
-    np.multiply(1j * ws.n, u, out=du)
-    np.conjugate(u[..., ::-1], out=ub)
-    np.conjugate(du[..., ::-1], out=dub)
-    return hardy._fft(ws.pad, ws.spec)
-
-
-def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
-                  sign: str, ws: _FFTWorkspace) -> NDArray[np.complex128]:
-    """B_u applied to the rows of G (m, K) without forming the matrix.
-
-    ``kernels`` is the (4, L) block of ``_b_kernels`` for this u.
-    B_u = T_u T_{dx conj u} - T_{dx u} T_{conj u} + i (T_u T_{conj u})^2
-    in the focusing case; the first two terms swap signs in the defocusing
-    one.  All four Toeplitz actions are exact truncated convolutions: T_k
-    keeps the head of k * G, and T_{conj k} the tail of conj(k reversed) * G.
-
-    Eight FFT calls: one transform of G and stacked calls for the sibling
-    convolutions; T_{conj u} G serves both the second term and
-    P(G) = T_u T_{conj u} G.  They run on the three-operand workspace ``ws``
-    of G's shape; the result is a new array.
-    """
-    k_u, k_du, k_ub, k_dub = kernels
-    a, b, c = ws.operands
-    a.slots[...] = G
-    fG = hardy._fft(a.pad, a.spec)
-    # spectra of T_{conj du} G and T_{conj u} G; the second feeds two terms
-    np.multiply(k_dub, fG, out=a.prod)
-    np.multiply(k_ub, fG, out=b.prod)
-    hardy._ifft(ws.prod[:2], ws.conv[:2])
-    ws.slots[:2] = ws.tails[:2]
-    bar_du, bar_u = hardy._fft(ws.pad[:2], ws.spec[:2])
-    np.multiply(k_u, bar_du, out=a.prod)
-    np.multiply(k_du, bar_u, out=b.prod)
-    np.multiply(k_u, bar_u, out=c.prod)
-    hardy._ifft(ws.prod, ws.conv)
-    # the last term, i T_u T_{conj u} PF with PF = c.heads, runs on operand c
-    c.slots[...] = c.heads
-    np.multiply(k_ub, hardy._fft(c.pad, c.spec), out=c.prod)
-    hardy._ifft(c.prod, c.conv)
-    c.slots[...] = c.tails
-    np.multiply(k_u, hardy._fft(c.pad, c.spec), out=c.prod)
-    hardy._ifft(c.prod, c.conv)
-    first, second = a.heads, b.heads
-    quad = 1j * c.heads
-    if sign == "focusing":
-        return first - second + quad
-    return -first + second + quad
 
 
 @dataclass(frozen=True)

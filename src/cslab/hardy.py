@@ -47,7 +47,6 @@ __all__ = [
     "grid_transform",
     "blaschke_to_coeffs",
     "blaschke_eval",
-    "derivative",
     "zero_pad",
 ]
 
@@ -98,15 +97,19 @@ class BlaschkeProduct:
 
     ``zeros`` lists the disc zeros w_j with multiplicity; all |w_j| < 1 is
     required, otherwise the mirror pole 1/conj(w_j) touches the closed disc.
+    A zero at 0 is the factor z: it moves from ``zeros`` into ``power``,
+    and the total power must lie in [0, K_MAX].
     """
 
     zeros: tuple = ()
     power: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "zeros",
-                           tuple(check_in_disc("Blaschke zero", w) for w in self.zeros))
-        object.__setattr__(self, "power", check_int("power", self.power, 0, K_MAX))
+        zeros = tuple(check_in_disc("Blaschke zero", w) for w in self.zeros)
+        power = check_int("power", self.power, 0, K_MAX) + sum(w == 0 for w in zeros)
+        object.__setattr__(self, "zeros", tuple(w for w in zeros if w != 0))
+        object.__setattr__(self, "power", check_int("power with the zeros at 0", power,
+                                                    0, K_MAX))
 
 
 def shift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -297,12 +300,6 @@ def nonlinearity(c: NDArray[np.complex128]) -> NDArray[np.complex128]:
     this call makes its own, sized from ``c.shape``.
     """
     return _nonlinearity(c, _FFTWorkspace(2, c.shape))
-
-
-def derivative(u: HardyCoeffs) -> HardyCoeffs:
-    """d/dx in coefficient space: u_hat(n) -> i n u_hat(n)."""
-    n = np.arange(u.K)
-    return HardyCoeffs(1j * n * u.coeffs)
 
 
 def zero_pad(u: HardyCoeffs, K: int) -> HardyCoeffs:

@@ -28,17 +28,24 @@ consumers read L and the eigenbasis coordinates (``_matrices_in_basis``)
 from it.  T_u, S, S* and the S^k stacks come from ``hardy``, which applies
 them as index shifts, never as dense matrices.
 
+B is never formed as a matrix.  Its one implementation is an action by
+FFT convolutions (``_b_kernels``, ``_apply_b_cols``): each of its four
+Toeplitz factors is an exact zero-padded convolution, T_k keeping the head
+of k * g and T_{conj k} the tail of conj(k reversed) * g, so B applied to
+a stack of rows costs eight FFT calls once the spectra of u, du and their
+conjugated reversals are known (one stacked call).  The evolving basis of
+``evolve`` integrates this action, and the identity check reads B off it.
+The transforms are hardy._fft and hardy._ifft, looked up on the module at
+each call; both keep np.fft's bits.
+
 The identity check reads the commutators only on the block of indices
 below R = K - buffer, so it forms only what that block reads: B and L^2
 on rows :R+1 and columns :R, and (L + 1)^2 on rows :R and columns :R-1.
-Each is a leading block of the K x K product (``_leading_block``), with
-the full inner dimension and padded to whole 4 x 4 tiles.  Then every
-entry is the same OpenBLAS sum as in the K x K product, and
-``_b_block(u, sign, K, K)`` is the K x K matrix of B.  Only P = T_u T_ubar
-is formed whole.
-Both its rows and its columns enter P^2, and the computed P is not
-exactly Hermitian for every K, so its columns cannot be taken as its
-conjugated rows.
+Column j < R of B is B applied to the unit row e_j; the rows go through
+the action 8 at a time on one workspace, the last block starting at R - 8
+so that it fills the same workspace (R < 8 takes one block of R rows).
+(L + 1)^2 is L^2 + 2L + 1 on the block of L^2, so the one matrix product
+is L^2 on rows :R+1 and columns :R; no K x K product is formed.
 """
 
 from __future__ import annotations
@@ -50,10 +57,11 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EigensolveFailure, check_int, check_real, check_same_K, check_sign
+from . import hardy
 from .hardy import (
     HardyCoeffs,
+    _FFTWorkspace,
     analytic_toeplitz_block,
-    derivative,
     shift_columns,
     unshift_columns,
 )
@@ -76,6 +84,8 @@ DEFOCUSING = "defocusing"
 _PHASE_TOL = 1e-8
 #: |<S f_{n-1} | f_n>| below this puts n in the collinearity set I(u).
 _COLLINEAR_TOL = 1e-6
+#: Unit rows that the identity check pushes through the B action at once.
+_B_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -160,35 +170,63 @@ def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
     return LaxBlock(matrix=mat, sign=sign, K=K)
 
 
-def _leading_block(A: NDArray, B: NDArray, rows: int, cols: int) -> NDArray:
-    """(A @ B)[:rows, :cols], computed as a product of whole 4 x 4 tiles.
+def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
+    """Spectra of the four Toeplitz kernels of B_u for each state u in
+    ``ws.slots[0]``, written there by the caller.
 
-    The product keeps the full inner dimension and its shape is padded to
-    multiples of 4 (at most that of A @ B).  Then on OpenBLAS every entry
-    is summed by the same kernel path, in the same order, as in the full
-    product; an edge that cuts a tile can round differently in the last
-    bits.  Blocks of 20 rows or fewer may still differ where the full
-    product runs on more threads.
+    ``ws`` is a four-operand workspace of the states' shape (..., K); the
+    result is its ``spec``, of shape (4, ..., L) with rows u, du,
+    conj(u reversed) and conj(du reversed), zero-padded to the exact
+    convolution length L.  One FFT call serves the whole stack.
     """
-    r = min(A.shape[0], -(-rows // 4) * 4)
-    c = min(B.shape[1], -(-cols // 4) * 4)
-    return (A[:r] @ B[:, :c])[:rows, :cols]
+    u, du, ub, dub = ws.slots
+    np.multiply(1j * ws.n, u, out=du)
+    np.conjugate(u[..., ::-1], out=ub)
+    np.conjugate(du[..., ::-1], out=dub)
+    return hardy._fft(ws.pad, ws.spec)
 
 
-def _b_block(u: HardyCoeffs, sign: str, rows: int, cols: int) -> NDArray[np.complex128]:
-    """B[:rows, :cols] by leading blocks of the K x K products (see module docstring).
+def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
+                  sign: str, ws: _FFTWorkspace) -> NDArray[np.complex128]:
+    """B_u applied to the rows of G (m, K) without forming the matrix.
 
-    B is skew-adjoint; the computed K x K block is so to roundoff: bit for
-    bit when K is a multiple of 4 on OpenBLAS, within a few ulp otherwise.
+    ``kernels`` is the (4, L) block of ``_b_kernels`` for this u.
+    B_u = T_u T_{dx conj u} - T_{dx u} T_{conj u} + i (T_u T_{conj u})^2
+    in the focusing case; the first two terms swap signs in the defocusing
+    one.  All four Toeplitz actions are exact truncated convolutions: T_k
+    keeps the head of k * G, and T_{conj k} the tail of conj(k reversed) * G.
+
+    Eight FFT calls: one transform of G and stacked calls for the sibling
+    convolutions; T_{conj u} G serves both the second term and
+    P(G) = T_u T_{conj u} G.  They run on the three-operand workspace ``ws``
+    of G's shape; the result is a new array.
     """
-    Tu = analytic_toeplitz_block(u)
-    Tdu = analytic_toeplitz_block(derivative(u))
-    Tuh, Tduh = Tu.conj().T, Tdu.conj().T
-    P = Tu @ Tuh
-    core = _leading_block(Tu, Tduh, rows, cols) - _leading_block(Tdu, Tuh, rows, cols)
-    if sign == DEFOCUSING:
-        core = -core
-    return core + 1j * _leading_block(P, P, rows, cols)
+    k_u, k_du, k_ub, k_dub = kernels
+    a, b, c = ws.operands
+    a.slots[...] = G
+    fG = hardy._fft(a.pad, a.spec)
+    # spectra of T_{conj du} G and T_{conj u} G; the second feeds two terms
+    np.multiply(k_dub, fG, out=a.prod)
+    np.multiply(k_ub, fG, out=b.prod)
+    hardy._ifft(ws.prod[:2], ws.conv[:2])
+    ws.slots[:2] = ws.tails[:2]
+    bar_du, bar_u = hardy._fft(ws.pad[:2], ws.spec[:2])
+    np.multiply(k_u, bar_du, out=a.prod)
+    np.multiply(k_du, bar_u, out=b.prod)
+    np.multiply(k_u, bar_u, out=c.prod)
+    hardy._ifft(ws.prod, ws.conv)
+    # the last term, i T_u T_{conj u} PF with PF = c.heads, runs on operand c
+    c.slots[...] = c.heads
+    np.multiply(k_ub, hardy._fft(c.pad, c.spec), out=c.prod)
+    hardy._ifft(c.prod, c.conv)
+    c.slots[...] = c.tails
+    np.multiply(k_u, hardy._fft(c.pad, c.spec), out=c.prod)
+    hardy._ifft(c.prod, c.conv)
+    first, second = a.heads, b.heads
+    quad = 1j * c.heads
+    if sign == FOCUSING:
+        return first - second + quad
+    return -first + second + quad
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -294,10 +332,10 @@ def check_spectral_identities(u: HardyCoeffs,
 
     Since (A S)[i, j] = A[i, j+1] and (A S*)[i, j] = A[i, j-1], the R x R
     block of the commutators reads L on [:R, :R+1], B and L^2 on
-    [:R+1, :R] and (L + 1)^2 on [:R, :R-1], and nothing else.  These
-    blocks are formed by ``_leading_block`` and assembled in place, in the
-    order of the dense formula, so the residuals equal those of the
-    K x K matrices bit for bit (see the module docstring).
+    [:R+1, :R] and (L + 1)^2 on [:R, :R-1], and nothing else.  Column j of
+    B is ``_apply_b_cols`` of the unit row e_j, the action ``evolve_basis``
+    integrates, in blocks of 8 rows (see the module docstring); L^2 is one
+    product of R + 1 rows, and (L + 1)^2 = L^2 + 2L + 1 is read off it.
     """
     check_same_K(u, dec)
     K = u.K
@@ -318,20 +356,31 @@ def check_spectral_identities(u: HardyCoeffs,
     rhs = s * np.outer(x, b)
     r_shift = np.max(np.abs(lhs - rhs))
 
-    # operator identities on the R x R block, in the dense formula's order
+    # operator identities on the R x R block
     L = dec.matrix
     i = np.arange(K)
     R1 = L[:R, 1:R + 1].copy()                # L S
     R1[1:] -= L[:R - 1, :R]                   # - S L
     R1[i[1:R], i[:R - 1]] -= 1.0              # - S
     R1 -= s * np.outer(uc[:R], np.conj(uc[1:R + 1]))   # - s <.|S* u> u
-    B = _b_block(u, dec.sign, R + 1, R)
+    kern_ws = _FFTWorkspace(4, (K,))
+    kern_ws.slots[0] = uc
+    kernels = _b_kernels(kern_ws)
+    n = min(_B_ROWS, R)
+    ws = _FFTWorkspace(3, (n, K))
+    Bt = np.empty((R, R + 1), dtype=np.complex128)   # Bt[j] = B[:R+1, j] = (B e_j)[:R+1]
+    for j in [*range(0, R - n, n), R - n]:           # the last block ends at R
+        E = np.eye(n, K, j, dtype=np.complex128)
+        Bt[j:j + n] = _apply_b_cols(kernels, E, dec.sign, ws)[:, :R + 1]
+    B = Bt.T
     R2 = B[1:].copy()                         # S* B
     R2[:, 1:] -= B[:R, :R - 1]                # - B S*
-    Lp1 = L.copy()
-    Lp1[i, i] += 1.0
-    Q = _leading_block(L, L, R + 1, R)[1:]                 # S* L^2
-    Q[:, 1:] -= _leading_block(Lp1, Lp1, R, R - 1)        # - (L + 1)^2 S*
+    L2 = L[:R + 1] @ L[:, :R]
+    Q = L2[1:].copy()                         # S* L^2
+    # - (L + 1)^2 S* = - L^2 S* - 2 L S* - S*, the terms of size L^2 first
+    Q[:, 1:] -= L2[:R, :R - 1]
+    Q[:, 1:] -= 2.0 * L[:R, :R - 1]
+    Q[i[:R - 1], i[1:R]] -= 1.0
     Q *= 1j
     R2 -= Q
     r_ls = float(np.max(np.abs(R1)))

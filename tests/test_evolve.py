@@ -33,16 +33,16 @@ from cslab import (
     spectral_decompose,
 )
 from cslab.errors import K_MAX
-from cslab.evolve import (
-    MAX_STEPS,
-    _apply_b_cols,
-    _b_kernels,
-    _lawson_setup,
-    _lawson_stages,
-)
+from cslab.evolve import MAX_STEPS, _lawson_setup, _lawson_stages
 from cslab import hardy
-from cslab.hardy import _FFTWorkspace, _conv_length, nonlinearity, shift_columns
-from cslab.lax import _b_block
+from cslab.hardy import (
+    _FFTWorkspace,
+    _conv_length,
+    analytic_toeplitz_block,
+    nonlinearity,
+    shift_columns,
+)
+from cslab.lax import _apply_b_cols, _b_kernels, check_spectral_identities
 
 
 def _wave_state(name, K):
@@ -314,12 +314,17 @@ def test_evolve_basis_rejects_sparse_recordings():
 
 @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
 def test_b_action_matches_dense_generator(sign):
-    """The FFT action of B on columns against the dense K x K block of B."""
+    """The FFT action of B on columns against B built from plain K x K
+    matrices: T_u, T_du with du = i n u, and P = T_u T_ubar."""
     K = 128
     u = random_decaying(11, K, rho=0.8)
     rng = np.random.default_rng(5)
     F = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
-    want = _b_block(u, sign, K, K) @ F
+    Tu = analytic_toeplitz_block(u)
+    Tdu = analytic_toeplitz_block(HardyCoeffs(1j * np.arange(K) * u.coeffs))
+    P = Tu @ Tu.conj().T
+    core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
+    want = ((core if sign == "focusing" else -core) + 1j * (P @ P)) @ F
     kernels = _kernels(u.coeffs)
     got = _apply_b_cols(kernels, F.T, sign, _FFTWorkspace(3, (3, K))).T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
@@ -328,7 +333,8 @@ def test_b_action_matches_dense_generator(sign):
 def test_stepper_fft_call_counts(monkeypatch):
     """Shared spectra: the nonlinearity makes 4 FFT calls, the kernel
     spectra 1 and the B action 8; evolve_basis makes 32 per step plus 13
-    per block of 8 steps (12 for the stacked stages, 1 for their kernels).
+    per block of 8 steps (12 for the stacked stages, 1 for their kernels),
+    and the identity check 1 + 8 ceil(R/8), so it runs the same B action.
     Every transform goes through ``hardy._fft`` or ``hardy._ifft``, looked
     up on the module, so patching the two counts them all."""
     calls = []
@@ -340,6 +346,7 @@ def test_stepper_fft_call_counts(monkeypatch):
         return call
 
     u = random_decaying(11, 64, rho=0.8)
+    dec = spectral_decompose(build_lax(u, "focusing"))
     traj = _defocusing_wave_trajectory()
     kern_ws, act_ws = _FFTWorkspace(4, (64,)), _FFTWorkspace(3, (2, 64))
     kern_ws.slots[0] = u.coeffs
@@ -356,6 +363,9 @@ def test_stepper_fft_call_counts(monkeypatch):
     calls.clear()
     evolve_basis(traj, np.eye(64, 2, dtype=complex))
     assert len(calls) == 32 * 10 + 13 * 2  # 10 steps, blocks of 8 and 2
+    calls.clear()
+    check_spectral_identities(u, dec)
+    assert len(calls) == 1 + 8 * 6  # R = 48 unit rows in blocks of 8
 
 
 def _kernels(U, ws=None):

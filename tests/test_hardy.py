@@ -38,7 +38,6 @@ from cslab import (
     TruncationOverflow,
     blaschke_eval,
     blaschke_to_coeffs,
-    derivative,
     grid_transform,
     potential_coeffs,
     random_decaying,
@@ -46,6 +45,7 @@ from cslab import (
     solve_residue_system,
     zero_pad,
 )
+from cslab.errors import K_MAX
 from cslab.hardy import (
     _FFTWorkspace,
     _conv_length,
@@ -285,7 +285,7 @@ def test_toeplitz_block_acts_as_projected_multiplication():
 
 
 # ----------------------------------------------------------------------
-# grid samples, shifts, derivative, translation
+# grid samples, shifts, translation
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -327,12 +327,6 @@ def test_shift_adjoint_pairing(c, d):
     lhs = np.vdot(v, shift_columns(u))
     rhs = np.vdot(unshift_columns(v), u)
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_derivative_multiplies_by_in():
-    u = HardyCoeffs(np.array([5.0, 1.0, 2.0j]))
-    got = derivative(u).coeffs
-    assert np.allclose(got, [0.0, 1.0j, 2.0j * 2.0j])
 
 
 def test_translate_phase_and_grid_consistency():
@@ -411,9 +405,15 @@ def test_blaschke_eval_unimodular_and_vanishing():
 def test_blaschke_monomial_coefficients():
     """z^power shifts the coefficients and is never sampled, so a monomial
     is exact; a power past the truncation leaves zeros and warns (sampled
-    on 64 points, z^67 used to come back as z^3)."""
+    on 64 points, z^67 used to come back as z^3).  A zero at 0 is a factor
+    z and moves into the power."""
     psi = BlaschkeProduct(zeros=(), power=2)
     assert np.array_equal(blaschke_to_coeffs(psi, 5).coeffs, [0, 0, 1.0, 0, 0])
+    psi = BlaschkeProduct(zeros=(0, 0.3, -0.0j), power=1)
+    assert psi.zeros == (0.3,) and psi.power == 3
+    got = blaschke_to_coeffs(BlaschkeProduct(zeros=(0, 0, 0.3)), 16).coeffs
+    want = blaschke_to_coeffs(BlaschkeProduct(zeros=(0.3,), power=2), 16).coeffs
+    assert np.array_equal(got, want)
     with pytest.warns(TruncationOverflow):
         got = blaschke_to_coeffs(BlaschkeProduct(power=67), 16).coeffs
     assert np.array_equal(got, np.zeros(16))
@@ -425,3 +425,6 @@ def test_blaschke_zero_outside_disc_rejected():
             BlaschkeProduct(zeros=(w,), power=0)
     with pytest.raises(InvalidParameter):
         BlaschkeProduct(zeros=(0.5,), power=1.5)
+    assert BlaschkeProduct(zeros=(0.0,) * 2, power=K_MAX - 2).power == K_MAX
+    with pytest.raises(InvalidParameter):  # zeros at 0 count in the power
+        BlaschkeProduct(zeros=(0.0,) * 2, power=K_MAX - 1)

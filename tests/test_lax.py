@@ -34,9 +34,8 @@ from cslab import (
     reliable_eigenvalues,
     spectral_decompose,
 )
-import cslab.lax as lax
-from cslab.hardy import shift_columns
-from cslab.lax import _PHASE_TOL, _b_block, _fix_phases
+from cslab.hardy import _FFTWorkspace, analytic_toeplitz_block, shift_columns
+from cslab.lax import _PHASE_TOL, _apply_b_cols, _b_kernels, _fix_phases
 
 
 def test_plane_wave_spectrum_focusing():
@@ -60,25 +59,47 @@ def test_constant_potential_spectrum_both_signs():
         np.testing.assert_allclose(dec.eigenvalues, n + shift, atol=1e-13)
 
 
+def _fft_b(u, sign):
+    """The K x K matrix of B from the FFT action on the unit rows e_j."""
+    K = u.K
+    ws = _FFTWorkspace(4, (K,))
+    ws.slots[0] = u.coeffs
+    E = np.eye(K, dtype=complex)
+    return _apply_b_cols(_b_kernels(ws), E, sign, _FFTWorkspace(3, (K, K))).T
+
+
+def _dense_b(u, sign):
+    """Reference B from plain K x K matrices: T_u, T_du with du = i n u,
+    and P = T_u T_ubar."""
+    Tu = analytic_toeplitz_block(u)
+    Tdu = analytic_toeplitz_block(HardyCoeffs(1j * np.arange(u.K) * u.coeffs))
+    P = Tu @ Tu.conj().T
+    core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
+    return (core if sign == "focusing" else -core) + 1j * (P @ P)
+
+
 def test_lax_block_hermitian_and_b_skew():
-    """Exact in floating point when K is a multiple of 4."""
+    """L is Hermitian exactly in floating point when K is a multiple of 4;
+    the FFT action of B is skew-adjoint to roundoff only, at every K."""
     for K in (128, 256):
         u = make_fixture("appendix1").coeffs(K)
         L = build_lax(u, "focusing").matrix
         assert np.abs(L - L.conj().T).max() == 0.0
-        B = _b_block(u, "focusing", K, K)
-        assert np.abs(B + B.conj().T).max() == 0.0
+        B = _fft_b(u, "focusing")
+        assert np.abs(B + B.conj().T).max() <= 1e-14 * max(1.0, np.abs(B).max())
 
 
-@pytest.mark.parametrize("K", [15, 22, 130, 250])
+@pytest.mark.parametrize("K", [15, 22, 128, 130, 250, 256])
 def test_lax_block_hermitian_and_b_skew_to_roundoff(K):
-    """For other K the mirrored entries may differ by a few ulp (seen up to
-    1e-15 for this draw); eigh reads one triangle, so spectra are unaffected."""
+    """The mirrored entries of L may differ by a few ulp for K not a
+    multiple of 4 (seen up to 1e-15 for this draw); eigh reads one
+    triangle, so spectra are unaffected.  The FFT action of B rounds
+    differently in mirrored entries at every K."""
     u = random_decaying(5, K)
     for sign in ("focusing", "defocusing"):
         L = build_lax(u, sign).matrix
         assert np.abs(L - L.conj().T).max() <= 1e-14 * max(1.0, np.abs(L).max())
-        B = _b_block(u, sign, K, K)
+        B = _fft_b(u, sign)
         assert np.abs(B + B.conj().T).max() <= 1e-14 * max(1.0, np.abs(B).max())
 
 
@@ -251,7 +272,7 @@ def _dense_identity_oracle(u, dec):
     lhs = (ev[:, None] - ev[None, :] - 1.0) * A
     r_shift = np.max(np.abs(lhs - s * np.outer(x, b)))
     L = build_lax(u, dec.sign).matrix
-    B = _b_block(u, dec.sign, K, K)
+    B = _dense_b(u, dec.sign)
     S = np.diag(np.ones(K - 1), -1).astype(np.complex128)
     Sa = S.conj().T
     Sstar_u = np.zeros(K, dtype=np.complex128)
@@ -274,9 +295,9 @@ def _oracle_cases():
     for seed in (11, 12):
         for sign in ("focusing", "defocusing"):
             yield case(f"random:{seed}:{sign}", random_decaying(seed, 128), sign)
-    # K = 100 (R = 75) and K = 18 (R = 14) cut the blocks of B and L^2
-    # across BLAS tiles
-    for K, seed in ((256, 13), (512, 14), (100, 15), (18, 16)):
+    # K = 100 (R = 75) and K = 18 (R = 14) end B's unit rows in a block
+    # that overlaps the one before; K = 9 (R = 7) takes one short block
+    for K, seed in ((256, 13), (512, 14), (100, 15), (18, 16), (9, 17)):
         for sign in ("focusing", "defocusing"):
             yield case(f"random:{seed}:{sign}:K{K}:buffer{K // 4}",
                        random_decaying(seed, K), sign)
@@ -286,14 +307,16 @@ def _oracle_cases():
 def test_identity_residuals_match_dense_oracle(name, u, sign):
     """Index-shift S, S*, the shared (X, Y, M) and the buffered blocks of
     B, L^2 and (L + 1)^2 reproduce the dense formulas: bit for bit where
-    the summation order is kept, and within roundoff for the shift
-    pairing, which is summed as a matmul."""
+    the summation order is kept, within roundoff for the shift pairing,
+    which is summed as a matmul, and within eps K max|L|^2 for the B
+    commutator, whose B comes from the FFT action and whose (L + 1)^2 is
+    L^2 + 2L + 1."""
     dec = spectral_decompose(build_lax(u, sign))
     rep = check_spectral_identities(u, dec)
     mean, shift, ls, sb = _dense_identity_oracle(u, dec)
     assert rep.mean_identity == mean
     assert rep.commutator_ls == ls
-    assert rep.commutator_sb == sb
+    assert abs(rep.commutator_sb - sb) <= np.finfo(float).eps * u.K * np.abs(dec.matrix).max() ** 2
     assert abs(rep.shift_identity - shift) <= 1e-15
 
 
@@ -315,24 +338,21 @@ class _ProductShapes(np.ndarray):
         return result.view(_ProductShapes) if isinstance(result, np.ndarray) else result
 
 
-def test_identity_check_forms_only_its_blocks(monkeypatch):
-    """The commutators are assembled from the buffered blocks of B, L^2 and
-    (L + 1)^2: the only K x K product is P = T_u T_ubar, whose rows and
-    columns both enter P^2, so the dense B is never built."""
+def test_identity_check_forms_only_its_blocks():
+    """The commutators are assembled from the buffered block of L^2 and
+    from B's FFT action: the only matrix products are L^2 on rows :R+1
+    and those of the R eigenvectors (x, M and b), no K x K product."""
     K = 128
     u = random_decaying(5, K)
     dec = spectral_decompose(build_lax(u, "focusing"))
     want = check_spectral_identities(u, dec)
 
-    toeplitz = lax.analytic_toeplitz_block
-    monkeypatch.setattr(lax, "analytic_toeplitz_block",
-                        lambda w: toeplitz(w).view(_ProductShapes))
-    recorded = dataclasses.replace(dec, matrix=dec.matrix.view(_ProductShapes))
+    recorded = dataclasses.replace(dec, matrix=dec.matrix.view(_ProductShapes),
+                                   vectors=dec.vectors.view(_ProductShapes))
     _ProductShapes.shapes = []
     assert check_spectral_identities(u, recorded) == want
-    # P, then T_u T_dubar, T_du T_ubar, P^2 and L^2 on rows :R+1 and
-    # columns :R and (L + 1)^2 on [:R, :R-1], R = 96, padded to whole 4 x 4 tiles
-    assert sorted(_ProductShapes.shapes) == [(96, 96)] + [(100, 96)] * 4 + [(K, K)]
+    # R = 96: x and b, then M and L^2 on [:R+1, :R]
+    assert sorted(_ProductShapes.shapes) == [(96,), (96,), (96, 96), (97, 96)]
 
 
 def _fix_phases_loop(vectors):
