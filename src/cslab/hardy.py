@@ -14,9 +14,9 @@ and the flow's nonlinearity (D Pi(|u|^2)) u.  ``_disc_series`` samples
 every closed form on the disc, Blaschke products and the potentials of
 ``finitegap``.  S and S* act by index shifts, never as dense operators: on
 a vector or every column (``shift_columns``, ``unshift_columns``), or as a
-stack of the shifted copies S^k w or (S*)^k w (``_shifted_columns``).  The
-lower-triangular Toeplitz block T_u of an analytic symbol is such a stack,
-column k being S^k u.
+stack of the shifted copies S^k w or (S*)^k w (``_shifted_columns``).  No
+Toeplitz block T_u is formed: ``lax.build_lax`` assembles T_u T_ubar from
+its displacement equation, entry by entry from u.
 """
 
 from __future__ import annotations
@@ -140,13 +140,6 @@ def _shifted_columns(w: NDArray[np.complex128], n: int,
     if backward:
         return sliding_window_view(np.concatenate([w, pad]), n).copy()
     return sliding_window_view(np.concatenate([w[::-1], pad]), n)[::-1].copy()
-
-
-def analytic_toeplitz_block(u: HardyCoeffs) -> NDArray[np.complex128]:
-    """Lower-triangular Toeplitz block T_u for an analytic symbol u: the
-    K x K stack whose column k is S^k u, so T[i, j] = u_hat(i - j) for
-    i >= j and 0 above the diagonal."""
-    return _shifted_columns(u.coeffs, u.K, backward=False)
 
 
 def grid_transform(u: HardyCoeffs, M: int) -> NDArray[np.complex128]:

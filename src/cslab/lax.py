@@ -9,7 +9,10 @@ with D = -i d/dx (the diagonal of mode numbers) and T_w the Toeplitz
 operator f -> Pi(w f).  Their K x K compressions are *exact*: the entry
 (j, k) of the true product T_u T_ubar only involves intermediate modes
 <= min(j, k), so the product of truncated blocks equals the block of the
-product.  The companion generator
+product.  ``build_lax`` forms no T_u: P = T_u T_ubar solves P - S P S* =
+u u^H, so P[i, j] = P[i-1, j-1] + u_i conj(u_j), filled row by row in O(K^2)
+with a real diagonal and the upper triangle mirrored: L is exactly Hermitian
+and no BLAS call (or thread count) touches it.  The companion generator
 
     B_u      =  T_u T_{du bar} - T_{du} T_ubar + i (T_u T_ubar)^2
     Btilde_u = -T_u T_{du bar} + T_{du} T_ubar + i (T_u T_ubar)^2
@@ -25,7 +28,7 @@ polluted by the cut; indices above the reliability cutoff (default
 K - K/8) should never be trusted; a zero buffer (K < 8 by default) is refused.
 One potential has one decomposition, which keeps its Lax matrix: spectral
 consumers read L and the eigenbasis coordinates (``_matrices_in_basis``)
-from it.  T_u, S, S* and the S^k stacks come from ``hardy``, which applies
+from it.  S, S* and the S^k stacks come from ``hardy``, which applies
 them as index shifts, never as dense matrices.
 
 B is never formed as a matrix.  Its one implementation is an action by
@@ -37,15 +40,6 @@ conjugated reversals are known (one stacked call).  The evolving basis of
 ``evolve`` integrates this action, and the identity check reads B off it.
 The transforms are hardy._fft and hardy._ifft, looked up on the module at
 each call; both keep np.fft's bits.
-
-The identity check reads the commutators only on the block of indices
-below R = K - buffer, so it forms only what that block reads: B and L^2
-on rows :R+1 and columns :R, and (L + 1)^2 on rows :R and columns :R-1.
-Column j < R of B is B applied to the unit row e_j; the rows go through
-the action 8 at a time on one workspace, the last block starting at R - 8
-so that it fills the same workspace (R < 8 takes one block of R rows).
-(L + 1)^2 is L^2 + 2L + 1 on the block of L^2, so the one matrix product
-is L^2 on rows :R+1 and columns :R; no K x K product is formed.
 """
 
 from __future__ import annotations
@@ -61,7 +55,6 @@ from . import hardy
 from .hardy import (
     HardyCoeffs,
     _FFTWorkspace,
-    analytic_toeplitz_block,
     shift_columns,
     unshift_columns,
 )
@@ -92,10 +85,9 @@ _B_ROWS = 8
 class LaxBlock:
     """K x K compression of the Lax operator for one sign.
 
-    The operator is Hermitian.  The computed matrix is Hermitian to
-    roundoff: bit for bit when K is a multiple of 4 on OpenBLAS, within a
-    few ulp of its largest entry otherwise.  ``eigh`` reads one triangle,
-    so spectra do not depend on which.
+    The operator is Hermitian, and so is the computed matrix, bit for bit
+    at every K: its upper triangle is the conjugate copy of its lower one
+    and its diagonal is real.
     """
 
     matrix: NDArray[np.complex128]
@@ -159,14 +151,19 @@ class IdentityReport:
 def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
     """K x K block of the Lax operator: diag(0..K-1) -/+ T_u T_ubar (exact).
     No entry of T_u T_ubar exceeds ||u||^2: refusing an overflowing ||u||^2
-    (InvalidParameter) keeps the matrix finite for LAPACK."""
+    (InvalidParameter) keeps the matrix finite for LAPACK.  P is filled
+    row by row from P[i, j] = P[i-1, j-1] + u_i conj(u_j) (module docstring)."""
     check_sign(sign)
     check_real("||u||^2", float(np.vdot(u.coeffs, u.coeffs).real), 0.0, math.inf)
-    K = u.K
-    Tu = analytic_toeplitz_block(u)
-    P = Tu @ Tu.conj().T
-    D = np.diag(np.arange(K, dtype=np.float64))
-    mat = D - P if sign == FOCUSING else D + P
+    K, c = u.K, u.coeffs
+    s = -1.0 if sign == FOCUSING else 1.0
+    cb = np.conj(c)
+    mat = np.zeros((K, K), dtype=np.complex128)
+    for i in range(1, K):
+        np.multiply(s * c[i], cb[:i], out=mat[i, :i])
+        mat[i, 1:i] += mat[i - 1, :i - 1]
+        np.conjugate(mat[i, :i], out=mat[:i, i])
+    np.fill_diagonal(mat, np.arange(K) + s * np.cumsum(c.real ** 2 + c.imag ** 2))
     return LaxBlock(matrix=mat, sign=sign, K=K)
 
 
@@ -230,13 +227,14 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Rotate each column so its first coefficient of modulus > 1e-8 is real > 0
-    (columns with none stay as they are; hypot rounds like the scalar abs)."""
+    """Rotate each column, in place, so its first coefficient of modulus > 1e-8
+    is real > 0 (columns with none stay; hypot rounds like the scalar abs)."""
     big = np.abs(vectors) > _PHASE_TOL
     has_pivot = big.any(axis=0)
     pivots = vectors[big.argmax(axis=0), np.arange(vectors.shape[1])]
     pivots = np.where(has_pivot, pivots, 1.0)
-    return vectors * (np.conj(pivots) / np.hypot(pivots.real, pivots.imag))
+    return np.multiply(vectors, np.conj(pivots) / np.hypot(pivots.real, pivots.imag),
+                       out=vectors)
 
 
 def _eigensolve(L: LaxBlock, buffer: int | None, solver):
@@ -334,8 +332,10 @@ def check_spectral_identities(u: HardyCoeffs,
     block of the commutators reads L on [:R, :R+1], B and L^2 on
     [:R+1, :R] and (L + 1)^2 on [:R, :R-1], and nothing else.  Column j of
     B is ``_apply_b_cols`` of the unit row e_j, the action ``evolve_basis``
-    integrates, in blocks of 8 rows (see the module docstring); L^2 is one
-    product of R + 1 rows, and (L + 1)^2 = L^2 + 2L + 1 is read off it.
+    integrates, 8 rows at a time on one workspace, the last block starting
+    at R - 8 (R < 8 takes one block of R rows); L^2 is one product of R + 1
+    rows, and (L + 1)^2 = L^2 + 2L + 1 is read off it.  No K x K product is
+    formed, and each R x R array dies once read: at most about four live.
     """
     check_same_K(u, dec)
     K = u.K
@@ -352,17 +352,23 @@ def check_spectral_identities(u: HardyCoeffs,
     r_mean = np.max(np.abs(mean_u * x - s * ev * y))
 
     b = np.conj(uc) @ shift_columns(F)   # b[p] = <S f_p | u>
-    lhs = (ev[:, None] - ev[None, :] - 1.0) * M.conj().T   # M^H[n,p] = <S f_p|f_n>
-    rhs = s * np.outer(x, b)
-    r_shift = np.max(np.abs(lhs - rhs))
+    lhs = np.conjugate(M, out=M).T       # M^H[n,p] = <S f_p|f_n>, on M's buffer
+    np.multiply(ev[:, None] - ev[None, :] - 1.0, lhs, out=lhs)
+    buf = np.outer(x, b)                 # an R x R scratch array until R1 is read
+    lhs -= np.multiply(s, buf, out=buf)
+    r_shift = np.max(np.abs(lhs))
+    del x, y, M, lhs
 
-    # operator identities on the R x R block
+    # operator identities on the R x R block; each array dies once it is read
     L = dec.matrix
     i = np.arange(K)
     R1 = L[:R, 1:R + 1].copy()                # L S
     R1[1:] -= L[:R - 1, :R]                   # - S L
     R1[i[1:R], i[:R - 1]] -= 1.0              # - S
-    R1 -= s * np.outer(uc[:R], np.conj(uc[1:R + 1]))   # - s <.|S* u> u
+    np.outer(uc[:R], np.conj(uc[1:R + 1]), out=buf)
+    R1 -= np.multiply(s, buf, out=buf)        # - s <.|S* u> u
+    r_ls = float(np.max(np.abs(R1)))
+    del R1, buf
     kern_ws = _FFTWorkspace(4, (K,))
     kern_ws.slots[0] = uc
     kernels = _b_kernels(kern_ws)
@@ -375,15 +381,16 @@ def check_spectral_identities(u: HardyCoeffs,
     B = Bt.T
     R2 = B[1:].copy()                         # S* B
     R2[:, 1:] -= B[:R, :R - 1]                # - B S*
+    del Bt, B
     L2 = L[:R + 1] @ L[:, :R]
     Q = L2[1:].copy()                         # S* L^2
     # - (L + 1)^2 S* = - L^2 S* - 2 L S* - S*, the terms of size L^2 first
     Q[:, 1:] -= L2[:R, :R - 1]
+    del L2
     Q[:, 1:] -= 2.0 * L[:R, :R - 1]
     Q[i[:R - 1], i[1:R]] -= 1.0
     Q *= 1j
     R2 -= Q
-    r_ls = float(np.max(np.abs(R1)))
     r_sb = float(np.max(np.abs(R2)))
 
     return IdentityReport(

@@ -38,7 +38,7 @@ from cslab import hardy
 from cslab.hardy import (
     _FFTWorkspace,
     _conv_length,
-    analytic_toeplitz_block,
+    _shifted_columns,
     nonlinearity,
     shift_columns,
 )
@@ -320,8 +320,8 @@ def test_b_action_matches_dense_generator(sign):
     u = random_decaying(11, K, rho=0.8)
     rng = np.random.default_rng(5)
     F = rng.standard_normal((K, 3)) + 1j * rng.standard_normal((K, 3))
-    Tu = analytic_toeplitz_block(u)
-    Tdu = analytic_toeplitz_block(HardyCoeffs(1j * np.arange(K) * u.coeffs))
+    Tu = _shifted_columns(u.coeffs, K, backward=False)   # T_u, column k = S^k u
+    Tdu = _shifted_columns(1j * np.arange(K) * u.coeffs, K, backward=False)
     P = Tu @ Tu.conj().T
     core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
     want = ((core if sign == "focusing" else -core) + 1j * (P @ P)) @ F

@@ -53,7 +53,7 @@ from cslab.hardy import (
     _ifft,
     _modulus_spectra,
     _nonlinearity,
-    analytic_toeplitz_block,
+    _shifted_columns,
     nonlinearity,
     shift_columns,
     unshift_columns,
@@ -254,8 +254,14 @@ def test_nonlinearity_results_do_not_alias():
     assert np.array_equal(first, kept)
 
 
+def _toeplitz(c):
+    """Dense lower-triangular Toeplitz block T_u of an analytic symbol, as
+    the tests build it: the stack of the shifted copies S^k u."""
+    return _shifted_columns(np.asarray(c, dtype=np.complex128), len(c), backward=False)
+
+
 def test_toeplitz_block_small_oracle():
-    T = analytic_toeplitz_block(HardyCoeffs(np.array([3.0, 5.0j])))
+    T = _toeplitz([3.0, 5.0j])
     assert np.array_equal(T, np.array([[3.0, 0.0], [5.0j, 3.0]]))
 
 
@@ -269,7 +275,7 @@ def test_toeplitz_block_matches_definition(K):
     for i in range(K):
         for j in range(i + 1):
             want[i, j] = c[i - j]
-    T = analytic_toeplitz_block(HardyCoeffs(c))
+    T = _toeplitz(c)
     assert T.dtype == np.complex128 and T.flags.c_contiguous
     assert np.array_equal(T, want)
 
@@ -278,7 +284,7 @@ def test_toeplitz_block_acts_as_projected_multiplication():
     rng = np.random.default_rng(42)
     c = rng.normal(size=6) + 1j * rng.normal(size=6)
     h = rng.normal(size=6) + 1j * rng.normal(size=6)
-    T = analytic_toeplitz_block(HardyCoeffs(c))
+    T = _toeplitz(c)
     # T_u h against the truncated polynomial product
     want = np.convolve(c, h)[:6]
     np.testing.assert_allclose(T @ h, want, atol=1e-13)

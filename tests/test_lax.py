@@ -15,11 +15,17 @@ on rational data are truncation-floor quantities, bounded loosely here.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cslab
 from cslab import (
     RATIONAL_FIXTURES,
     DimensionMismatch,
@@ -34,7 +40,7 @@ from cslab import (
     reliable_eigenvalues,
     spectral_decompose,
 )
-from cslab.hardy import _FFTWorkspace, analytic_toeplitz_block, shift_columns
+from cslab.hardy import _FFTWorkspace, _shifted_columns, shift_columns
 from cslab.lax import _PHASE_TOL, _apply_b_cols, _b_kernels, _fix_phases
 
 
@@ -68,19 +74,25 @@ def _fft_b(u, sign):
     return _apply_b_cols(_b_kernels(ws), E, sign, _FFTWorkspace(3, (K, K))).T
 
 
+def _toeplitz(c):
+    """Dense lower-triangular Toeplitz block T_u of an analytic symbol:
+    column k is S^k u, so T[i, j] = c[i - j] for i >= j."""
+    return _shifted_columns(c, c.shape[0], backward=False)
+
+
 def _dense_b(u, sign):
     """Reference B from plain K x K matrices: T_u, T_du with du = i n u,
     and P = T_u T_ubar."""
-    Tu = analytic_toeplitz_block(u)
-    Tdu = analytic_toeplitz_block(HardyCoeffs(1j * np.arange(u.K) * u.coeffs))
+    Tu = _toeplitz(u.coeffs)
+    Tdu = _toeplitz(1j * np.arange(u.K) * u.coeffs)
     P = Tu @ Tu.conj().T
     core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
     return (core if sign == "focusing" else -core) + 1j * (P @ P)
 
 
 def test_lax_block_hermitian_and_b_skew():
-    """L is Hermitian exactly in floating point when K is a multiple of 4;
-    the FFT action of B is skew-adjoint to roundoff only, at every K."""
+    """L is Hermitian exactly in floating point; the FFT action of B is
+    skew-adjoint to roundoff only, at every K."""
     for K in (128, 256):
         u = make_fixture("appendix1").coeffs(K)
         L = build_lax(u, "focusing").matrix
@@ -91,16 +103,35 @@ def test_lax_block_hermitian_and_b_skew():
 
 @pytest.mark.parametrize("K", [15, 22, 128, 130, 250, 256])
 def test_lax_block_hermitian_and_b_skew_to_roundoff(K):
-    """The mirrored entries of L may differ by a few ulp for K not a
-    multiple of 4 (seen up to 1e-15 for this draw); eigh reads one
-    triangle, so spectra are unaffected.  The FFT action of B rounds
-    differently in mirrored entries at every K."""
+    """L is Hermitian bit for bit at every K, multiples of 4 or not: its
+    upper triangle is built as the conjugate copy of its lower one.  The
+    FFT action of B rounds differently in mirrored entries at every K."""
     u = random_decaying(5, K)
     for sign in ("focusing", "defocusing"):
         L = build_lax(u, sign).matrix
-        assert np.abs(L - L.conj().T).max() <= 1e-14 * max(1.0, np.abs(L).max())
+        assert np.abs(L - L.conj().T).max() == 0.0
         B = _fft_b(u, sign)
         assert np.abs(B + B.conj().T).max() <= 1e-14 * max(1.0, np.abs(B).max())
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 8, 37, 250, 513])
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+def test_build_lax_matches_dense_product(K, sign):
+    """The O(K^2) assembly against diag(n) -/+ T_u T_u^H from a dense T_u:
+    every entry of P within 4 K eps ||u||^2, the diagonal also within the
+    rounding of the mode numbers it is added to."""
+    u = random_decaying(K, K)
+    Tu = _toeplitz(u.coeffs)
+    P = Tu @ Tu.conj().T
+    s = -1.0 if sign == "focusing" else 1.0
+    L = build_lax(u, sign).matrix
+    eps = np.finfo(float).eps
+    tol = 4 * K * eps * u.norm() ** 2
+    off = ~np.eye(K, dtype=bool)
+    assert np.abs(L[off] - s * P[off]).max(initial=0.0) <= tol
+    n = np.arange(K)
+    assert np.abs(L.diagonal() - (n + s * P.diagonal().real)).max() <= tol + eps * (K + tol)
+    assert np.array_equal(L.diagonal().imag, np.zeros(K))
 
 
 def test_invalid_sign_rejected():
@@ -355,6 +386,59 @@ def test_identity_check_forms_only_its_blocks():
     assert sorted(_ProductShapes.shapes) == [(96,), (96,), (96, 96), (97, 96)]
 
 
+def test_build_lax_takes_no_matrix_product():
+    """P = T_u T_ubar is filled from its displacement equation: every
+    array built from u stays a recorder view, and none enters a product."""
+    u = random_decaying(5, 128)
+    want = build_lax(u, "focusing").matrix
+    recorded = HardyCoeffs(u.coeffs)
+    object.__setattr__(recorded, "coeffs", u.coeffs.view(_ProductShapes))
+    _ProductShapes.shapes = []
+    assert np.array_equal(build_lax(recorded, "focusing").matrix, want)
+    assert _ProductShapes.shapes == []
+
+
+def _traced_peak(call):
+    """(result, peak bytes that Python and numpy allocated during call)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+def test_lax_path_memory_at_k512(sign):
+    """Memory guard for the K = 512 spectral path: build_lax holds at most
+    two K x K complex arrays (the result and no more than one beside it),
+    and the identity check at most six R x R complex arrays at once."""
+    K = 512
+    R = K - K // 4
+    u = random_decaying(3, K)
+    L, peak = _traced_peak(lambda: build_lax(u, sign))
+    assert peak <= 2 * 16 * K * K
+    dec = spectral_decompose(L)
+    _, peak = _traced_peak(lambda: check_spectral_identities(u, dec))
+    assert peak <= 6 * 16 * R * R
+
+
+def test_lax_matrix_bytes_do_not_depend_on_blas_threads():
+    """No BLAS call touches L, so its bytes are the same under one and two
+    OpenBLAS threads (the dense product T_u T_u^H rounded differently at
+    K = 250)."""
+    code = ("import hashlib; from cslab import build_lax, random_decaying; "
+            "print([hashlib.sha256(build_lax(random_decaying(5, K), s).matrix.tobytes())"
+            ".hexdigest() for K in (250, 256, 512) for s in ('focusing', 'defocusing')])")
+    src = str(Path(cslab.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        digests.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout)
+    assert digests[0] == digests[1] != ""
+
+
 def _fix_phases_loop(vectors):
     """Column-by-column reference for the vectorized phase fix."""
     out = vectors.copy()
@@ -374,6 +458,8 @@ def test_fix_phases_matches_column_loop(K):
     _, V = np.linalg.eigh(A + A.conj().T)
     V[:, 1] *= 1e-9                   # no entry above the pivot tolerance
     V[:3, 2] = 1e-10                  # pivot further down the column
-    fixed = _fix_phases(V)
+    fixed = _fix_phases(V.copy())     # the fix works in place
     assert np.array_equal(fixed, _fix_phases_loop(V))
     assert np.array_equal(fixed[:, 1], V[:, 1])
+    assert _fix_phases(V) is V
+    assert np.array_equal(V, fixed)
