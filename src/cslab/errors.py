@@ -123,11 +123,12 @@ class OutsideTheory(CslabWarning):
 K_MAX = 2 ** 14
 
 
-def check_sign(sign) -> str:
-    """The sign of the flow, refused unless 'focusing' or 'defocusing'."""
+def check_sign(sign) -> float:
+    """The sign sigma of (CS+-): +1.0 for 'focusing', -1.0 for 'defocusing',
+    any other value refused.  The one map from the sign's name to a number."""
     if sign not in ("focusing", "defocusing"):
         raise InvalidParameter(f"unknown sign {sign!r}: need 'focusing' or 'defocusing'")
-    return sign
+    return 1.0 if sign == "focusing" else -1.0
 
 
 def check_int(name: str, value, lo, hi) -> int:

@@ -2,13 +2,13 @@
 
 The modal ODE for u(x) = sum u_hat(n) e^{inx} is
 
-    d/dt u_hat(n) = -i n^2 u_hat(n) +/- 2i [ (D Pi(|u|^2)) u ]_n,
+    d/dt u_hat(n) = -i n^2 u_hat(n) + 2i sigma [ (D Pi(|u|^2)) u ]_n,
 
-(+ focusing, - defocusing).  The linear symbol -i n^2 is purely imaginary,
-so the integrating-factor (Lawson) RK4 in the rotating frame e^{i n^2 t}
-treats it exactly; only the nonlinearity is stepped.  The mean u_hat(0) is
-conserved to the last bit by the scheme, since the nonlinearity has no
-0-mode.
+with sigma = +1 focusing, -1 defocusing (``errors.check_sign``).  The
+linear symbol -i n^2 is purely imaginary, so the integrating-factor
+(Lawson) RK4 in the rotating frame e^{i n^2 t} treats it exactly; only the
+nonlinearity is stepped.  The mean u_hat(0) is conserved to the last bit
+by the scheme, since the nonlinearity has no 0-mode.
 
 The nonlinearity shares transforms: 4 FFT calls.  The B action and its
 kernel spectra are lax's (``lax._b_kernels``, ``lax._apply_b_cols``, 8
@@ -143,12 +143,12 @@ def _lawson_setup(cfg: EvolveConfig):
     """(n_steps, h, s2i, E1, E2): the step-size rule and the linear propagators.
 
     The step count is round(T/dt) with h adjusted to land exactly on T;
-    E1 and E2 advance the linear part by h/2 and h, and s2i = +/- 2i is the
-    sign of the nonlinear term.
+    E1 and E2 advance the linear part by h/2 and h, and s2i = 2i sigma
+    is the factor of the nonlinear term.
     """
     n_steps = max(1, int(round(cfg.T / cfg.dt))) if cfg.T > 0 else 0
     h = cfg.T / n_steps if n_steps else cfg.dt
-    s2i = 2j if cfg.sign == "focusing" else -2j
+    s2i = 2j * check_sign(cfg.sign)
     E1 = np.exp(-1j * np.arange(cfg.K, dtype=float) ** 2 * (h / 2.0))
     return n_steps, h, s2i, E1, E1 * E1
 
@@ -317,7 +317,7 @@ def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:
     A = np.vstack([t, np.ones_like(t)]).T
     n2 = modes.astype(float) ** 2
     # d/dt arg u_hat(n) = Im(-i n^2 + s2i N(u)_n / u_hat(n)) at t = 0
-    s2i = _lawson_setup(traj.cfg)[2]
+    s2i = 2j * check_sign(traj.cfg.sign)
     rates = np.imag(s2i * hardy.nonlinearity(base.coeffs)[modes] / base.coeffs[modes]) - n2
     estimates = np.empty(modes.size)
     for k, n in enumerate(modes):
@@ -377,10 +377,10 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
         raise InvalidParameter(
             f"evolve_basis needs a trajectory recorded at every step, "
             f"got record_every={cfg.record_every}")
-    sign = cfg.sign
+    sigma = check_sign(cfg.sign)
     n_steps, h, s2i, E1, E2 = _lawson_setup(cfg)
 
-    L0 = build_lax(HardyCoeffs(traj.coeffs[0]), sign).matrix
+    L0 = build_lax(HardyCoeffs(traj.coeffs[0]), cfg.sign).matrix
     lams = np.real(np.einsum("km,km->m", np.conj(F), L0 @ F)
                    / np.einsum("km,km->m", np.conj(F), F))
 
@@ -404,10 +404,10 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
         kern = _b_kernels(kern_ws)
         for j in range(n):
             i = b + j
-            l1 = _apply_b_cols(kern[:, 0, j], G, sign, act_ws)
-            l2 = _apply_b_cols(kern[:, 1, j], G + (h / 2.0) * l1, sign, act_ws)
-            l3 = _apply_b_cols(kern[:, 2, j], G + (h / 2.0) * l2, sign, act_ws)
-            l4 = _apply_b_cols(kern[:, 3, j], G + h * l3, sign, act_ws)
+            l1 = _apply_b_cols(kern[:, 0, j], G, sigma, act_ws)
+            l2 = _apply_b_cols(kern[:, 1, j], G + (h / 2.0) * l1, sigma, act_ws)
+            l3 = _apply_b_cols(kern[:, 2, j], G + (h / 2.0) * l2, sigma, act_ws)
+            l4 = _apply_b_cols(kern[:, 3, j], G + h * l3, sigma, act_ws)
             G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
             dev = float(np.max(np.abs(np.linalg.norm(G, axis=-1) / norm0 - 1.0)))
             # negated, so a NaN deviation drifts too

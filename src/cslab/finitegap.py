@@ -10,8 +10,8 @@ with B_j(z) = (z - conj(p_j))/(1 - p_j z), distinct poles p_j in the
 punctured disc, multiplicities m_j >= 1, N = m0 + sum m_j, and residue
 conditions
 
-    conj(a) c_j + sum_k c_j conj(c_k) / (1 - p_j conj(p_k)) = m_j   (focusing)
-                                                            = -m_j  (defocusing),
+    conj(a) c_j + sum_k c_j conj(c_k) / (1 - p_j conj(p_k)) = sigma m_j
+    (sigma = +1 focusing, -1 defocusing),
 
 plus the plane waves C e^{iNx}.  The associated Blaschke product
 psi = z^{m0} prod_j B_j^{m_j} generates a shift ladder of eigenfunctions
@@ -51,7 +51,7 @@ from .hardy import (
     blaschke_to_coeffs,
     grid_transform,
 )
-from .lax import SpectralDecomposition, _matrices_in_basis
+from .lax import SpectralDecomposition, _identity_rows, _matrices_in_basis
 
 __all__ = [
     "FiniteGapPotential",
@@ -119,11 +119,10 @@ class FiniteGapPotential:
 
     @property
     def predicted_eig(self) -> float:
-        """Ladder base eigenvalue: nu_u (focusing) or lambda_u (defocusing).
-
-        nu_u = m0 - |a|^2 - sum_j a conj(c_j);  lambda_u flips both signs of
-        the potential-dependent part.  The residue conditions make the sum
-        real; a residual imaginary part above 1e-8 is a ConstraintViolation.
+        """Ladder base eigenvalue m0 - sigma (|a|^2 + sum_j a conj(c_j)):
+        nu_u (focusing) or lambda_u (defocusing).  The residue conditions
+        make the sum real; an imaginary part above 1e-8 is a
+        ConstraintViolation.
         """
         s = np.sum(self.a * np.conj(np.asarray(self.residues))) if self.r else 0.0
         val = abs(self.a) ** 2 + s
@@ -131,9 +130,7 @@ class FiniteGapPotential:
             raise ConstraintViolation(
                 f"eigenvalue formula not real (imag {np.imag(val):.3e}); "
                 "residue conditions are violated")
-        if self.sign == "focusing":
-            return float(self.m0 - np.real(val))
-        return float(self.m0 + np.real(val))
+        return float(self.m0 - check_sign(self.sign) * np.real(val))
 
 
 def _checked_pole_data(m0, poles, mults) -> tuple:
@@ -161,21 +158,20 @@ def gram_matrix(poles) -> NDArray[np.complex128]:
 def residue_residuals(sign: str, a: complex, residues, poles, mults) -> NDArray[np.complex128]:
     """Per-pole residual of the residue conditions (zero at a solution);
     a sign other than 'focusing' or 'defocusing' raises InvalidParameter."""
-    s = 1.0 if check_sign(sign) == "focusing" else -1.0
-    return _residuals(s, a, np.asarray(residues, dtype=np.complex128),
+    return _residuals(check_sign(sign), a, np.asarray(residues, dtype=np.complex128),
                       gram_matrix(poles), np.asarray(mults, dtype=float))
 
 
-def _residuals(s: float, a: complex, c, G, m) -> NDArray[np.complex128]:
-    """``residue_residuals`` for s = +1 (focusing) or -1 and the Gram matrix G."""
-    return np.conj(a) * c + c * (G @ np.conj(c)) - s * m
+def _residuals(sigma: float, a: complex, c, G, m) -> NDArray[np.complex128]:
+    """``residue_residuals`` for the sign sigma = +1 or -1 and the Gram matrix G."""
+    return np.conj(a) * c + c * (G @ np.conj(c)) - sigma * m
 
 
 def _newton_jacobian(a: complex, c: NDArray[np.complex128],
                      G: NDArray[np.complex128], pin_a: bool) -> NDArray[np.float64]:
     """Real 2r x 2(r+1) Jacobian of the residue map, Wirtinger-assembled.
 
-    With F_j = conj(a) c_j + c_j sum_k conj(c_k) G_jk - s m_j and complex
+    With F_j = conj(a) c_j + c_j sum_k conj(c_k) G_jk - sigma m_j and complex
     variables v = (a, c), the holomorphic block is A = dF/dv and the
     anti-holomorphic one B = dF/dconj(v); the real Jacobian acting on
     (Re dv, Im dv) is [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]].
@@ -213,7 +209,7 @@ def solve_residue_system(sign: str, m0: int, poles, mults, *,
     -sum m_j < 0.  The pole data (as for ``FiniteGapPotential``) and the
     finiteness of ``pin_a`` are checked on entry, before any linear algebra.
     """
-    check_sign(sign)
+    sigma = check_sign(sign)
     m0, poles, mults = _checked_pole_data(m0, poles, mults)
     r = len(poles)
     if pin_a is not None and not np.isfinite(complex(pin_a)):
@@ -240,9 +236,8 @@ def solve_residue_system(sign: str, m0: int, poles, mults, *,
     pinned = pin_a is not None
 
     G = gram_matrix(poles)
-    s = 1.0 if sign == "focusing" else -1.0
     m = np.asarray(mults, dtype=float)
-    F = _residuals(s, a, c, G, m)
+    F = _residuals(sigma, a, c, G, m)
     res = float(np.linalg.norm(F))
     for _ in range(_NEWTON_MAX_ITER):
         if res < _NEWTON_TOL:
@@ -256,7 +251,7 @@ def solve_residue_system(sign: str, m0: int, poles, mults, *,
         for _halving in range(40):
             a_try = a if pinned else a + t * dz[0]
             c_try = c + t * (dz if pinned else dz[1:])
-            F_try = _residuals(s, a_try, c_try, G, m)
+            F_try = _residuals(sigma, a_try, c_try, G, m)
             res_try = float(np.linalg.norm(F_try))
             if res_try < res:
                 a, c, F, res = a_try, c_try, F_try, res_try
@@ -303,10 +298,9 @@ def potential_coeffs(fg: FiniteGapPotential, K: int) -> HardyCoeffs:
 
 
 def predicted_l2(fg: FiniteGapPotential) -> float:
-    """Squared L2 norm from the ladder eigenvalue: N - nu_u, resp. lambda_u - N."""
-    if fg.sign == "focusing":
-        return float(fg.N - fg.predicted_eig)
-    return float(fg.predicted_eig - fg.N)
+    """Squared L2 norm sigma (N - eig): N - nu_u, resp. lambda_u - N."""
+    sigma = check_sign(fg.sign)
+    return float(sigma * fg.N - sigma * fg.predicted_eig)
 
 
 def ladder_blaschke(fg: FiniteGapPotential) -> BlaschkeProduct:
@@ -339,7 +333,7 @@ def blaschke_eigen_check(dec: SpectralDecomposition, psi: BlaschkeProduct,
 def _rung_residuals(L, rungs, expected) -> NDArray[np.float64]:
     """||L r_k - expected[k] r_k|| for each column r_k of ``rungs``, on the
     truncation-reliable rows [0, K - K/4), in one matrix product."""
-    rows = L.shape[0] - L.shape[0] // 4
+    rows = _identity_rows(L.shape[0])
     return np.linalg.norm(L[:rows] @ rungs - expected * rungs[:rows], axis=0)
 
 
@@ -377,7 +371,7 @@ def _ladder_walk(dec: SpectralDecomposition):
     found (seed included) and ``base`` the deepest accepted vector.
     """
     K = dec.K
-    n_seed = min(dec.reliable, K - K // 4) - 1
+    n_seed = min(dec.reliable, _identity_rows(K)) - 1
     if n_seed < 1:
         raise Inconclusive("truncation too small to seed a ladder walk")
     w = dec.vectors[:, n_seed]

@@ -14,7 +14,7 @@ Two exactly solvable examples anchor most oracle tests:
 
 The traveling-wave fixtures (pole, modulated, stationary, plane) are
 re-exported here as finite-gap records too: the wave constraint
-alpha beta + beta^2/(1-|p|^2) = +/-N is literally the residue condition of
+alpha beta + beta^2/(1-|p|^2) = sigma N is literally the residue condition of
 the single-pole system, and the modulated wave is the m0 = m case.
 """
 
@@ -111,7 +111,7 @@ def _wave_to_finite_gap(w: WaveParams) -> FiniteGapPotential:
     1 - p e^{iNx} = prod_j (1 - p_j e^{ix}) over the N-th roots
     p_j = p^{1/N} omega^j, with equal partial-fraction residues beta/N;
     the per-pole residue condition then reads (alpha beta + beta^2 q)/N
-    = +/-1, i.e. exactly the wave constraint divided by N.
+    = sigma, i.e. exactly the wave constraint divided by N.
     """
     ph = np.exp(1j * w.theta)
     if w.family == "plane":

@@ -1,26 +1,24 @@
-"""Truncated Lax operators L = D -/+ T_u T_ubar and their spectral theory.
+"""Truncated Lax operators L = D - sigma T_u T_ubar and their spectral theory.
 
-For u in the Hardy space the focusing / defocusing Lax operators are
+For u in the Hardy space the Lax operator of (CS+-) is
 
-    L_u      = D - T_u T_ubar        (focusing)
-    Ltilde_u = D + T_u T_ubar        (defocusing)
+    L_u = D - sigma T_u T_ubar,    sigma = +1 (focusing) or -1 (defocusing)
 
-with D = -i d/dx (the diagonal of mode numbers) and T_w the Toeplitz
-operator f -> Pi(w f).  Their K x K compressions are *exact*: the entry
-(j, k) of the true product T_u T_ubar only involves intermediate modes
-<= min(j, k), so the product of truncated blocks equals the block of the
-product.  ``build_lax`` forms no T_u: P = T_u T_ubar solves P - S P S* =
+(sigma as ``errors.check_sign`` returns it), with D = -i d/dx (the
+diagonal of mode numbers) and T_w the Toeplitz operator f -> Pi(w f).  Its
+K x K compressions are *exact*: the entry (j, k) of the true product
+T_u T_ubar only involves intermediate modes <= min(j, k), so the product of
+truncated blocks equals the block of the product.  ``build_lax`` forms no T_u: P = T_u T_ubar solves P - S P S* =
 u u^H, so P[i, j] = P[i-1, j-1] + u_i conj(u_j), filled row by row in O(K^2)
 with a real diagonal and the upper triangle mirrored: L is exactly Hermitian
 and no BLAS call (or thread count) touches it.  The companion generator
 
-    B_u      =  T_u T_{du bar} - T_{du} T_ubar + i (T_u T_ubar)^2
-    Btilde_u = -T_u T_{du bar} + T_{du} T_ubar + i (T_u T_ubar)^2
+    B_u = sigma (T_u T_{du bar} - T_{du} T_ubar) + i (T_u T_ubar)^2
 
 (with du = d/dx u) contains a squared product, which is *not* block-exact;
 identities that involve it are therefore checked on a buffered top-left
-sub-block (default buffer K/4) where the quadratic truncation error is
-geometrically small for decaying symbols.
+sub-block (indices below K - K/4, ``_identity_rows``) where the quadratic
+truncation error is geometrically small for decaying symbols.
 
 Eigenvalues of the truncations converge geometrically in K for symbols
 with geometric coefficient decay, but the top rows of the spectrum are
@@ -70,9 +68,6 @@ __all__ = [
     "gap_profile",
     "check_spectral_identities",
 ]
-
-FOCUSING = "focusing"
-DEFOCUSING = "defocusing"
 
 _PHASE_TOL = 1e-8
 #: |<S f_{n-1} | f_n>| below this puts n in the collinearity set I(u).
@@ -148,15 +143,20 @@ class IdentityReport:
                    self.commutator_ls, self.commutator_sb)
 
 
+def _identity_rows(K: int) -> int:
+    """K - K/4: the rows on which the identities that involve B (its squared
+    product is not block-exact) and the ladder relations are read."""
+    return K - K // 4
+
+
 def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
-    """K x K block of the Lax operator: diag(0..K-1) -/+ T_u T_ubar (exact).
+    """K x K block of the Lax operator: diag(0..K-1) - sigma T_u T_ubar (exact).
     No entry of T_u T_ubar exceeds ||u||^2: refusing an overflowing ||u||^2
     (InvalidParameter) keeps the matrix finite for LAPACK.  P is filled
     row by row from P[i, j] = P[i-1, j-1] + u_i conj(u_j) (module docstring)."""
-    check_sign(sign)
+    s = -check_sign(sign)
     check_real("||u||^2", float(np.vdot(u.coeffs, u.coeffs).real), 0.0, math.inf)
     K, c = u.K, u.coeffs
-    s = -1.0 if sign == FOCUSING else 1.0
     cb = np.conj(c)
     mat = np.zeros((K, K), dtype=np.complex128)
     for i in range(1, K):
@@ -184,13 +184,13 @@ def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
 
 
 def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
-                  sign: str, ws: _FFTWorkspace) -> NDArray[np.complex128]:
+                  sigma: float, ws: _FFTWorkspace) -> NDArray[np.complex128]:
     """B_u applied to the rows of G (m, K) without forming the matrix.
 
-    ``kernels`` is the (4, L) block of ``_b_kernels`` for this u.
-    B_u = T_u T_{dx conj u} - T_{dx u} T_{conj u} + i (T_u T_{conj u})^2
-    in the focusing case; the first two terms swap signs in the defocusing
-    one.  All four Toeplitz actions are exact truncated convolutions: T_k
+    ``kernels`` is the (4, L) block of ``_b_kernels`` for this u, and sigma
+    the sign of ``errors.check_sign``:
+    B_u = sigma (T_u T_{dx conj u} - T_{dx u} T_{conj u}) + i (T_u T_{conj u})^2.
+    All four Toeplitz actions are exact truncated convolutions: T_k
     keeps the head of k * G, and T_{conj k} the tail of conj(k reversed) * G.
 
     Eight FFT calls: one transform of G and stacked calls for the sibling
@@ -221,9 +221,8 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
     hardy._ifft(c.prod, c.conv)
     first, second = a.heads, b.heads
     quad = 1j * c.heads
-    if sign == FOCUSING:
-        return first - second + quad
-    return -first + second + quad
+    # sigma (first - second) by the order of subtraction: exact, and no extra pass
+    return (first - second if sigma > 0 else second - first) + quad
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -311,21 +310,21 @@ def check_spectral_identities(u: HardyCoeffs,
                               dec: SpectralDecomposition) -> IdentityReport:
     """Residuals of the exact eigenbasis and commutator identities.
 
-    With s = +1 (defocusing, eigenvalues lambda) or s = -1 (focusing,
-    eigenvalues nu), the eigenbasis identities are
+    With sigma = +1 (focusing, eigenvalues nu) or -1 (defocusing,
+    eigenvalues lambda), the eigenbasis identities are
 
-        <1|u> <u|f_n>                 = s * nu_n <1|f_n>
-        (nu_n - nu_p - 1) <S f_p|f_n> = s * <S f_p|u> <u|f_n>
+        <1|u> <u|f_n>                 = -sigma * nu_n <1|f_n>
+        (nu_n - nu_p - 1) <S f_p|f_n> = -sigma * <S f_p|u> <u|f_n>
 
     and the operator identities are
 
-        L S - S L - S - s <.|S* u> u            = 0
+        L S - S L - S + sigma <.|S* u> u        = 0
         S* B - B S* - i (S* L^2 - (L + 1)^2 S*) = 0
 
-    all evaluated on truncated data over indices below R = K - buffer,
-    with buffer = K/4 sized for the quadratic term of B (K < 4 leaves no
-    buffer: ``InvalidParameter``).  L is dec's own matrix and
-    <S f_p|f_n> = conj(M[p, n]) with M from ``_matrices_in_basis``.
+    all evaluated on truncated data over indices below R = K - buffer
+    (``_identity_rows``), with buffer = K/4 sized for the quadratic term of
+    B (K < 4 leaves no buffer: ``InvalidParameter``).  L is dec's own matrix
+    and <S f_p|f_n> = conj(M[p, n]) with M from ``_matrices_in_basis``.
     Residuals are plain max-abs values.
 
     Since (A S)[i, j] = A[i, j+1] and (A S*)[i, j] = A[i, j-1], the R x R
@@ -339,9 +338,9 @@ def check_spectral_identities(u: HardyCoeffs,
     """
     check_same_K(u, dec)
     K = u.K
-    buffer = check_int("buffer K/4", K // 4, 1, K - 1)
-    R = K - buffer
-    s = 1.0 if dec.sign == DEFOCUSING else -1.0
+    R = _identity_rows(K)
+    buffer = check_int("buffer K/4", K - R, 1, K - 1)
+    sigma = check_sign(dec.sign)
 
     ev = dec.eigenvalues[:R]
     F = dec.vectors[:, :R]
@@ -349,13 +348,13 @@ def check_spectral_identities(u: HardyCoeffs,
 
     x, y, M = _matrices_in_basis(uc, F)  # x[n] = <u|f_n>, y[n] = <1|f_n>
     mean_u = np.conj(uc[0])              # <1|u>
-    r_mean = np.max(np.abs(mean_u * x - s * ev * y))
+    r_mean = np.max(np.abs(mean_u * x + sigma * ev * y))
 
     b = np.conj(uc) @ shift_columns(F)   # b[p] = <S f_p | u>
     lhs = np.conjugate(M, out=M).T       # M^H[n,p] = <S f_p|f_n>, on M's buffer
     np.multiply(ev[:, None] - ev[None, :] - 1.0, lhs, out=lhs)
     buf = np.outer(x, b)                 # an R x R scratch array until R1 is read
-    lhs -= np.multiply(s, buf, out=buf)
+    lhs += np.multiply(sigma, buf, out=buf)
     r_shift = np.max(np.abs(lhs))
     del x, y, M, lhs
 
@@ -366,7 +365,7 @@ def check_spectral_identities(u: HardyCoeffs,
     R1[1:] -= L[:R - 1, :R]                   # - S L
     R1[i[1:R], i[:R - 1]] -= 1.0              # - S
     np.outer(uc[:R], np.conj(uc[1:R + 1]), out=buf)
-    R1 -= np.multiply(s, buf, out=buf)        # - s <.|S* u> u
+    R1 += np.multiply(sigma, buf, out=buf)    # + sigma <.|S* u> u
     r_ls = float(np.max(np.abs(R1)))
     del R1, buf
     kern_ws = _FFTWorkspace(4, (K,))
@@ -377,7 +376,7 @@ def check_spectral_identities(u: HardyCoeffs,
     Bt = np.empty((R, R + 1), dtype=np.complex128)   # Bt[j] = B[:R+1, j] = (B e_j)[:R+1]
     for j in [*range(0, R - n, n), R - n]:           # the last block ends at R
         E = np.eye(n, K, j, dtype=np.complex128)
-        Bt[j:j + n] = _apply_b_cols(kernels, E, dec.sign, ws)[:, :R + 1]
+        Bt[j:j + n] = _apply_b_cols(kernels, E, sigma, ws)[:, :R + 1]
     B = Bt.T
     R2 = B[1:].copy()                         # S* B
     R2[:, 1:] -= B[:R, :R - 1]                # - B S*

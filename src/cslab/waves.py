@@ -2,18 +2,18 @@
 
 The flow under study is
 
-    i u_t + u_xx +/- 2 D Pi(|u|^2) u = 0,        D = -i d/dx,
+    i u_t + u_xx + 2 sigma D Pi(|u|^2) u = 0,        D = -i d/dx,
 
-restricted to the Hardy space (+ focusing, - defocusing).  Four explicit
-families of traveling waves u(t, x) = u0(x - ct) are provided:
+restricted to the Hardy space, with sigma = +1 (focusing) or -1
+(defocusing).  Four explicit families of traveling waves
+u(t, x) = u0(x - ct) are provided:
 
   plane       u = C e^{iN(x - Nt)}                                  (both signs, c = N)
   pole        u = e^{i theta} (alpha + beta / (1 - p e^{iN(x-ct)}))
-              with  alpha beta + beta^2/(1-|p|^2) = -N (defocusing)
-                                                  = +N (focusing)
+              with  alpha beta + beta^2/(1-|p|^2) = sigma N
               and   c = -N (1 + 2 alpha / beta)
   modulated   u = e^{i theta} e^{im(x-ct)} (alpha + beta/(1 - p e^{i(x-ct)}))
-              with  alpha beta + beta^2/(1-|p|^2) = 1,  beta (m-1) = 2 alpha,
+              with  alpha beta + beta^2/(1-|p|^2) = sigma,  beta (m-1) = 2 alpha,
               c = m                                                 (focusing only)
   stationary  pole family with beta = -2 alpha,
               alpha = sqrt(N (1-|p|^2) / (2 (1+|p|^2))),  c = 0     (focusing only)
@@ -58,6 +58,11 @@ PLANE = "plane"
 POLE = "pole"
 MODULATED = "modulated"
 STATIONARY = "stationary"
+#: The focusing-only families, with their refusal of the defocusing sign.
+_FOCUSING_ONLY = {
+    MODULATED: "the modulated family exists only in the focusing case",
+    STATIONARY: "no defocusing stationary waves: the defocusing speed always exceeds N",
+}
 
 _CONSTRAINT_TOL = 1e-12
 
@@ -84,14 +89,14 @@ class WaveParams:
 def solve_wave_constraint(sign: str, N: int, p: complex, beta: float) -> float:
     """Solve the pole-family constraint for alpha at given beta.
 
-    alpha = -/+ N / beta - beta / (1 - |p|^2)   (- defocusing, + focusing)
+    alpha = sigma N / beta - beta / (1 - |p|^2)
     """
-    check_sign(sign)
+    sigma = check_sign(sign)
     N = check_int("N", N, 1, K_MAX)
     q = 1.0 / (1.0 - abs(check_in_disc("pole parameter", p)) ** 2)
     if beta == 0.0:
         raise InvalidParameter("beta must be nonzero")
-    return (N if sign == "focusing" else -N) / beta - beta * q
+    return sigma * N / beta - beta * q
 
 
 def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
@@ -104,6 +109,7 @@ def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
     modulated:  focusing only; N plays the role of the modulation index m,
                 needs p; beta = branch / sqrt((m-1)/2 + 1/(1-|p|^2)).
     stationary: focusing only; needs N and p.
+    ``validate_wave`` refuses a defocusing modulated or stationary wave.
     """
     check_sign(sign)
     N = check_int("N", N, 1, K_MAX)
@@ -120,8 +126,6 @@ def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
         w = WaveParams(sign=sign, family=POLE, N=N, p=complex(p),
                        alpha=alpha, beta=float(beta), theta=theta, c=c)
     elif family == MODULATED:
-        if sign != "focusing":
-            raise FamilyUnavailable("the modulated family exists only in the focusing case")
         p = check_in_disc("pole parameter", p)
         q = 1.0 / (1.0 - abs(p) ** 2)
         beta = (1 if branch >= 0 else -1) / math.sqrt(0.5 * (N - 1) + q)
@@ -129,9 +133,6 @@ def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
         w = WaveParams(sign=sign, family=MODULATED, N=N, p=p,
                        alpha=alpha, beta=beta, theta=theta, c=float(N))
     elif family == STATIONARY:
-        if sign != "focusing":
-            raise FamilyUnavailable(
-                "no defocusing stationary waves: the defocusing speed always exceeds N")
         p = check_in_disc("pole parameter", p)
         alpha = math.sqrt(N * (1.0 - abs(p) ** 2) / (2.0 * (1.0 + abs(p) ** 2)))
         w = WaveParams(sign=sign, family=STATIONARY, N=N, p=p,
@@ -145,8 +146,10 @@ def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
 def validate_wave(w: WaveParams) -> dict:
     """Constraint residuals of a WaveParams; raises ConstraintViolation when
     one exceeds 1e-12 or is not a number (huge parameters give inf - inf).
-    The sign, N and a nonzero pole of the open disc are checked first."""
-    check_sign(w.sign)
+    The sign, N, the family's sign (FamilyUnavailable for a defocusing
+    modulated or stationary wave) and a nonzero pole of the open disc are
+    checked first."""
+    sigma = check_sign(w.sign)
     check_int("N", w.N, 1, K_MAX)
     res: dict[str, float] = {}
     try:
@@ -159,16 +162,16 @@ def validate_wave(w: WaveParams) -> dict:
         check_real("|C|^2", beta2, 0.0, math.inf)  # the squared L2 norm
         res["speed"] = abs(w.c - w.N)
     elif w.family in (POLE, STATIONARY, MODULATED):
+        if sigma < 0 and w.family in _FOCUSING_ONLY:
+            raise FamilyUnavailable(_FOCUSING_ONLY[w.family])
         if check_in_disc("pole parameter", w.p) == 0:
             raise InvalidParameter(f"the {w.family} family needs a nonzero pole")
         q = 1.0 / (1.0 - abs(w.p) ** 2)
+        res["constraint"] = abs(w.alpha * w.beta + beta2 * q - _sigma_k(w))
         if w.family == MODULATED:
-            res["constraint"] = abs(w.alpha * w.beta + beta2 * q - 1.0)
             res["modulation"] = abs(w.beta * (w.N - 1) - 2.0 * w.alpha)
             res["speed"] = abs(w.c - w.N)
         else:
-            target = -float(w.N) if w.sign == "defocusing" else float(w.N)
-            res["constraint"] = abs(w.alpha * w.beta + beta2 * q - target)
             res["speed"] = abs(w.c - (-w.N * (1.0 + 2.0 * w.alpha / w.beta)))
             if w.family == STATIONARY:
                 res["stationary"] = abs(w.c)
@@ -180,20 +183,22 @@ def validate_wave(w: WaveParams) -> dict:
     return res
 
 
+def _sigma_k(w: WaveParams) -> float:
+    """sigma k, k = 1 (modulated) or N: the right side of the constraint
+    alpha beta + beta^2/(1-|p|^2) = sigma k of a family with a pole."""
+    return check_sign(w.sign) * (1.0 if w.family == MODULATED else float(w.N))
+
+
 def wave_l2(w: WaveParams) -> float:
     """Squared L2 norm of the profile (mean of |u|^2 over the circle).
 
-    pole:      alpha^2 + alpha beta -/+ N  (- defocusing, + focusing)
-    modulated: alpha^2 + alpha beta + 1
-    plane:     |C|^2
+    pole, stationary, modulated: alpha^2 + alpha beta + sigma k (``_sigma_k``)
+    plane:                       |C|^2
     """
     validate_wave(w)
     if w.family == PLANE:
         return float(w.beta ** 2)
-    if w.family == MODULATED:
-        return float(w.alpha ** 2 + w.alpha * w.beta + 1.0)
-    nn = -float(w.N) if w.sign == "defocusing" else float(w.N)
-    return float(w.alpha ** 2 + w.alpha * w.beta + nn)
+    return float(w.alpha ** 2 + w.alpha * w.beta + _sigma_k(w))
 
 
 def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
@@ -229,16 +234,15 @@ def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
 
 
 def pde_residual(w: WaveParams, sign: str, *, K: int) -> float:
-    """Relative residual of i u_t + u_xx +/- 2 D Pi(|u|^2) u at t = 0.
+    """Relative residual of i u_t + u_xx + 2 sigma D Pi(|u|^2) u at t = 0.
 
     u comes from ``sample_wave`` and its exact time derivative from the
     traveling-wave law, u_t = -i n c u_hat(n).  Returns
     ||residual||_2 / max(1, ||u||_2); a wave of the other sign yields O(1).
     """
-    check_sign(sign)
+    sigma = check_sign(sign)
     u = sample_wave(w, 0.0, K)
     n = np.arange(K)
     ut = -1j * n * w.c * u.coeffs
-    s = 1.0 if sign == "focusing" else -1.0
-    resid = 1j * ut - n ** 2 * u.coeffs + s * 2.0 * nonlinearity(u.coeffs)
+    resid = 1j * ut - n ** 2 * u.coeffs + sigma * 2.0 * nonlinearity(u.coeffs)
     return float(np.linalg.norm(resid) / max(1.0, np.linalg.norm(u.coeffs)))

@@ -1,11 +1,11 @@
 """The package keeps no code that only the tests reach, and declares each
 public name and each acceptance criterion once.
 
-Every module-level function and class of ``src/cslab`` must be referenced
-somewhere in ``src/cslab`` outside its own definition: by name in its own
-module, by name in a module that imports it, or as an attribute.  Import
-statements, ``__all__`` strings and the re-exports of ``cslab/__init__.py``
-are not references.  Methods are out of scope.
+Every module-level function, class and UPPER_CASE constant of ``src/cslab``
+must be referenced somewhere in ``src/cslab`` outside its own definition: by
+name in its own module, by name in a module that imports it, or as an
+attribute.  Import statements, ``__all__`` strings and the re-exports of
+``cslab/__init__.py`` are not references.  Methods are out of scope.
 
 The package's ``__all__`` is the union of its modules' lists, each name
 exported by the module that defines it; each criterion of ``verify`` carries
@@ -28,8 +28,21 @@ def _parse_package():
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _defined(node):
+    """The names a top-level statement defines: a function or a class, or
+    the UPPER_CASE names (leading underscores allowed) it assigns."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    names = [sub.id for target in targets for sub in ast.walk(target)
+             if isinstance(sub, ast.Name)]
+    return [n for n in names if n.lstrip("_")[:1].isupper() and n == n.upper()]
+
+
 def _unreferenced(trees):
-    """'module.name' of every top-level function or class without a reference."""
+    """'module.name' of every top-level function, class or constant without
+    a reference."""
     attrs = {sub.attr for tree in trees.values() for sub in ast.walk(tree)
              if isinstance(sub, ast.Attribute)}
     # names loaded by each top-level statement, and names imported per module
@@ -42,20 +55,24 @@ def _unreferenced(trees):
     missing = []
     for module, tree in trees.items():
         for k, node in enumerate(tree.body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            own = any(name in used for i, used in enumerate(loads[module]) if i != k)
-            elsewhere = any((module, name) in imports[other]
-                            and any(name in used for used in loads[other])
-                            for other in trees if other != module)
-            if not (name in attrs or own or elsewhere):
-                missing.append(f"{module}.{name}")
+            for name in _defined(node):
+                own = any(name in used for i, used in enumerate(loads[module]) if i != k)
+                elsewhere = any((module, name) in imports[other]
+                                and any(name in used for used in loads[other])
+                                for other in trees if other != module)
+                if not (name in attrs or own or elsewhere):
+                    missing.append(f"{module}.{name}")
     return missing
 
 
 def test_every_definition_has_a_caller_in_the_package():
     assert _unreferenced(_parse_package()) == []
+
+
+def test_a_constant_without_a_reader_is_reported():
+    tree = ast.parse("FOCUSING = 'focusing'\n_TOL: float = 1e-8\n"
+                     "__all__ = ['f']\ndef f():\n    return _TOL\nf()\n")
+    assert _unreferenced({"lax": tree}) == ["lax.FOCUSING"]
 
 
 def test_exported_names_resolve():

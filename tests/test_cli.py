@@ -213,6 +213,44 @@ def test_trajectory_csv_digest_is_pinned(tmp_path):
                       "57e54810a538b230e0488cab5265af31")
 
 
+_POLE = ["--N", "2", "--p", "0.4,0.3", "--beta", "0.8", "--theta", "0.25", "--K", "128"]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["wave", "--sign", "focusing", "--family", "pole", *_POLE],
+     "b7de2d459cf64fc355bafb34affae6dc1a5ade7436970dfd7d862a03fe6d47d0"),
+    (["wave", "--sign", "defocusing", "--family", "pole", *_POLE],
+     "55bae0b86ee38975e35b0161aa1db05cd2ad894061218bc64535104512d7a485"),
+    (["wave", "--sign", "focusing", "--family", "modulated", "--N", "3", "--p", "0.5",
+      "--branch", "-1", "--K", "64"],
+     "ad24915d867e43771937406bcdc465fabb4b447ed99822b0d1ae61d13b6a090e"),
+    (["wave", "--sign", "focusing", "--family", "stationary", "--N", "2", "--p", "0.3,-0.2",
+      "--K", "64"],
+     "9d73e529058c87399c8141722cab348e21438f31d30f628523b70b01c1e45857"),
+    (["wave", "--sign", "defocusing", "--family", "plane", "--N", "2", "--C", "0.5,0.25",
+      "--K", "16"],
+     "63490294419abdc2133f2ef7130d30eb0fb3d75194ee80475c8339e9ff7cbd64"),
+    (["finitegap", "--sign", "focusing", "--pole", "0.5,0", "--pole=-0.5,0", "--pin-a", "0,0",
+      "--K", "64"],
+     "4724f210a9e952d395c01026b4e32c23e43c0c8772e8d8fd762d816095f8d839"),
+    (["finitegap", "--sign", "defocusing", "--m0", "1", "--pole", "0.3,0.4:2",
+      "--pole=-0.4,0.1", "--K", "128"],
+     "da45f34ff13d581b02decb5bad2c73c03255fc9006de3338b7f67208cc705b20"),
+], ids=["wave-pole-focusing", "wave-pole-defocusing", "wave-modulated", "wave-stationary",
+        "wave-plane", "finitegap-readme", "finitegap-defocusing"])
+def test_wave_and_finitegap_digests_are_pinned(tmp_path, argv, digest):
+    """Byte-identity guard for the sign-dependent formulas of ``waves`` and
+    ``finitegap``: the digest of both output files, in name order, must not
+    move under refactors.  The wave files take no LAPACK call; the residue
+    solve takes small ``lstsq`` calls, whose bytes were the same under 1 and
+    2 OpenBLAS threads."""
+    assert run(*argv, "--out-dir", str(tmp_path)) == 0
+    h = hashlib.sha256()
+    for path in sorted(tmp_path.iterdir()):
+        h.update(path.read_bytes())
+    assert h.hexdigest() == digest
+
+
 def test_evolved_basis_digest_is_pinned():
     """Byte-identity guard for the B action: the digest of the co-evolved
     basis must not move under refactors.  The vectors start as the first

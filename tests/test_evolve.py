@@ -32,7 +32,7 @@ from cslab import (
     sample_wave,
     spectral_decompose,
 )
-from cslab.errors import K_MAX
+from cslab.errors import K_MAX, check_sign
 from cslab.evolve import MAX_STEPS, _lawson_setup, _lawson_stages
 from cslab import hardy
 from cslab.hardy import (
@@ -326,7 +326,7 @@ def test_b_action_matches_dense_generator(sign):
     core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
     want = ((core if sign == "focusing" else -core) + 1j * (P @ P)) @ F
     kernels = _kernels(u.coeffs)
-    got = _apply_b_cols(kernels, F.T, sign, _FFTWorkspace(3, (3, K))).T
+    got = _apply_b_cols(kernels, F.T, check_sign(sign), _FFTWorkspace(3, (3, K))).T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -358,7 +358,7 @@ def test_stepper_fft_call_counts(monkeypatch):
     kernels = _b_kernels(kern_ws)
     assert len(calls) == 1
     calls.clear()
-    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), "focusing", act_ws)
+    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), 1.0, act_ws)
     assert len(calls) == 8
     calls.clear()
     evolve_basis(traj, np.eye(64, 2, dtype=complex))
@@ -385,6 +385,8 @@ def _b_kernels_allocating(U):
 
 
 def _apply_b_cols_allocating(kernels, G, sign):
+    """The B action in its first form: a branch on the sign's name, and the
+    defocusing sum written -first + second + quad."""
     K = G.shape[-1]
     k_u, k_du, k_ub, k_dub = kernels
     L = k_u.shape[-1]
@@ -422,8 +424,9 @@ def test_b_action_workspace_matches_allocating_form(sign, K):
             for s, j in ((0, 0), (3, 4)):
                 expect = _apply_b_cols_allocating(want[s, j], G, sign)
                 fresh = _FFTWorkspace(3, G.shape)
-                assert np.array_equal(_apply_b_cols(want[s, j], G, sign, fresh), expect)
-                assert np.array_equal(_apply_b_cols(kern[:, s, j], G, sign, act_ws[m]), expect)
+                sigma = check_sign(sign)
+                assert np.array_equal(_apply_b_cols(want[s, j], G, sigma, fresh), expect)
+                assert np.array_equal(_apply_b_cols(kern[:, s, j], G, sigma, act_ws[m]), expect)
 
 
 def test_integrator_results_do_not_alias_the_workspace():
@@ -443,9 +446,9 @@ def test_integrator_results_do_not_alias_the_workspace():
 
     kern = _kernels(a)
     act = _FFTWorkspace(3, (2, K))
-    first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), "focusing", act)
+    first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), 1.0, act)
     kept_b = first_b.copy()
-    _apply_b_cols(kern, np.eye(2, K, 3, dtype=complex), "focusing", act)
+    _apply_b_cols(kern, np.eye(2, K, 3, dtype=complex), 1.0, act)
     assert np.array_equal(first_b, kept_b)
 
     _, u0 = _wave_state("wave:defocusing:1:0.5:1", K)
@@ -479,7 +482,7 @@ def _evolve_basis_step_by_step(traj, F):
     """Oracle: the loop without blocks, with 1-d Lawson stages and one
     kernel transform per stage."""
     n_steps, h, s2i, E1, E2 = _lawson_setup(traj.cfg)
-    sign = traj.cfg.sign
+    sigma = check_sign(traj.cfg.sign)
     G = F.T.copy()
     rows = [G]
     K = traj.cfg.K
@@ -488,10 +491,10 @@ def _evolve_basis_step_by_step(traj, F):
     for i in range(n_steps):
         u1 = traj.coeffs[i]
         u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2, conv)[0]
-        l1 = _apply_b_cols(_kernels(u1, kern), G, sign, act)
-        l2 = _apply_b_cols(_kernels(u2, kern), G + (h / 2.0) * l1, sign, act)
-        l3 = _apply_b_cols(_kernels(u3, kern), G + (h / 2.0) * l2, sign, act)
-        l4 = _apply_b_cols(_kernels(u4, kern), G + h * l3, sign, act)
+        l1 = _apply_b_cols(_kernels(u1, kern), G, sigma, act)
+        l2 = _apply_b_cols(_kernels(u2, kern), G + (h / 2.0) * l1, sigma, act)
+        l3 = _apply_b_cols(_kernels(u3, kern), G + (h / 2.0) * l2, sigma, act)
+        l4 = _apply_b_cols(_kernels(u4, kern), G + h * l3, sigma, act)
         G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         rows.append(G)
     return np.stack(rows)

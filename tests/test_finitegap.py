@@ -27,6 +27,7 @@ from cslab import (
     BlaschkeProduct,
     ConstraintViolation,
     DimensionMismatch,
+    EvolveConfig,
     HardyCoeffs,
     Inconclusive,
     InfeasibleSign,
@@ -42,6 +43,8 @@ from cslab import (
     inversion_data,
     ladder_blaschke,
     make_fixture,
+    make_wave,
+    pde_residual,
     potential_coeffs,
     predicted_l2,
     random_decaying,
@@ -49,9 +52,12 @@ from cslab import (
     reconstruct,
     residue_residuals,
     solve_residue_system,
+    solve_wave_constraint,
     spectral_decompose,
+    validate_wave,
 )
 import cslab.finitegap as finitegap
+from cslab.errors import check_sign
 from cslab.finitegap import _ladder_walk, _model_space
 from cslab.hardy import _shifted_columns
 
@@ -148,8 +154,39 @@ def test_residue_system_error_paths(monkeypatch):
                              (0, [0.5], [0]), (0, [0.5], [1.5]), (0, [0.0], [1])]:
         with pytest.raises(InvalidParameter):
             solve_residue_system("focusing", m0, poles, mults)
-    with pytest.raises(InvalidParameter):  # read as defocusing before
-        residue_residuals("sideways", 0.5, [0.5], [0.3], [1])
+
+
+_POLE_WAVE = dict(N=1, p=0.5, beta=1.0)
+_SIGN_ENTRIES = {
+    "build_lax": lambda s: build_lax(HardyCoeffs(0.5 ** np.arange(16)), s),
+    "EvolveConfig": lambda s: EvolveConfig(sign=s, K=16, T=0.1),
+    "FiniteGapPotential": lambda s: FiniteGapPotential(
+        sign=s, m0=0, poles=(0.3,), mults=(1,), a=0.0, residues=(0.5,)),
+    # residue_residuals read an unknown sign as defocusing before it was checked
+    "residue_residuals": lambda s: residue_residuals(s, 0.5, [0.5], [0.3], [1]),
+    "solve_residue_system": lambda s: solve_residue_system(s, 0, [0.3], [1]),
+    "solve_wave_constraint": lambda s: solve_wave_constraint(s, 1, 0.5, 1.0),
+    "make_wave": lambda s: make_wave(s, "pole", **_POLE_WAVE),
+    "validate_wave": lambda s: validate_wave(
+        dataclasses.replace(make_wave("focusing", "pole", **_POLE_WAVE), sign=s)),
+    "pde_residual": lambda s: pde_residual(make_wave("focusing", "pole", **_POLE_WAVE),
+                                           s, K=64),
+}
+
+
+@pytest.mark.parametrize("sign", ["sideways", "Focusing", None, 1.0])
+@pytest.mark.parametrize("entry", list(_SIGN_ENTRIES))
+def test_every_entry_refuses_an_unknown_sign(entry, sign):
+    with pytest.raises(InvalidParameter, match="unknown sign"):
+        _SIGN_ENTRIES[entry](sign)
+
+
+def test_check_sign_returns_sigma():
+    """sigma of (CS+-): exactly +1.0 for the focusing sign, -1.0 for the
+    defocusing one, as floats."""
+    got = [check_sign("focusing"), check_sign("defocusing")]
+    assert got == [1.0, -1.0]
+    assert all(type(x) is float for x in got)
 
 
 def test_finite_gap_potential_validation():

@@ -40,6 +40,7 @@ from cslab import (
     reliable_eigenvalues,
     spectral_decompose,
 )
+from cslab.errors import check_sign
 from cslab.hardy import _FFTWorkspace, _shifted_columns, shift_columns
 from cslab.lax import _PHASE_TOL, _apply_b_cols, _b_kernels, _fix_phases
 
@@ -71,7 +72,7 @@ def _fft_b(u, sign):
     ws = _FFTWorkspace(4, (K,))
     ws.slots[0] = u.coeffs
     E = np.eye(K, dtype=complex)
-    return _apply_b_cols(_b_kernels(ws), E, sign, _FFTWorkspace(3, (K, K))).T
+    return _apply_b_cols(_b_kernels(ws), E, check_sign(sign), _FFTWorkspace(3, (K, K))).T
 
 
 def _toeplitz(c):

@@ -19,6 +19,8 @@ p = 1/2 has beta = 1/sqrt((m-1)/2 + 1/(1-p^2)) = sqrt(3/7), alpha =
 beta(m-1)/2 = beta, speed c = m = 3 and ||u||^2 = alpha^2+alpha*beta+1 = 13/7.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +181,14 @@ def test_validate_wave_rejects_tampering():
                                  p=0.3, alpha=0.0, beta=0.0, theta=0.0, c=1.0)
     with pytest.raises(InvalidParameter):
         validate_wave(plane_with_pole)
+    # a focusing-only family under the defocusing sign: its constraint and
+    # L2 norm used to read as the focusing ones
+    for family in ("modulated", "stationary"):
+        swapped = dataclasses.replace(make_wave("focusing", family, N=3, p=0.5),
+                                      sign="defocusing")
+        for check in (validate_wave, wave_l2):
+            with pytest.raises(FamilyUnavailable):
+                check(swapped)
     # huge or tiny beta: beta^2 overflows, or the residuals read inf - inf
     for p, beta in [(0.5, 1e300), (0.5, 1e200), (0.999999, 1e153), (0.5, 1e-300)]:
         with pytest.raises(ConstraintViolation):
