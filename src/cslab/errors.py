@@ -14,6 +14,8 @@ import cmath
 import numbers
 import sys
 
+import numpy as np
+
 __all__ = [
     "CslabError",
     "DimensionMismatch",
@@ -165,7 +167,10 @@ def check_in_disc(name: str, z) -> complex:
 
 
 def check_same_K(u, dec) -> None:
-    """Refuse a potential and a decomposition of different truncations."""
+    """Refuse a potential u other than dec.u, the one dec was built from:
+    DimensionMismatch for another K, InvalidParameter for other coefficients."""
     if u.K != dec.K:
         raise DimensionMismatch(
             f"decomposition and potential truncations differ: K={dec.K} and K={u.K}")
+    if u is not dec.u and not np.array_equal(u.coeffs, dec.u.coeffs):
+        raise InvalidParameter("u is not the potential the decomposition was built from")

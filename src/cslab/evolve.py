@@ -246,13 +246,12 @@ def evolve(u0: HardyCoeffs, cfg: EvolveConfig) -> Trajectory:
 
 @dataclass(frozen=True)
 class ConservationReport:
-    """Maximal drifts of the conserved quantities over a trajectory."""
+    """Maximal drifts of ||u||^2, <u|1> and the low Lax spectrum over a
+    trajectory, as ``conservation_report`` samples them."""
 
     l2_drift: float
     mean_drift: float
     eig_drift: float
-    n_eigs: int
-    eig_snapshots: int
 
 
 def conservation_report(traj: Trajectory) -> ConservationReport:
@@ -278,8 +277,7 @@ def conservation_report(traj: Trajectory) -> ConservationReport:
         else:
             eig_drift = max(eig_drift, float(np.max(np.abs(evs - ref))))
     return ConservationReport(l2_drift=l2_drift, mean_drift=mean_drift,
-                              eig_drift=eig_drift, n_eigs=_N_EIGS,
-                              eig_snapshots=len(idx))
+                              eig_drift=eig_drift)
 
 
 def measure_speed(traj: Trajectory, base: HardyCoeffs) -> float:

@@ -406,7 +406,7 @@ def classify(dec: SpectralDecomposition, u: HardyCoeffs) -> ClassifyResult:
     finite-gap potential of the detected degree, and is reported as such.
     Generic data betrays itself through decay instead — slowly decaying
     coefficients leave unresolved gaps at the reliability edge, which is
-    the Inconclusive path, not a clean "false".
+    the Inconclusive path, not a clean "false".  u must be dec's own.
     """
     check_same_K(u, dec)
     ev = dec.eigenvalues[:dec.reliable]
@@ -512,10 +512,11 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
     between model space and ladder (they do occur: degenerate eigenvalues
     mix the eigenvectors).  An inconclusive or negative classification, or
     a rank-ambiguous model space, yields data without reduction, with the
-    reason in ``unreduced_reason``; the full path is exact regardless.
+    reason in ``unreduced_reason``; the full path is exact regardless.  u
+    must be dec's own (``errors.check_same_K``).
     """
     check_same_K(u, dec)
-    X, Y, M = _matrices_in_basis(u.coeffs, dec.vectors)
+    X, Y, M = _matrices_in_basis(dec.u.coeffs, dec.vectors)
     moments = _moments(X, Y, M)
 
     def unreduced(reason: str) -> InversionData:
@@ -523,7 +524,7 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
                              unreduced_reason=reason)
 
     try:
-        result = classify(dec, u)
+        result = classify(dec, dec.u)
     except Inconclusive as exc:
         return unreduced(f"classification inconclusive: {exc}")
     if not result.is_finite_gap:
@@ -546,7 +547,7 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
         ritz, rot = np.linalg.eigh((Lm + Lm.conj().T) / 2.0)
         model = model @ rot
         F_red = np.hstack([model, W[:, :1]])
-    X_red, Y_red, M_red = _matrices_in_basis(u.coeffs, F_red)
+    X_red, Y_red, M_red = _matrices_in_basis(dec.u.coeffs, F_red)
     return InversionData(X=X, Y=Y, M=M, moments=moments,
                          reduced_dim=F_red.shape[1],
                          X_red=X_red, Y_red=Y_red, M_red=M_red)

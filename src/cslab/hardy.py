@@ -12,9 +12,9 @@ This module supplies the basic vocabulary: the shift S and its adjoint
 S*, grid synthesis, Blaschke products, the projected modulus Pi(|u|^2),
 and the flow's nonlinearity (D Pi(|u|^2)) u.  ``_disc_series`` samples
 every closed form on the disc, Blaschke products and the potentials of
-``finitegap``.  S and S* act by index shifts, never as dense operators: on
-a vector or every column (``shift_columns``, ``unshift_columns``), or as a
-stack of the shifted copies S^k w or (S*)^k w (``_shifted_columns``).  No
+``finitegap``.  S and S* act by slicing, never as dense operators or copies:
+(S f)[i] = f[i-1] and (S* f)[i] = f[i+1], so <S f | g> = <f[:-1] | g[1:]>.
+``_shifted_columns``, the one shift helper, stacks S^k w or (S*)^k w.  No
 Toeplitz block T_u is formed: ``lax.build_lax`` assembles T_u T_ubar from
 its displacement equation, entry by entry from u.
 """
@@ -110,20 +110,6 @@ class BlaschkeProduct:
         object.__setattr__(self, "zeros", tuple(w for w in zeros if w != 0))
         object.__setattr__(self, "power", check_int("power with the zeros at 0", power,
                                                     0, K_MAX))
-
-
-def shift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Apply S to a vector or every column (rows down by one, top row zero)."""
-    out = np.zeros_like(F)
-    out[1:] = F[:-1]
-    return out
-
-
-def unshift_columns(F: NDArray[np.complex128]) -> NDArray[np.complex128]:
-    """Apply S* to a vector or every column (rows up by one, bottom row zero)."""
-    out = np.zeros_like(F)
-    out[:-1] = F[1:]
-    return out
 
 
 def _shifted_columns(w: NDArray[np.complex128], n: int,

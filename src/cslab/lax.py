@@ -24,10 +24,10 @@ Eigenvalues of the truncations converge geometrically in K for symbols
 with geometric coefficient decay, but the top rows of the spectrum are
 polluted by the cut; indices above the reliability cutoff (default
 K - K/8) should never be trusted; a zero buffer (K < 8 by default) is refused.
-One potential has one decomposition, which keeps its Lax matrix: spectral
-consumers read L and the eigenbasis coordinates (``_matrices_in_basis``)
-from it.  S, S* and the S^k stacks come from ``hardy``, which applies
-them as index shifts, never as dense matrices.
+One potential has one decomposition, which keeps u and its Lax matrix:
+spectral consumers read them and the eigenbasis coordinates
+(``_matrices_in_basis``) from it.  S and S* act by slicing, as in
+``hardy``, so no shifted copy of the eigenvectors is made.
 
 B is never formed as a matrix.  Its one implementation is an action by
 FFT convolutions (``_b_kernels``, ``_apply_b_cols``): each of its four
@@ -43,19 +43,14 @@ each call; both keep np.fft's bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EigensolveFailure, check_int, check_real, check_same_K, check_sign
 from . import hardy
-from .hardy import (
-    HardyCoeffs,
-    _FFTWorkspace,
-    shift_columns,
-    unshift_columns,
-)
+from .hardy import HardyCoeffs, _FFTWorkspace
 
 __all__ = [
     "LaxBlock",
@@ -82,19 +77,25 @@ class LaxBlock:
 
     The operator is Hermitian, and so is the computed matrix, bit for bit
     at every K: its upper triangle is the conjugate copy of its lower one
-    and its diagonal is real.
+    and its diagonal is real.  ``u`` is the potential it was built from
+    (shared, not copied; no part of equality), and K is read off it.
     """
 
     matrix: NDArray[np.complex128]
     sign: str
-    K: int
+    u: HardyCoeffs = field(compare=False, repr=False)
+
+    @property
+    def K(self) -> int:
+        return self.u.K
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalues (ascending) and phase-fixed eigenvector columns of a LaxBlock.
 
-    ``matrix`` is the diagonalized Lax matrix (the LaxBlock's array, shared).
+    ``matrix`` is the diagonalized Lax matrix and ``u`` its potential (the
+    LaxBlock's, shared; u takes no part in equality, and K is read off it).
     ``reliable`` is the index cutoff below which eigen-data may be trusted.
     Where eigenvalues coincide to roundoff, the eigenvectors of the run are
     only defined up to unitary mixing; the decomposition does not mark such
@@ -105,8 +106,12 @@ class SpectralDecomposition:
     vectors: NDArray[np.complex128]
     matrix: NDArray[np.complex128]
     sign: str
-    K: int
+    u: HardyCoeffs = field(compare=False, repr=False)
     buffer: int
+
+    @property
+    def K(self) -> int:
+        return self.u.K
 
     @property
     def reliable(self) -> int:
@@ -129,14 +134,12 @@ class GapProfile:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Max-abs residuals of the exact spectral identities on buffered data."""
+    """Max-abs residuals of the exact spectral identities on rows below K - K/4."""
 
     mean_identity: float
     shift_identity: float
     commutator_ls: float
     commutator_sb: float
-    buffer: int
-    n_checked: int
 
     def max_residual(self) -> float:
         return max(self.mean_identity, self.shift_identity,
@@ -164,7 +167,7 @@ def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
         mat[i, 1:i] += mat[i - 1, :i - 1]
         np.conjugate(mat[i, :i], out=mat[:i, i])
     np.fill_diagonal(mat, np.arange(K) + s * np.cumsum(c.real ** 2 + c.imag ** 2))
-    return LaxBlock(matrix=mat, sign=sign, K=K)
+    return LaxBlock(matrix=mat, sign=sign, u=u)
 
 
 def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
@@ -262,7 +265,7 @@ def spectral_decompose(L: LaxBlock, buffer: int | None = None) -> SpectralDecomp
         vectors=_fix_phases(vec),
         matrix=L.matrix,
         sign=L.sign,
-        K=L.K,
+        u=L.u,
         buffer=buffer,
     )
 
@@ -279,9 +282,10 @@ def reliable_eigenvalues(L: LaxBlock, buffer: int | None = None) -> NDArray[np.f
 
 def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128]):
     """(X, Y, M) for the columns of F as basis: X[n] = <u|f_n>, Y[n] = <1|f_n>,
-    M[n, p] = <f_p | S f_n>, as in u(z) = <(Id - zM)^{-1} X | Y>."""
+    M[n, p] = <f_p | S f_n>, as in u(z) = <(Id - zM)^{-1} X | Y>: M = F^H S* F,
+    and S* F is F[1:] with a zero last row, which the product drops."""
     Fh = F.conj().T
-    return Fh @ u_vec, np.conj(F[0, :]), Fh @ unshift_columns(F)
+    return Fh @ u_vec, np.conj(F[0, :]), Fh[:, :-1] @ F[1:]
 
 
 def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
@@ -292,16 +296,15 @@ def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:
 
     ``collinearity_set`` collects the indices n with |collin| < 1e-6 (the
     set I(u)); by the defocusing collinearity theorem it must be empty for
-    defocusing symbols.  u must have dec's truncation K (DimensionMismatch).
+    defocusing symbols.  u must be dec's own (``errors.check_same_K``).
     """
     check_same_K(u, dec)
     R = dec.reliable
     ev = dec.eigenvalues
     F = dec.vectors
     gaps = ev[1:R] - ev[:R - 1] - 1.0
-    SF = shift_columns(F[:, :R - 1])
-    # <S f_{n-1} | f_n> = sum_j (S f_{n-1})_j conj(f_n)_j
-    collin = np.einsum("jn,jn->n", SF, np.conj(F[:, 1:R]))
+    # <S f_{n-1} | f_n> = sum_j f_{n-1}[j] conj(f_n[j+1])
+    collin = np.einsum("jn,jn->n", F[:-1, :R - 1], np.conj(F[1:, 1:R]))
     cset = tuple(int(n) for n in (np.flatnonzero(np.abs(collin) < _COLLINEAR_TOL) + 1))
     return GapProfile(gaps=gaps, collinearity=collin, collinearity_set=cset)
 
@@ -323,9 +326,9 @@ def check_spectral_identities(u: HardyCoeffs,
 
     all evaluated on truncated data over indices below R = K - buffer
     (``_identity_rows``), with buffer = K/4 sized for the quadratic term of
-    B (K < 4 leaves no buffer: ``InvalidParameter``).  L is dec's own matrix
-    and <S f_p|f_n> = conj(M[p, n]) with M from ``_matrices_in_basis``.
-    Residuals are plain max-abs values.
+    B (K < 4 leaves no buffer: ``InvalidParameter``).  u must be dec's own
+    (``errors.check_same_K``); L is dec's matrix, <S f_p|f_n> = conj(M[p, n])
+    with M from ``_matrices_in_basis``, and <S f_p|u> pairs f_p[:-1] with u[1:].
 
     Since (A S)[i, j] = A[i, j+1] and (A S*)[i, j] = A[i, j-1], the R x R
     block of the commutators reads L on [:R, :R+1], B and L^2 on
@@ -337,20 +340,20 @@ def check_spectral_identities(u: HardyCoeffs,
     formed, and each R x R array dies once read: at most about four live.
     """
     check_same_K(u, dec)
-    K = u.K
+    K = dec.K
     R = _identity_rows(K)
-    buffer = check_int("buffer K/4", K - R, 1, K - 1)
+    check_int("buffer K/4", K - R, 1, K - 1)
     sigma = check_sign(dec.sign)
 
     ev = dec.eigenvalues[:R]
     F = dec.vectors[:, :R]
-    uc = u.coeffs
+    uc = dec.u.coeffs
 
     x, y, M = _matrices_in_basis(uc, F)  # x[n] = <u|f_n>, y[n] = <1|f_n>
     mean_u = np.conj(uc[0])              # <1|u>
     r_mean = np.max(np.abs(mean_u * x + sigma * ev * y))
 
-    b = np.conj(uc) @ shift_columns(F)   # b[p] = <S f_p | u>
+    b = np.conj(uc[1:]) @ F[:-1]         # b[p] = <S f_p | u>
     lhs = np.conjugate(M, out=M).T       # M^H[n,p] = <S f_p|f_n>, on M's buffer
     np.multiply(ev[:, None] - ev[None, :] - 1.0, lhs, out=lhs)
     buf = np.outer(x, b)                 # an R x R scratch array until R1 is read
@@ -397,6 +400,4 @@ def check_spectral_identities(u: HardyCoeffs,
         shift_identity=float(r_shift),
         commutator_ls=r_ls,
         commutator_sb=r_sb,
-        buffer=buffer,
-        n_checked=R,
     )

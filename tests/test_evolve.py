@@ -40,7 +40,6 @@ from cslab.hardy import (
     _conv_length,
     _shifted_columns,
     nonlinearity,
-    shift_columns,
 )
 from cslab.lax import _apply_b_cols, _b_kernels, check_spectral_identities
 
@@ -134,7 +133,6 @@ def test_conservation_on_wave_flow():
     assert rep.l2_drift < 1e-8
     assert rep.mean_drift < 1e-8
     assert rep.eig_drift < 1e-6
-    assert rep.n_eigs == 10
 
 
 def test_conservation_report_of_one_snapshot():
@@ -142,7 +140,7 @@ def test_conservation_report_of_one_snapshot():
     _, u0 = _wave_state("wave:defocusing:1:0.5:1", 64)
     still = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.0, dt=1e-3))
     rep = conservation_report(still)
-    assert (rep.eig_snapshots, rep.eig_drift) == (1, 0.0)
+    assert rep.eig_drift == 0.0
 
 
 def test_measured_speed_matches_closed_form():
@@ -534,9 +532,9 @@ def _phase_law_report_by_loops(traj, basis):
         expected1 = ones[0] * np.exp(-1j * lam[j] ** 2 * t)
         mean = max(mean, float(np.max(np.abs(ones - expected1))))
     for p in range(m):
-        Sg = shift_columns(cols[:, :, p].T).T  # S g_p^t at every t
         for n in range(m):
-            overlap = np.einsum("tk,tk->t", Sg, np.conj(cols[:, :, n]))
+            # <S g_p^t | g_n^t> = sum_k g_p^t[k] conj(g_n^t[k + 1]) at every t
+            overlap = np.einsum("tk,tk->t", cols[:, :-1, p], np.conj(cols[:, 1:, n]))
             expected = overlap[0] * np.exp(1j * ((lam[p] + 1.0) ** 2 - lam[n] ** 2) * t)
             shift = max(shift, float(np.max(np.abs(overlap - expected))))
     return {"potential_law": pot, "mean_law": mean, "shift_law": shift}

@@ -39,11 +39,13 @@ from cslab import (
     TruncationOverflow,
     blaschke_eigen_check,
     build_lax,
+    check_spectral_identities,
     classify,
     inversion_data,
     ladder_blaschke,
     make_fixture,
     make_wave,
+    gap_profile,
     pde_residual,
     potential_coeffs,
     predicted_l2,
@@ -273,6 +275,23 @@ def test_classify_truncation_mismatch_guard():
     dec = spectral_decompose(build_lax(u, "focusing"))
     with pytest.raises(DimensionMismatch):
         classify(dec, make_fixture("appendix1").coeffs(128))
+
+
+def test_a_foreign_potential_is_refused():
+    """A potential of dec's truncation that did not build dec is refused by
+    every function that reads both.  Unrefused, this pair gave identity
+    residuals of 0.65, a finite-gap verdict read off appendix1's ladder,
+    and a reduced reconstruction 1.3e-2 off v at z = 0.3 + 0.2i."""
+    fx = make_fixture("appendix1")
+    u = fx.coeffs(128)
+    dec = spectral_decompose(build_lax(u, fx.sign))
+    v = random_decaying(5, 128, 0.5)
+    for call in (lambda: gap_profile(dec, v), lambda: check_spectral_identities(v, dec),
+                 lambda: classify(dec, v), lambda: inversion_data(v, dec)):
+        with pytest.raises(InvalidParameter, match="not the potential"):
+            call()
+    # the potential rebuilt from the fixture is equal, so it is dec's own
+    assert classify(dec, fx.coeffs(128)) == classify(dec, u)
 
 
 # ----------------------------------------------------------------------

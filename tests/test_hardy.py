@@ -55,8 +55,6 @@ from cslab.hardy import (
     _nonlinearity,
     _shifted_columns,
     nonlinearity,
-    shift_columns,
-    unshift_columns,
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -303,36 +301,6 @@ def test_parseval_against_grid_samples(c):
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(
         u.norm() ** 2, abs=1e-12
     )
-
-
-def test_shift_composition_identities():
-    rng = np.random.default_rng(7)
-    c = rng.normal(size=9) + 1j * rng.normal(size=9)
-    c[-1] = 0.0  # keep the forward shift loss-free
-    fwd = shift_columns(c)
-    assert np.array_equal(fwd[1:], c[:-1])
-    assert fwd[0] == 0
-    # S* S = Id
-    np.testing.assert_allclose(unshift_columns(fwd), c, atol=0)
-    # S S* = Id - <., e0> e0
-    want = c.copy()
-    want[0] = 0.0
-    np.testing.assert_allclose(shift_columns(unshift_columns(c)), want, atol=0)
-    # on a matrix, each column is shifted alone
-    M = np.stack([c, 2.0 * c], axis=1)
-    assert np.array_equal(shift_columns(M), np.stack([fwd, 2.0 * fwd], axis=1))
-
-
-@settings(deadline=None, max_examples=40, derandomize=True)
-@given(c=_coeff_vectors(), d=_coeff_vectors())
-def test_shift_adjoint_pairing(c, d):
-    """<S u|v> = <u|S* v>, with <u|v> = sum u_hat(n) conj(v_hat(n))."""
-    K = min(c.shape[0], d.shape[0])
-    u, v = c[:K].copy(), d[:K].copy()
-    u[-1] = 0.0  # no truncation loss, else <Su|v> is off by the drop
-    lhs = np.vdot(v, shift_columns(u))
-    rhs = np.vdot(unshift_columns(v), u)
-    assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_translate_phase_and_grid_consistency():

@@ -41,8 +41,15 @@ from cslab import (
     spectral_decompose,
 )
 from cslab.errors import check_sign
-from cslab.hardy import _FFTWorkspace, _shifted_columns, shift_columns
-from cslab.lax import _PHASE_TOL, _apply_b_cols, _b_kernels, _fix_phases
+from cslab.hardy import _FFTWorkspace, _shifted_columns
+from cslab.lax import (
+    _PHASE_TOL,
+    SpectralDecomposition,
+    _apply_b_cols,
+    _b_kernels,
+    _fix_phases,
+    _matrices_in_basis,
+)
 
 
 def test_plane_wave_spectrum_focusing():
@@ -201,13 +208,30 @@ def test_identity_residuals_on_rational_fixtures():
 
 
 def test_identity_report_is_sensitive_to_wrong_potential():
-    """Negative control: residuals must blow up when u and dec disagree."""
+    """Negative control: residuals must blow up when u and dec disagree.
+    A call with a foreign u is refused first, so the pair is forged by
+    replacing the decomposition's potential."""
     fx = make_fixture("appendix1")
     u = fx.coeffs(128)
     dec = spectral_decompose(build_lax(u, fx.sign))
     tampered = HardyCoeffs(1.1 * u.coeffs)
-    rep = check_spectral_identities(tampered, dec)
+    with pytest.raises(InvalidParameter):
+        check_spectral_identities(tampered, dec)
+    rep = check_spectral_identities(tampered, dataclasses.replace(dec, u=tampered))
     assert max(rep.mean_identity, rep.shift_identity) > 1e-3
+
+
+def test_decomposition_carries_its_potential():
+    """build_lax and spectral_decompose share the HardyCoeffs they were
+    given, K is read off it, and it takes no part in equality or repr."""
+    u = random_decaying(3, 32)
+    L = build_lax(u, "focusing")
+    dec = spectral_decompose(L)
+    assert L.u is u and dec.u is u and dec.K == L.K == 32
+    assert dataclasses.replace(dec, u=HardyCoeffs(2.0 * u.coeffs)) == dec
+    assert "u=" not in repr(L)
+    # an equal potential that is not the same object is dec's own
+    gap_profile(dec, HardyCoeffs(u.coeffs.copy()))
 
 
 def test_identity_check_rejects_mismatched_truncations():
@@ -298,15 +322,15 @@ def _dense_identity_oracle(u, dec):
     x = F.conj().T @ uc
     y = np.conj(F[0, :])
     r_mean = np.max(np.abs(np.conj(uc[0]) * x - s * ev * y))
-    SF = shift_columns(F)
+    S = np.eye(K, k=-1, dtype=np.complex128)
+    Sa = S.conj().T
+    SF = S @ F
     A = np.einsum("jp,jn->np", SF, np.conj(F))
     b = np.conj(uc) @ SF
     lhs = (ev[:, None] - ev[None, :] - 1.0) * A
     r_shift = np.max(np.abs(lhs - s * np.outer(x, b)))
     L = build_lax(u, dec.sign).matrix
     B = _dense_b(u, dec.sign)
-    S = np.diag(np.ones(K - 1), -1).astype(np.complex128)
-    Sa = S.conj().T
     Sstar_u = np.zeros(K, dtype=np.complex128)
     Sstar_u[:-1] = uc[1:]
     rank1 = np.outer(uc, np.conj(Sstar_u))
@@ -350,6 +374,64 @@ def test_identity_residuals_match_dense_oracle(name, u, sign):
     assert rep.commutator_ls == ls
     assert abs(rep.commutator_sb - sb) <= np.finfo(float).eps * u.K * np.abs(dec.matrix).max() ** 2
     assert abs(rep.shift_identity - shift) <= 1e-15
+
+
+def _unitary(K, seed):
+    """A K x K unitary matrix: the Q of a QR of a complex Gaussian draw."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K)))
+    return Q
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 37])
+def test_shift_adjoint_pairing(K):
+    """<S* v | u> = <v | S u> with S = np.eye(K, k=-1) dense, and both
+    are the slice pairing sum_i v[i+1] conj(u[i]) that lax reads shifts by;
+    <u|v> = sum u_i conj(v_i) is np.vdot(v, u)."""
+    rng = np.random.default_rng(K)
+    u, v = rng.normal(size=(2, K)) + 1j * rng.normal(size=(2, K))
+    S = np.eye(K, k=-1, dtype=np.complex128)
+    dense = np.vdot(S @ u, v)
+    assert np.vdot(u, S.conj().T @ v) == pytest.approx(dense, abs=1e-13)
+    assert np.vdot(u[:-1], v[1:]) == pytest.approx(dense, abs=1e-13)
+
+
+@pytest.mark.parametrize("K", [1, 2, 8, 37])
+def test_matrices_in_basis_match_dense_shift(K):
+    """X = F^H u, Y = F^H e_0 and M = F^H S* F with S* dense, on a unitary
+    F and on its first K - K/4 columns (the identity check's block)."""
+    Q = _unitary(K, K)
+    u = np.random.default_rng(K + 1).normal(size=K) + 0.5j
+    Sa = np.eye(K, k=1, dtype=np.complex128)
+    for F in (Q, Q[:, :K - K // 4]):
+        X, Y, M = _matrices_in_basis(u, F)
+        Fh = F.conj().T
+        np.testing.assert_allclose(X, Fh @ u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(Y, Fh[:, 0], rtol=0, atol=0)
+        np.testing.assert_allclose(M, Fh @ (Sa @ F), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("K", [8, 37])
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+def test_gap_profile_and_identity_check_match_dense_shift(K, sign):
+    """On a unitary F posing as the eigenbasis (buffer K/8),
+    the collinearity <S f_{n-1} | f_n> and the shift-identity residual,
+    which reads b[p] = <S f_p | u>, equal their forms with S dense."""
+    u = random_decaying(K, K)
+    L = build_lax(u, sign)
+    F = _unitary(K, K + 2)
+    ev = np.sort(np.random.default_rng(K + 3).normal(size=K)) * K
+    dec = SpectralDecomposition(eigenvalues=ev, vectors=F, matrix=L.matrix, sign=sign,
+                                u=u, buffer=K // 8)
+    R = dec.reliable
+    SF = np.eye(K, k=-1, dtype=np.complex128) @ F
+    np.testing.assert_allclose(gap_profile(dec, u).collinearity,
+                               np.einsum("jn,jn->n", SF[:, :R - 1], np.conj(F[:, 1:R])),
+                               rtol=0, atol=1e-13)
+    rep = check_spectral_identities(u, dec)
+    mean, shift, _, _ = _dense_identity_oracle(u, dec)
+    assert rep.mean_identity == pytest.approx(mean, rel=1e-12)
+    assert rep.shift_identity == pytest.approx(shift, rel=1e-12)
 
 
 class _ProductShapes(np.ndarray):
