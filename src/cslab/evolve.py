@@ -43,10 +43,10 @@ g|0 = f_n, an eigenvector of the Lax operator of u(0); B is the
 skew-adjoint half of the Lax pair.  Its matrix is never formed: lax's B
 action is applied to the tracked columns, and u at the RK4 stage
 times is re-derived from a trajectory recorded at every step with the
-same Lawson stages, so the two are co-integrated exactly.  The resulting
-basis obeys explicit phase laws
-(e.g. <u(t)|g_n^t> = <u0|f_n> e^{-i lambda_n^2 t}) that serve as
-end-to-end integrator checks.
+same Lawson stages, so the two are co-integrated exactly.  In its spectral
+coordinates (``lax._matrices_in_basis``) the basis obeys explicit phase
+laws, e.g. X(t)[n] = <u(t)|g_n^t> = X(0)[n] e^{-i lambda_n^2 t}, that serve
+as end-to-end integrator checks (``phase_law_report``).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .errors import (
 from .errors import K_MAX, check_int, check_real, check_sign
 from . import hardy
 from .hardy import HardyCoeffs, _FFTWorkspace, _nonlinearity
-from .lax import _apply_b_cols, _b_kernels, build_lax, reliable_eigenvalues
+from .lax import _apply_b_cols, _b_kernels, _matrices_in_basis, build_lax, reliable_eigenvalues
 
 __all__ = [
     "EvolveConfig",
@@ -418,13 +418,14 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
 
 
 def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
-    """Max residuals of the three exact phase laws along the trajectory.
+    """Max residuals of the three exact phase laws along the trajectory, in
+    the basis's coordinates at each snapshot (one ``_matrices_in_basis`` call):
 
-    potential_law:  <u(t)|g_n^t> = <u0|f_n> e^{-i lam_n^2 t}
-    mean_law:       <1|g_n^t>    = <1|f_n>  e^{-i lam_n^2 t}
-    shift_law:      <S g_p^t|g_n^t> = <S f_p|f_n> e^{i((lam_p+1)^2 - lam_n^2) t}
+    potential_law:  X(t)[n] = <u(t)|g_n^t>     = X(0)[n] e^{-i lam_n^2 t}
+    mean_law:       Y(t)[n] = <1|g_n^t>        = Y(0)[n] e^{-i lam_n^2 t}
+    shift_law:      M(t)[n, p] = <g_p^t|S g_n^t> = M(0)[n, p] e^{-i((lam_n+1)^2 - lam_p^2) t}
 
-    Each law is one array over (t, n) or (t, p, n).  The basis must be
+    Each law is one array over (t, n) or (t, n, p).  The basis must be
     evolved along traj: the same snapshot times and the same truncation K
     (DimensionMismatch otherwise).
     """
@@ -436,16 +437,9 @@ def phase_law_report(traj: Trajectory, basis: EvolvedBasis) -> dict:
         raise DimensionMismatch("basis and trajectory are sampled at different times")
     t = basis.times[:, None]
     lam = basis.eigenvalues
-    cg = np.conj(g)
+    X, Y, M = _matrices_in_basis(traj.coeffs, g.mT)
     rotation = np.exp(-1j * lam ** 2 * t)  # e^{-i lam_n^2 t}, (t, n)
-
-    overlap = np.einsum("tk,tnk->tn", traj.coeffs, cg)
-    pot = float(np.max(np.abs(overlap - overlap[0] * rotation)))
-    ones = cg[:, :, 0]
-    mean = float(np.max(np.abs(ones - ones[0] * rotation)))
-
-    # <S g_p|g_n> = sum_k g_p[k-1] conj(g_n[k]); S g_p has no 0-mode
-    overlap = np.einsum("tpk,tnk->tpn", g[..., :-1], cg[..., 1:])
-    turn = np.exp(1j * ((lam[:, None] + 1.0) ** 2 - lam ** 2) * t[:, :, None])
-    shift = float(np.max(np.abs(overlap - overlap[0] * turn)))
-    return {"potential_law": pot, "mean_law": mean, "shift_law": shift}
+    turn = np.exp(-1j * ((lam[:, None] + 1.0) ** 2 - lam ** 2) * t[:, :, None])
+    return {"potential_law": float(np.max(np.abs(X - X[0] * rotation))),
+            "mean_law": float(np.max(np.abs(Y - Y[0] * rotation))),
+            "shift_law": float(np.max(np.abs(M - M[0] * turn)))}

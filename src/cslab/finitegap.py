@@ -18,8 +18,9 @@ psi = z^{m0} prod_j B_j^{m_j} generates a shift ladder of eigenfunctions
 L S^k psi = (nu_u + k) S^k psi, and the potential is recovered from
 spectral data by u(z) = <(Id - z M)^{-1} X | Y>.  In the full eigenbasis
 M is nilpotent, so the resolvent series terminates and u(z) is the
-polynomial sum_k <M^k X | Y> z^k; in a ladder-adapted basis the formula
-collapses to an (N+1) x (N+1) solve.
+polynomial sum_k <M^k X | Y> z^k, whose coefficients ``_moments`` returns
+with the leak ||M^K X|| for ``inversion_data`` to judge; in a
+ladder-adapted basis the formula collapses to an (N+1) x (N+1) solve.
 """
 
 from __future__ import annotations
@@ -459,22 +460,16 @@ class InversionData:
     unreduced_reason: str | None = None
 
 
-def _moments(X, Y, M) -> NDArray[np.complex128]:
-    """The K moments <M^k X | Y>, k < K, by K matvecs; raises BasisDrift
-    unless M^K X vanishes, i.e. unless the resolvent series terminates."""
+def _moments(X, Y, M):
+    """(moments, leak): the K moments <M^k X | Y>, k < K, by K matvecs, and
+    leak = ||M^K X||, zero when the resolvent series terminates; raises nothing."""
     K = X.shape[0]
     moments = np.empty(K, dtype=np.complex128)
     v = X
     for k in range(K):
         moments[k] = np.vdot(Y, v)
         v = M @ v
-    residual = float(np.linalg.norm(v))
-    bound = _NILPOTENT_TOL * max(1.0, float(np.linalg.norm(X)))
-    if not residual <= bound:  # negated, so a NaN residual fails too
-        raise BasisDrift(
-            f"||M^K X|| = {residual:.3e} exceeds {bound:.3e}: the basis is "
-            "not unitary and the resolvent series does not terminate")
-    return moments
+    return moments, float(np.linalg.norm(v))
 
 
 def _model_space(B: NDArray[np.complex128], n_model: int):
@@ -517,7 +512,12 @@ def inversion_data(u: HardyCoeffs, dec: SpectralDecomposition) -> InversionData:
     """
     check_same_K(u, dec)
     X, Y, M = _matrices_in_basis(dec.u.coeffs, dec.vectors)
-    moments = _moments(X, Y, M)
+    moments, leak = _moments(X, Y, M)
+    bound = _NILPOTENT_TOL * max(1.0, float(np.linalg.norm(X)))
+    if not leak <= bound:  # negated, so a NaN leak fails too
+        raise BasisDrift(
+            f"||M^K X|| = {leak:.3e} exceeds {bound:.3e}: the basis is "
+            "not unitary and the resolvent series does not terminate")
 
     def unreduced(reason: str) -> InversionData:
         return InversionData(X=X, Y=Y, M=M, moments=moments,

@@ -79,10 +79,13 @@ class HardyCoeffs:
 
     @classmethod
     def from_json(cls, text: str) -> "HardyCoeffs":
-        """Inverse of to_json; raises ValueError on text of any other shape or
-        beyond the double range, and InvalidParameter on over K_MAX pairs."""
+        """Inverse of to_json; ValueError on text of any other shape (a bool is
+        no number) or past the double range, InvalidParameter past K_MAX pairs."""
         try:
-            vals = [complex(re, im) for re, im in json.loads(text)]
+            pairs = [(re, im) for re, im in json.loads(text)]
+            if any(isinstance(x, bool) for pair in pairs for x in pair):
+                raise TypeError("true and false are not numbers")
+            vals = [complex(re, im) for re, im in pairs]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"expected a JSON array of [re, im] pairs ({exc})") from None
         if not vals:

@@ -25,9 +25,9 @@ with geometric coefficient decay, but the top rows of the spectrum are
 polluted by the cut; indices above the reliability cutoff (default
 K - K/8) should never be trusted; a zero buffer (K < 8 by default) is refused.
 One potential has one decomposition, which keeps u and its Lax matrix:
-spectral consumers read them and the eigenbasis coordinates
-(``_matrices_in_basis``) from it.  S and S* act by slicing, as in
-``hardy``, so no shifted copy of the eigenvectors is made.
+spectral consumers read them from it.  ``_matrices_in_basis`` is the one
+map to the spectral coordinates X, Y, M, for one basis or a stack.  S and
+S* act by slicing, as in ``hardy``, so no shifted copy is made.
 
 B is never formed as a matrix.  Its one implementation is an action by
 FFT convolutions (``_b_kernels``, ``_apply_b_cols``): each of its four
@@ -283,9 +283,11 @@ def reliable_eigenvalues(L: LaxBlock, buffer: int | None = None) -> NDArray[np.f
 def _matrices_in_basis(u_vec: NDArray[np.complex128], F: NDArray[np.complex128]):
     """(X, Y, M) for the columns of F as basis: X[n] = <u|f_n>, Y[n] = <1|f_n>,
     M[n, p] = <f_p | S f_n>, as in u(z) = <(Id - zM)^{-1} X | Y>: M = F^H S* F,
-    and S* F is F[1:] with a zero last row, which the product drops."""
-    Fh = F.conj().T
-    return Fh @ u_vec, np.conj(F[0, :]), Fh[:, :-1] @ F[1:]
+    and S* F is F[1:] with a zero last row, which the product drops.  Leading
+    axes of u_vec (..., K) and F (..., K, R) stack bases (one per snapshot in
+    ``evolve.phase_law_report``), each slice as its 2-d call, bit for bit."""
+    Fh = np.conj(F.mT)
+    return (Fh @ u_vec[..., None])[..., 0], np.conj(F[..., 0, :]), Fh[..., :-1] @ F[..., 1:, :]
 
 
 def gap_profile(dec: SpectralDecomposition, u: HardyCoeffs) -> GapProfile:

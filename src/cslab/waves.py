@@ -69,7 +69,7 @@ _CONSTRAINT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class WaveParams:
-    """Parameters of one traveling wave.
+    """Parameters of one traveling wave, checked by ``validate_wave`` when made.
 
     ``N`` is the base frequency for plane/pole/stationary waves and the
     modulation index m for the modulated family.  Plane waves store the
@@ -84,6 +84,9 @@ class WaveParams:
     beta: float
     theta: float
     c: float
+
+    def __post_init__(self) -> None:
+        validate_wave(self)
 
 
 def solve_wave_constraint(sign: str, N: int, p: complex, beta: float) -> float:
@@ -102,7 +105,7 @@ def solve_wave_constraint(sign: str, N: int, p: complex, beta: float) -> float:
 def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
               beta: float | None = None, C: complex | None = None,
               theta: float = 0.0, branch: int = 1) -> WaveParams:
-    """Construct WaveParams for one family, checked by ``validate_wave``.
+    """Construct WaveParams for one family (checked when made).
 
     plane:      needs N and C (complex amplitude).
     pole:       needs N, p, beta; alpha is solved from the constraint.
@@ -116,31 +119,28 @@ def make_wave(sign: str, family: str, *, N: int = 1, p: complex = 0.0,
     if family == PLANE:
         if C is None or not cmath.isfinite(C):  # abs() of a NaN may raise
             raise InvalidParameter("plane family needs a finite amplitude C")
-        w = WaveParams(sign=sign, family=PLANE, N=N, p=0.0, alpha=0.0,
-                       beta=abs(C), theta=float(np.angle(C)), c=float(N))
+        return WaveParams(sign=sign, family=PLANE, N=N, p=0.0, alpha=0.0,
+                          beta=abs(C), theta=float(np.angle(C)), c=float(N))
     elif family == POLE:
         if beta is None:
             raise InvalidParameter("pole family needs beta (alpha is solved)")
         alpha = solve_wave_constraint(sign, N, p, beta)
         c = -N * (1.0 + 2.0 * alpha / beta)
-        w = WaveParams(sign=sign, family=POLE, N=N, p=complex(p),
-                       alpha=alpha, beta=float(beta), theta=theta, c=c)
+        return WaveParams(sign=sign, family=POLE, N=N, p=complex(p),
+                          alpha=alpha, beta=float(beta), theta=theta, c=c)
     elif family == MODULATED:
         p = check_in_disc("pole parameter", p)
         q = 1.0 / (1.0 - abs(p) ** 2)
         beta = (1 if branch >= 0 else -1) / math.sqrt(0.5 * (N - 1) + q)
         alpha = 0.5 * beta * (N - 1)
-        w = WaveParams(sign=sign, family=MODULATED, N=N, p=p,
-                       alpha=alpha, beta=beta, theta=theta, c=float(N))
+        return WaveParams(sign=sign, family=MODULATED, N=N, p=p,
+                          alpha=alpha, beta=beta, theta=theta, c=float(N))
     elif family == STATIONARY:
         p = check_in_disc("pole parameter", p)
         alpha = math.sqrt(N * (1.0 - abs(p) ** 2) / (2.0 * (1.0 + abs(p) ** 2)))
-        w = WaveParams(sign=sign, family=STATIONARY, N=N, p=p,
-                       alpha=alpha, beta=-2.0 * alpha, theta=theta, c=0.0)
-    else:
-        raise InvalidParameter(f"unknown family {family!r}")
-    validate_wave(w)
-    return w
+        return WaveParams(sign=sign, family=STATIONARY, N=N, p=p,
+                          alpha=alpha, beta=-2.0 * alpha, theta=theta, c=0.0)
+    raise InvalidParameter(f"unknown family {family!r}")
 
 
 def validate_wave(w: WaveParams) -> dict:
@@ -195,7 +195,6 @@ def wave_l2(w: WaveParams) -> float:
     pole, stationary, modulated: alpha^2 + alpha beta + sigma k (``_sigma_k``)
     plane:                       |C|^2
     """
-    validate_wave(w)
     if w.family == PLANE:
         return float(w.beta ** 2)
     return float(w.alpha ** 2 + w.alpha * w.beta + _sigma_k(w))
@@ -208,7 +207,6 @@ def sample_wave(w: WaveParams, t: float, K: int) -> HardyCoeffs:
     u_hat(n, t) = u_hat(n, 0) e^{-i n c t}.
     """
     K = check_K(K)
-    validate_wave(w)
     c0 = np.zeros(K, dtype=np.complex128)
     ph = np.exp(1j * w.theta)
     if w.family == PLANE:

@@ -283,7 +283,8 @@ def test_config_rejections(tmp_path):
 
 
 def test_malformed_coefficient_file_is_io_error(tmp_path):
-    for i, text in enumerate(("[[1,0],[2]]", "{not json", "[1, 2]", "[]")):
+    for i, text in enumerate(("[[1,0],[2]]", "{not json", "[1, 2]", "[]",
+                              "[[true, 0]]", "[[0, false]]")):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(text)
         assert run("spectrum", "--input", str(bad), "--sign", "focusing",

@@ -41,7 +41,7 @@ from cslab.hardy import (
     _shifted_columns,
     nonlinearity,
 )
-from cslab.lax import _apply_b_cols, _b_kernels, check_spectral_identities
+from cslab.lax import _apply_b_cols, _b_kernels, _matrices_in_basis, check_spectral_identities
 
 
 def _wave_state(name, K):
@@ -540,22 +540,42 @@ def _phase_law_report_by_loops(traj, basis):
     return {"potential_law": pot, "mean_law": mean, "shift_law": shift}
 
 
+def _phase_law_report_by_snapshots(traj, basis):
+    """Oracle: the laws in M's convention, one snapshot at a time, each on
+    its own 2-d call of _matrices_in_basis."""
+    lam = basis.eigenvalues
+    coords = [_matrices_in_basis(u, g.T) for u, g in zip(traj.coeffs, basis.coeffs)]
+    X0, Y0, M0 = coords[0]
+    pot = mean = shift = 0.0
+    for t, (X, Y, M) in zip(basis.times, coords):
+        rotation = np.exp(-1j * lam ** 2 * t)
+        turn = np.exp(-1j * ((lam[:, None] + 1.0) ** 2 - lam ** 2) * t)
+        pot = max(pot, float(np.max(np.abs(X - X0 * rotation))))
+        mean = max(mean, float(np.max(np.abs(Y - Y0 * rotation))))
+        shift = max(shift, float(np.max(np.abs(M - M0 * turn))))
+    return {"potential_law": pot, "mean_law": mean, "shift_law": shift}
+
+
 @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
 @pytest.mark.parametrize("K", [64, 128])
 @pytest.mark.parametrize("n_steps", [13, 21])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_phase_law_report_matches_the_loop_form(sign, K, n_steps, m):
-    """The whole-array laws equal the per-vector, per-pair loops exactly."""
+    """The whole-array laws equal their per-snapshot form exactly, and the
+    independent per-vector, per-pair loops (<S g_p|g_n> = conj M[p, n]) to
+    roundoff."""
     u = random_decaying(K + n_steps, K, rho=0.5)
     u = HardyCoeffs(u.coeffs * (0.6 / u.norm()))
     traj = evolve(u, EvolveConfig(sign=sign, K=K, T=n_steps * 1e-4, dt=1e-4))
     dec = spectral_decompose(build_lax(u, sign))
     basis = evolve_basis(traj, dec.vectors[:, :m].copy())
     assert basis.coeffs.shape == (n_steps + 1, m, K)
-    got, want = phase_law_report(traj, basis), _phase_law_report_by_loops(traj, basis)
-    assert got.keys() == want.keys()
-    for law in want:
-        assert got[law] == want[law], law
+    got = phase_law_report(traj, basis)
+    exact, loops = _phase_law_report_by_snapshots(traj, basis), _phase_law_report_by_loops(traj, basis)
+    assert got.keys() == exact.keys() == loops.keys()
+    for law in exact:
+        assert got[law] == exact[law], law
+        assert abs(got[law] - loops[law]) <= 1e-15, law
 
 
 def _defocusing_wave_trajectory():

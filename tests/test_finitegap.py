@@ -60,7 +60,8 @@ from cslab import (
 )
 import cslab.finitegap as finitegap
 from cslab.errors import check_sign
-from cslab.finitegap import _ladder_walk, _model_space
+from cslab.finitegap import _ladder_walk, _model_space, _moments
+from cslab.lax import _matrices_in_basis
 from cslab.hardy import _shifted_columns
 
 RATIONAL = ["appendix1", "appendix2", "wave:defocusing:1:0.5:1",
@@ -169,6 +170,7 @@ _SIGN_ENTRIES = {
     "solve_residue_system": lambda s: solve_residue_system(s, 0, [0.3], [1]),
     "solve_wave_constraint": lambda s: solve_wave_constraint(s, 1, 0.5, 1.0),
     "make_wave": lambda s: make_wave(s, "pole", **_POLE_WAVE),
+    # WaveParams is checked when made, so the replace raises first
     "validate_wave": lambda s: validate_wave(
         dataclasses.replace(make_wave("focusing", "pole", **_POLE_WAVE), sign=s)),
     "pde_residual": lambda s: pde_residual(make_wave("focusing", "pole", **_POLE_WAVE),
@@ -548,6 +550,25 @@ def test_inversion_refuses_a_non_unitary_basis():
     V[3, 5] = np.nan  # a NaN residual must fail the guard, not pass it
     with pytest.raises(BasisDrift):
         inversion_data(u, dataclasses.replace(dec, vectors=V))
+
+
+def test_moment_loop_reports_its_leak():
+    """_moments returns ||M^K X|| and raises nothing: roundoff in the
+    eigenbasis, large in a non-unitary basis, NaN for a NaN entry; the
+    BasisDrift refusal is inversion_data's."""
+    u = make_fixture("appendix1").coeffs(16)
+    dec = spectral_decompose(build_lax(u, "focusing"))
+    moments, leak = _moments(*_matrices_in_basis(u.coeffs, dec.vectors))
+    assert np.max(np.abs(moments - u.coeffs)) <= 1e-13 and leak <= 1e-14
+    rng = np.random.default_rng(5)
+    V = np.eye(16) + 0.3 * (rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+    _, leak = _moments(*_matrices_in_basis(u.coeffs, V))
+    assert leak > 1e-10 * max(1.0, u.norm())
+    with pytest.raises(BasisDrift, match=r"\|\|M\^K X\|\| = .* exceeds"):
+        inversion_data(u, dataclasses.replace(dec, vectors=V))
+    V = dec.vectors.copy()
+    V[3, 5] = np.nan
+    assert np.isnan(_moments(*_matrices_in_basis(u.coeffs, V))[1])
 
 
 def test_full_path_makes_no_solve(monkeypatch):

@@ -411,6 +411,22 @@ def test_matrices_in_basis_match_dense_shift(K):
         np.testing.assert_allclose(M, Fh @ (Sa @ F), rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("K, R", [(37, 2), (128, 3), (64, 48)])
+def test_matrices_in_basis_of_a_stack_are_its_slices(K, R):
+    """One call on a stack of bases gives, slice by slice, the bits of the
+    2-d call on that slice, for row potentials and for column bases laid
+    out as phase_law_report passes them (the mT view of C-contiguous rows)."""
+    rng = np.random.default_rng(K + R)
+    n = 50
+    u = rng.normal(size=(n, K)) + 1j * rng.normal(size=(n, K))
+    G = rng.normal(size=(n, R, K)) + 1j * rng.normal(size=(n, R, K))
+    X, Y, M = _matrices_in_basis(u, G.mT)
+    assert (X.shape, Y.shape, M.shape) == ((n, R), (n, R), (n, R, R))
+    for i in range(n):
+        x, y, m = _matrices_in_basis(u[i], G[i].T)
+        assert np.array_equal(X[i], x) and np.array_equal(Y[i], y) and np.array_equal(M[i], m), i
+
+
 @pytest.mark.parametrize("K", [8, 37])
 @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
 def test_gap_profile_and_identity_check_match_dense_shift(K, sign):
@@ -465,8 +481,8 @@ def test_identity_check_forms_only_its_blocks():
                                    vectors=dec.vectors.view(_ProductShapes))
     _ProductShapes.shapes = []
     assert check_spectral_identities(u, recorded) == want
-    # R = 96: x and b, then M and L^2 on [:R+1, :R]
-    assert sorted(_ProductShapes.shapes) == [(96,), (96,), (96, 96), (97, 96)]
+    # R = 96: b, x (on u as a column), then M and L^2 on [:R+1, :R]
+    assert sorted(_ProductShapes.shapes) == [(96,), (96, 1), (96, 96), (97, 96)]
 
 
 def test_build_lax_takes_no_matrix_product():
