@@ -35,7 +35,8 @@ Toeplitz factors is an exact zero-padded convolution, T_k keeping the head
 of k * g and T_{conj k} the tail of conj(k reversed) * g, so B applied to
 a stack of rows costs eight FFT calls once the spectra of u, du and their
 conjugated reversals are known (one stacked call).  The evolving basis of
-``evolve`` integrates this action, and the identity check reads B off it.
+``evolve`` integrates this action, and the identity check reads B's
+displacement off it.
 The transforms are hardy._fft and hardy._ifft, looked up on the module at
 each call; both keep np.fft's bits.
 """
@@ -67,7 +68,7 @@ __all__ = [
 _PHASE_TOL = 1e-8
 #: |<S f_{n-1} | f_n>| below this puts n in the collinearity set I(u).
 _COLLINEAR_TOL = 1e-6
-#: Unit rows that the identity check pushes through the B action at once.
+#: Probe rows on which the identity check measures B's displacement.
 _B_ROWS = 8
 
 
@@ -134,7 +135,12 @@ class GapProfile:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Max-abs residuals of the exact spectral identities on rows below K - K/4."""
+    """Max-abs residuals of the exact spectral identities on rows below K - K/4.
+
+    ``commutator_sb`` is the larger of the B-commutator residual, read off
+    B's displacement as measured on probe rows, and the residual of that
+    measurement on fresh probes (``check_spectral_identities``), so an
+    action whose displacement is not of low rank fails it too."""
 
     mean_identity: float
     shift_identity: float
@@ -226,6 +232,39 @@ def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
     quad = 1j * c.heads
     # sigma (first - second) by the order of subtraction: exact, and no extra pass
     return (first - second if sigma > 0 else second - first) + quad
+
+
+def _b_displacement(kernels: NDArray[np.complex128], sigma: float, K: int):
+    """(DQ, Q, r) for the displacement Delta = B - S B S* of the B action
+    on p = min(_B_ROWS, K) probe columns.
+
+    Q (K, p) is an orthonormal basis of Delta W for seeded complex Gaussian
+    probes W, DQ = Delta Q, and r = max|Delta W' - DQ (Q^H W')| on p fresh
+    probes W'.  Delta is skew-adjoint, as B is, so its range is its row
+    space, and Delta = DQ Q^H up to r once p exceeds its rank (at most 4,
+    ``check_spectral_identities``).  Each Delta of p columns is one
+    ``_apply_b_cols`` call on the 2p rows w and S* w.  The probes come from
+    ``np.random.default_rng(0)``, so every call returns the same.
+    """
+    p = min(_B_ROWS, K)
+    ws = _FFTWorkspace(3, (2 * p, K))
+    G = np.zeros((2 * p, K), dtype=np.complex128)
+
+    def delta(W):
+        """Delta w for the rows w of W (p, K), as the columns of a (K, p) array."""
+        G[:p] = W
+        G[p:, :-1] = W[:, 1:]                 # S* w, the last entry staying 0
+        BG = _apply_b_cols(kernels, G, sigma, ws)
+        D = BG[:p]
+        D[:, 1:] -= BG[p:, :-1]               # - S B S* w
+        return D.T
+
+    rng = np.random.default_rng(0)
+    W, W2 = rng.standard_normal((2, p, K)) + 1j * rng.standard_normal((2, p, K))
+    Q = np.linalg.qr(delta(W))[0]
+    DQ = delta(Q.T)
+    r = float(np.max(np.abs(delta(W2) - DQ @ (np.conj(Q.T) @ W2.T))))
+    return DQ, Q, r
 
 
 def _fix_phases(vectors: NDArray[np.complex128]) -> NDArray[np.complex128]:
@@ -333,12 +372,24 @@ def check_spectral_identities(u: HardyCoeffs,
     with M from ``_matrices_in_basis``, and <S f_p|u> pairs f_p[:-1] with u[1:].
 
     Since (A S)[i, j] = A[i, j+1] and (A S*)[i, j] = A[i, j-1], the R x R
-    block of the commutators reads L on [:R, :R+1], B and L^2 on
-    [:R+1, :R] and (L + 1)^2 on [:R, :R-1], and nothing else.  Column j of
-    B is ``_apply_b_cols`` of the unit row e_j, the action ``evolve_basis``
-    integrates, 8 rows at a time on one workspace, the last block starting
-    at R - 8 (R < 8 takes one block of R rows); L^2 is one product of R + 1
-    rows, and (L + 1)^2 = L^2 + 2L + 1 is read off it.  No K x K product is
+    block of the commutators reads L on [:R, :R+1], L^2 on [:R+1, :R] and
+    (L + 1)^2 on [:R, :R-1]; L^2 is one product of R + 1 rows, and
+    (L + 1)^2 = L^2 + 2L + 1 is read off it.  B enters through its
+    displacement Delta = B - S B S*: S* S = I on rows below K - 1, so
+
+        (S* B - B S*)[:R, :R] = (S* Delta)[:R, :R] = Delta[1:R+1, :R].
+
+    Delta has rank <= 4.  The truncated Toeplitz products obey
+    T_a T_bbar - S T_a T_bbar S* = a b^H, and with P = T_u T_ubar
+    P^2 - S P^2 S* = (Pu) u^H + u (Pu)^H - ||u||^2 u u^H - w w^H for
+    w = S P e_{K-1}, so Delta lies in the span of u, du, Pu and w.
+    ``_b_displacement`` measures it with the one FFT action of B
+    (``_apply_b_cols``, which ``evolve_basis`` integrates) on p = min(8, K)
+    seeded probes and their orthonormal basis Q, then on p fresh probes:
+    6p rows (48 for K >= 8) in three calls, 1 + 8 * 3 FFT calls.  The block
+    is (Delta Q)[1:R+1] Q[:R]^H, one R x p by p x R product, and
+    ``commutator_sb`` is the larger of its residual and the fresh probes'
+    max|Delta W' - (Delta Q)(Q^H W')|.  No B block and no K x K product is
     formed, and each R x R array dies once read: at most about four live.
     """
     check_same_K(u, dec)
@@ -375,17 +426,8 @@ def check_spectral_identities(u: HardyCoeffs,
     del R1, buf
     kern_ws = _FFTWorkspace(4, (K,))
     kern_ws.slots[0] = uc
-    kernels = _b_kernels(kern_ws)
-    n = min(_B_ROWS, R)
-    ws = _FFTWorkspace(3, (n, K))
-    Bt = np.empty((R, R + 1), dtype=np.complex128)   # Bt[j] = B[:R+1, j] = (B e_j)[:R+1]
-    for j in [*range(0, R - n, n), R - n]:           # the last block ends at R
-        E = np.eye(n, K, j, dtype=np.complex128)
-        Bt[j:j + n] = _apply_b_cols(kernels, E, sigma, ws)[:, :R + 1]
-    B = Bt.T
-    R2 = B[1:].copy()                         # S* B
-    R2[:, 1:] -= B[:R, :R - 1]                # - B S*
-    del Bt, B
+    DV, V, r_probe = _b_displacement(_b_kernels(kern_ws), sigma, K)
+    R2 = DV[1:R + 1] @ np.conj(V[:R].T)      # S* B - B S* = Delta[1:R+1, :R]
     L2 = L[:R + 1] @ L[:, :R]
     Q = L2[1:].copy()                         # S* L^2
     # - (L + 1)^2 S* = - L^2 S* - 2 L S* - S*, the terms of size L^2 first
@@ -395,7 +437,7 @@ def check_spectral_identities(u: HardyCoeffs,
     Q[i[:R - 1], i[1:R]] -= 1.0
     Q *= 1j
     R2 -= Q
-    r_sb = float(np.max(np.abs(R2)))
+    r_sb = max(float(np.max(np.abs(R2))), r_probe)
 
     return IdentityReport(
         mean_identity=float(r_mean),

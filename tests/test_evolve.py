@@ -332,7 +332,8 @@ def test_stepper_fft_call_counts(monkeypatch):
     """Shared spectra: the nonlinearity makes 4 FFT calls, the kernel
     spectra 1 and the B action 8; evolve_basis makes 32 per step plus 13
     per block of 8 steps (12 for the stacked stages, 1 for their kernels),
-    and the identity check 1 + 8 ceil(R/8), so it runs the same B action.
+    and the identity check 1 + 8 * 3 at every K, so it runs the same B
+    action (three calls on probe rows, ``lax._b_displacement``).
     Every transform goes through ``hardy._fft`` or ``hardy._ifft``, looked
     up on the module, so patching the two counts them all."""
     calls = []
@@ -363,7 +364,7 @@ def test_stepper_fft_call_counts(monkeypatch):
     assert len(calls) == 32 * 10 + 13 * 2  # 10 steps, blocks of 8 and 2
     calls.clear()
     check_spectral_identities(u, dec)
-    assert len(calls) == 1 + 8 * 6  # R = 48 unit rows in blocks of 8
+    assert len(calls) == 1 + 8 * 3  # probes, their basis Q, fresh probes
 
 
 def _kernels(U, ws=None):

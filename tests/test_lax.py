@@ -351,8 +351,8 @@ def _oracle_cases():
     for seed in (11, 12):
         for sign in ("focusing", "defocusing"):
             yield case(f"random:{seed}:{sign}", random_decaying(seed, 128), sign)
-    # K = 100 (R = 75) and K = 18 (R = 14) end B's unit rows in a block
-    # that overlaps the one before; K = 9 (R = 7) takes one short block
+    # K = 100 (R = 75) and K = 18 (R = 14) read B's displacement off 8
+    # probes; K = 9 (R = 7) off 8 probes of a 9-dimensional space
     for K, seed in ((256, 13), (512, 14), (100, 15), (18, 16), (9, 17)):
         for sign in ("focusing", "defocusing"):
             yield case(f"random:{seed}:{sign}:K{K}:buffer{K // 4}",
@@ -374,6 +374,69 @@ def test_identity_residuals_match_dense_oracle(name, u, sign):
     assert rep.commutator_ls == ls
     assert abs(rep.commutator_sb - sb) <= np.finfo(float).eps * u.K * np.abs(dec.matrix).max() ** 2
     assert abs(rep.shift_identity - shift) <= 1e-15
+
+
+def _displacement_cases():
+    for K in (9, 16, 64, 256):
+        for sign in ("focusing", "defocusing"):
+            yield pytest.param(random_decaying(K + 1, K), sign, id=f"random:K{K}--{sign}")
+    for name in RATIONAL_FIXTURES:
+        for sign in ("focusing", "defocusing"):
+            yield pytest.param(make_fixture(name).coeffs(64), sign, id=f"{name}:K64--{sign}")
+
+
+@pytest.mark.parametrize("u,sign", list(_displacement_cases()))
+def test_b_displacement_has_rank_four(u, sign):
+    """The lemma the identity check rests on, on the dense B of the FFT
+    action: Delta = B - S B S* is sigma (u du^H - du u^H) + i ((Pu) u^H +
+    u (Pu)^H - ||u||^2 u u^H - w w^H) with P = T_u T_ubar and
+    w = S P e_{K-1}, so at most 4 singular values clear 1e-12 sigma_1; and
+    (S* B - B S*)[:R, :R] = Delta[1:R+1, :R], as S* S = I below row K - 1."""
+    K, c = u.K, u.coeffs
+    R = K - K // 4
+    B = _fft_b(u, sign)
+    S = np.eye(K, k=-1, dtype=np.complex128)
+    Sa = S.T
+    delta = B - S @ B @ Sa
+    tol = np.finfo(float).eps * K * np.abs(B).max()
+    sv = np.linalg.svd(delta, compute_uv=False)
+    assert np.count_nonzero(sv > 1e-12 * sv[0]) <= 4
+    assert np.abs((Sa @ B - B @ Sa)[:R, :R] - delta[1:R + 1, :R]).max() <= tol
+    Tu = _toeplitz(c)
+    P = Tu @ Tu.conj().T
+    du, Pu, w = 1j * np.arange(K) * c, P @ c, S @ P[:, -1]
+    want = (check_sign(sign) * (np.outer(c, du.conj()) - np.outer(du, c.conj()))
+            + 1j * (np.outer(Pu, c.conj()) + np.outer(c, Pu.conj())
+                    - np.vdot(c, c).real * np.outer(c, c.conj()) - np.outer(w, w.conj())))
+    assert np.abs(delta - want).max() <= tol
+
+
+@pytest.mark.parametrize("sign", ["focusing", "defocusing"])
+def test_identity_check_guards_the_b_action(monkeypatch, sign):
+    """The probes see an action whose displacement is not low rank: adding
+    1e-6 E, a seeded dense K x K matrix, to B lifts commutator_sb and the
+    probe residual alone past criterion 4's bound of 1e-8, where the true
+    action reads <= 1e-10.
+    Seeded probes make two calls on one decomposition give equal reports."""
+    K = 64
+    u = random_decaying(7, K)
+    dec = spectral_decompose(build_lax(u, sign))
+    rep = check_spectral_identities(u, dec)
+    assert rep.commutator_sb <= 1e-10
+    assert check_spectral_identities(u, dec) == rep
+    E = np.random.default_rng(K).normal(size=(K, K))
+    lax = sys.modules["cslab.lax"]
+    real = lax._apply_b_cols
+    monkeypatch.setattr(lax, "_apply_b_cols",
+                        lambda kernels, G, sigma, ws: real(kernels, G, sigma, ws) + 1e-6 * G @ E.T)
+    bad = check_spectral_identities(u, dec)
+    assert bad.commutator_sb > 1e-8
+    # the fresh probes alone see it: their residual r is part of commutator_sb
+    ws = _FFTWorkspace(4, (K,))
+    ws.slots[0] = u.coeffs
+    assert lax._b_displacement(_b_kernels(ws), check_sign(sign), K)[2] > 1e-8
+    assert (bad.mean_identity, bad.shift_identity, bad.commutator_ls) == \
+        (rep.mean_identity, rep.shift_identity, rep.commutator_ls)
 
 
 def _unitary(K, seed):
@@ -470,8 +533,9 @@ class _ProductShapes(np.ndarray):
 
 def test_identity_check_forms_only_its_blocks():
     """The commutators are assembled from the buffered block of L^2 and
-    from B's FFT action: the only matrix products are L^2 on rows :R+1
-    and those of the R eigenvectors (x, M and b), no K x K product."""
+    from B's displacement, measured by its FFT action on probe rows: the
+    only matrix products that touch L or the eigenvectors are L^2 on rows
+    :R+1 and those of the R eigenvectors (x, M and b), no K x K product."""
     K = 128
     u = random_decaying(5, K)
     dec = spectral_decompose(build_lax(u, "focusing"))
