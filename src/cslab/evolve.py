@@ -11,19 +11,20 @@ nonlinearity is stepped.  The mean u_hat(0) is conserved to the last bit
 by the scheme, since the nonlinearity has no 0-mode.
 
 The nonlinearity shares transforms: 4 FFT calls.  The B action and its
-kernel spectra are lax's (``lax._b_kernels``, ``lax._apply_b_cols``, 8
-calls per action); the identity check reads B off the same action.
-evolve_basis takes the trajectory in blocks of steps: one stacked call of
-the stepper gives the stage states of a whole block (12 FFT calls) and
-one more call their kernel spectra, so a step costs about 34 calls, not
-48; a short last block uses the leading rows.  All of it is exact:
+kernel spectra are lax's (``lax._b_kernels``, ``lax._apply_b_cols``: B as
+three Toeplitz generator pairs, 4 calls per action); the identity check
+reads B off the same action.  evolve_basis takes the trajectory in blocks
+of steps: one stacked call of the stepper gives the stage states of a
+whole block (12 FFT calls) and five more their kernel spectra, so a step
+costs about 18 calls (16 for its four actions), not 48; a short last
+block uses the leading rows.  All of it is exact:
 stacked FFTs and elementwise operations work row by row and every
 spectral product keeps its operand order, so results are bit-identical to
 convolving term by term, step by step.
 
 Each evolve and evolve_basis call makes its zero-padded FFT workspaces
 (hardy._FFTWorkspace) once and drops them on return: two operands for the
-nonlinearity, four (the kernel axis first) for the kernel spectra and
+nonlinearity, six (the kernel axis first) for the kernel spectra and
 three for the B action.  Slopes, stage states and recorded states are new
 arrays, never views of a workspace.
 
@@ -387,7 +388,7 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
     coeffs[0] = G
     # the workspace of this call: stage stacks, their kernels, the action
     stage_ws = _FFTWorkspace(2, (_STEP_BLOCK, K))
-    kern_ws = _FFTWorkspace(4, (4, _STEP_BLOCK, K))
+    kern_ws = _FFTWorkspace(6, (4, _STEP_BLOCK, K))
     act_ws = _FFTWorkspace(3, G.shape)
     U = kern_ws.slots[0]
 
@@ -399,13 +400,13 @@ def evolve_basis(traj: Trajectory, f_init: NDArray[np.complex128]) -> EvolvedBas
         n = min(_STEP_BLOCK, n_steps - b)
         U[0, :n] = traj.coeffs[b:b + n]
         U[1], U[2], U[3] = _lawson_stages(U[0], h, s2i, E1, E2, stage_ws)[0]
-        kern = _b_kernels(kern_ws)
+        kern = _b_kernels(kern_ws, sigma)
         for j in range(n):
             i = b + j
-            l1 = _apply_b_cols(kern[:, 0, j], G, sigma, act_ws)
-            l2 = _apply_b_cols(kern[:, 1, j], G + (h / 2.0) * l1, sigma, act_ws)
-            l3 = _apply_b_cols(kern[:, 2, j], G + (h / 2.0) * l2, sigma, act_ws)
-            l4 = _apply_b_cols(kern[:, 3, j], G + h * l3, sigma, act_ws)
+            l1 = _apply_b_cols(kern[:, 0, j], G, act_ws)
+            l2 = _apply_b_cols(kern[:, 1, j], G + (h / 2.0) * l1, act_ws)
+            l3 = _apply_b_cols(kern[:, 2, j], G + (h / 2.0) * l2, act_ws)
+            l4 = _apply_b_cols(kern[:, 3, j], G + h * l3, act_ws)
             G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
             dev = float(np.max(np.abs(np.linalg.norm(G, axis=-1) / norm0 - 1.0)))
             # negated, so a NaN deviation drifts too

@@ -30,13 +30,25 @@ map to the spectral coordinates X, Y, M, for one basis or a stack.  S and
 S* act by slicing, as in ``hardy``, so no shifted copy is made.
 
 B is never formed as a matrix.  Its one implementation is an action by
-FFT convolutions (``_b_kernels``, ``_apply_b_cols``): each of its four
-Toeplitz factors is an exact zero-padded convolution, T_k keeping the head
-of k * g and T_{conj k} the tail of conj(k reversed) * g, so B applied to
-a stack of rows costs eight FFT calls once the spectra of u, du and their
-conjugated reversals are known (one stacked call).  The evolving basis of
-``evolve`` integrates this action, and the identity check reads B's
-displacement off it.
+FFT convolutions (``_b_kernels``, ``_apply_b_cols``) built from its
+displacement.  Truncated Toeplitz products obey
+T_a T_bbar - S T_a T_bbar S* = a b^H, and with P = T_u T_ubar,
+P^2 - S P^2 S* = (Pu) u^H + u (Pu)^H - ||u||^2 u u^H - w w^H for
+w = S P e_{K-1}.  So Delta = B - S B S* = a1 u^H + u b2^H - i w w^H, with
+
+    a1 = -sigma du + i (Pu - ||u||^2 u),    b2 = sigma du - i Pu,
+
+and, S being nilpotent on C^K, B = sum_t S^t Delta S*^t is a sum of three
+Toeplitz pairs (Kailath-Sayed, Displacement structure, SIAM Rev. 1995):
+
+    B_u = T_{a1} T_ubar + T_u T_{b2 bar} + T_{-iw} T_{w bar}.
+
+Each factor is an exact zero-padded convolution, T_k keeping the head of
+k * g and T_{conj k} the tail of conj(k reversed) * g, and the three pairs
+share their transforms: B applied to a stack of rows costs four FFT calls
+once the six kernel spectra are known (five calls for a whole stack of
+states).  The evolving basis of ``evolve`` integrates this action, and the
+identity check reads B's displacement off it.
 The transforms are hardy._fft and hardy._ifft, looked up on the module at
 each call; both keep np.fft's bits.
 """
@@ -176,73 +188,87 @@ def build_lax(u: HardyCoeffs, sign: str) -> LaxBlock:
     return LaxBlock(matrix=mat, sign=sign, u=u)
 
 
-def _b_kernels(ws: _FFTWorkspace) -> NDArray[np.complex128]:
-    """Spectra of the four Toeplitz kernels of B_u for each state u in
-    ``ws.slots[0]``, written there by the caller.
+def _b_kernels(ws: _FFTWorkspace, sigma: float) -> NDArray[np.complex128]:
+    """Spectra of the three generator pairs of B_u for each state u in
+    ``ws.slots[0]``, written there by the caller; sigma is the sign of
+    ``errors.check_sign``.
 
-    ``ws`` is a four-operand workspace of the states' shape (..., K); the
-    result is its ``spec``, of shape (4, ..., L) with rows u, du,
-    conj(u reversed) and conj(du reversed), zero-padded to the exact
-    convolution length L.  One FFT call serves the whole stack.
+    B_u = T_u T_{b2}^H + T_{a1} T_u^H + T_{-iw} T_w^H, with
+    a1 = -sigma du + i (Pu - ||u||^2 u), b2 = sigma du - i Pu and
+    w = S P e_{K-1} (module docstring).  ``ws`` is a six-operand workspace
+    of the states' shape (..., K); the result is its ``spec``, of shape
+    (6, ..., L): the left kernels u, a1, -iw and then the right ones
+    conj(b2 reversed), conj(u reversed), conj(w reversed), each zero-padded
+    to the exact convolution length L.
+
+    Five FFT calls, eight transforms per state, for the whole stack: u and
+    conj(u reversed); one ifft of their product, whose tails are
+    Pi(|u|^2) = T_ubar u and whose heads are P e_{K-1} = T_u conj(u reversed);
+    one fft/ifft pair for Pu = T_u Pi(|u|^2); and one stacked fft of a1,
+    -iw and conj(b2 reversed).  The last spectrum is turn * conj(fft w)
+    with fft w = i fft(-iw) and turn[k] = exp(-2 pi i (K-1) k / L), its
+    exponent reduced mod L in integers.
     """
-    u, du, ub, dub = ws.slots
-    np.multiply(1j * ws.n, u, out=du)
-    np.conjugate(u[..., ::-1], out=ub)
-    np.conjugate(du[..., ::-1], out=dub)
-    return hardy._fft(ws.pad, ws.spec)
+    K, L = ws.n.shape[0], ws.pad.shape[-1]
+    spec, u = ws.spec, ws.slots[0]
+    np.conjugate(u[..., ::-1], out=ws.slots[1])
+    hardy._fft(ws.pad[:2], spec[:2])
+    k_u = spec[0]
+    spec[4] = spec[1]                         # conj(u reversed), a right kernel
+    np.multiply(k_u, spec[4], out=ws.prod[0])
+    hardy._ifft(ws.prod[0], ws.conv[0])      # heads P e_{K-1}, tails Pi(|u|^2)
+    ws.slots[1] = ws.tails[0]
+    np.multiply(k_u, hardy._fft(ws.pad[1], spec[1]), out=ws.prod[1])
+    Pu = hardy._ifft(ws.prod[1], ws.conv[1])[..., :K]
+    sdu, iPu = (1j * sigma * ws.n) * u, 1j * Pu
+    inorm2 = 1j * ws.tails[0][..., :1].real   # i ||u||^2 = i Pi(|u|^2)[0]
+    a1, miw, b2_rev = ws.slots[1:4]
+    miw[..., 0] = 0.0
+    np.multiply(-1j, ws.heads[0][..., :-1], out=miw[..., 1:])  # -i S P e_{K-1}
+    np.conjugate((sdu - iPu)[..., ::-1], out=b2_rev)
+    np.subtract(iPu - inorm2 * u, sdu, out=a1)
+    hardy._fft(ws.pad[1:4], spec[1:4])
+    turn = np.exp(-2j * np.pi / L * ((K - 1) * np.arange(L) % L))
+    np.multiply(-1j * turn, np.conjugate(spec[2], out=spec[5]), out=spec[5])
+    return spec
 
 
 def _apply_b_cols(kernels: NDArray[np.complex128], G: NDArray[np.complex128],
-                  sigma: float, ws: _FFTWorkspace) -> NDArray[np.complex128]:
+                  ws: _FFTWorkspace) -> NDArray[np.complex128]:
     """B_u applied to the rows of G (m, K) without forming the matrix.
 
-    ``kernels`` is the (4, L) block of ``_b_kernels`` for this u, and sigma
-    the sign of ``errors.check_sign``:
-    B_u = sigma (T_u T_{dx conj u} - T_{dx u} T_{conj u}) + i (T_u T_{conj u})^2.
-    All four Toeplitz actions are exact truncated convolutions: T_k
-    keeps the head of k * G, and T_{conj k} the tail of conj(k reversed) * G.
-
-    Eight FFT calls: one transform of G and stacked calls for the sibling
-    convolutions; T_{conj u} G serves both the second term and
-    P(G) = T_u T_{conj u} G.  They run on the three-operand workspace ``ws``
-    of G's shape; the result is a new array.
+    ``kernels`` is the (6, L) block of ``_b_kernels`` for this u, the left
+    kernels x_r first and the right ones conj(y_r reversed) after, so that
+    B_u = sum_r T_{x_r} T_{y_r}^H.  Every factor is an exact truncated
+    convolution: T_{y}^H keeps the tail of conj(y reversed) * G, and T_x
+    the head of x * G.  Four FFT calls, 8m transforms: fft(G); one ifft of
+    the three correlation products (3m rows), read as tails; one fft of
+    those tails; and one ifft of the three kernel products summed in
+    frequency space (m rows), read as heads.  They run on the three-operand
+    workspace ``ws`` of G's shape; the result is a new array.
     """
-    k_u, k_du, k_ub, k_dub = kernels
-    a, b, c = ws.operands
+    left, right = kernels[:3, None], kernels[3:, None]
+    a = ws.operands[0]
     a.slots[...] = G
-    fG = hardy._fft(a.pad, a.spec)
-    # spectra of T_{conj du} G and T_{conj u} G; the second feeds two terms
-    np.multiply(k_dub, fG, out=a.prod)
-    np.multiply(k_ub, fG, out=b.prod)
-    hardy._ifft(ws.prod[:2], ws.conv[:2])
-    ws.slots[:2] = ws.tails[:2]
-    bar_du, bar_u = hardy._fft(ws.pad[:2], ws.spec[:2])
-    np.multiply(k_u, bar_du, out=a.prod)
-    np.multiply(k_du, bar_u, out=b.prod)
-    np.multiply(k_u, bar_u, out=c.prod)
+    np.multiply(right, hardy._fft(a.pad, a.spec), out=ws.prod)
     hardy._ifft(ws.prod, ws.conv)
-    # the last term, i T_u T_{conj u} PF with PF = c.heads, runs on operand c
-    c.slots[...] = c.heads
-    np.multiply(k_ub, hardy._fft(c.pad, c.spec), out=c.prod)
-    hardy._ifft(c.prod, c.conv)
-    c.slots[...] = c.tails
-    np.multiply(k_u, hardy._fft(c.pad, c.spec), out=c.prod)
-    hardy._ifft(c.prod, c.conv)
-    first, second = a.heads, b.heads
-    quad = 1j * c.heads
-    # sigma (first - second) by the order of subtraction: exact, and no extra pass
-    return (first - second if sigma > 0 else second - first) + quad
+    ws.slots[...] = ws.tails
+    np.multiply(left, hardy._fft(ws.pad, ws.spec), out=ws.prod)
+    np.add(a.prod, ws.prod[1], out=a.prod)
+    np.add(a.prod, ws.prod[2], out=a.prod)
+    hardy._ifft(a.prod, a.conv)
+    return a.heads.copy()
 
 
-def _b_displacement(kernels: NDArray[np.complex128], sigma: float, K: int):
+def _b_displacement(kernels: NDArray[np.complex128], K: int):
     """(DQ, Q, r) for the displacement Delta = B - S B S* of the B action
     on p = min(_B_ROWS, K) probe columns.
 
     Q (K, p) is an orthonormal basis of Delta W for seeded complex Gaussian
     probes W, DQ = Delta Q, and r = max|Delta W' - DQ (Q^H W')| on p fresh
     probes W'.  Delta is skew-adjoint, as B is, so its range is its row
-    space, and Delta = DQ Q^H up to r once p exceeds its rank (at most 4,
-    ``check_spectral_identities``).  Each Delta of p columns is one
+    space, and Delta = DQ Q^H up to r once p exceeds its rank (at most 3,
+    module docstring).  Each Delta of p columns is one
     ``_apply_b_cols`` call on the 2p rows w and S* w.  The probes come from
     ``np.random.default_rng(0)``, so every call returns the same.
     """
@@ -254,7 +280,7 @@ def _b_displacement(kernels: NDArray[np.complex128], sigma: float, K: int):
         """Delta w for the rows w of W (p, K), as the columns of a (K, p) array."""
         G[:p] = W
         G[p:, :-1] = W[:, 1:]                 # S* w, the last entry staying 0
-        BG = _apply_b_cols(kernels, G, sigma, ws)
+        BG = _apply_b_cols(kernels, G, ws)
         D = BG[:p]
         D[:, 1:] -= BG[p:, :-1]               # - S B S* w
         return D.T
@@ -379,14 +405,12 @@ def check_spectral_identities(u: HardyCoeffs,
 
         (S* B - B S*)[:R, :R] = (S* Delta)[:R, :R] = Delta[1:R+1, :R].
 
-    Delta has rank <= 4.  The truncated Toeplitz products obey
-    T_a T_bbar - S T_a T_bbar S* = a b^H, and with P = T_u T_ubar
-    P^2 - S P^2 S* = (Pu) u^H + u (Pu)^H - ||u||^2 u u^H - w w^H for
-    w = S P e_{K-1}, so Delta lies in the span of u, du, Pu and w.
+    Delta = a1 u^H + u b2^H - i w w^H has rank <= 3 (module docstring).
     ``_b_displacement`` measures it with the one FFT action of B
     (``_apply_b_cols``, which ``evolve_basis`` integrates) on p = min(8, K)
     seeded probes and their orthonormal basis Q, then on p fresh probes:
-    6p rows (48 for K >= 8) in three calls, 1 + 8 * 3 FFT calls.  The block
+    6p rows (48 for K >= 8) in three calls, 5 + 4 * 3 FFT calls with the
+    kernel spectra.  The block
     is (Delta Q)[1:R+1] Q[:R]^H, one R x p by p x R product, and
     ``commutator_sb`` is the larger of its residual and the fresh probes'
     max|Delta W' - (Delta Q)(Q^H W')|.  No B block and no K x K product is
@@ -424,9 +448,9 @@ def check_spectral_identities(u: HardyCoeffs,
     R1 += np.multiply(sigma, buf, out=buf)    # + sigma <.|S* u> u
     r_ls = float(np.max(np.abs(R1)))
     del R1, buf
-    kern_ws = _FFTWorkspace(4, (K,))
+    kern_ws = _FFTWorkspace(6, (K,))
     kern_ws.slots[0] = uc
-    DV, V, r_probe = _b_displacement(_b_kernels(kern_ws), sigma, K)
+    DV, V, r_probe = _b_displacement(_b_kernels(kern_ws, sigma), K)
     R2 = DV[1:R + 1] @ np.conj(V[:R].T)      # S* B - B S* = Delta[1:R+1, :R]
     L2 = L[:R + 1] @ L[:, :R]
     Q = L2[1:].copy()                         # S* L^2

@@ -261,8 +261,8 @@ def test_evolved_basis_digest_is_pinned():
     traj = evolve(u0, EvolveConfig(sign="defocusing", K=64, T=0.02, dt=1e-3))
     basis = evolve_basis(traj, np.eye(64, 2, dtype=complex))
     digest = hashlib.sha256(np.swapaxes(basis.coeffs, 1, 2).tobytes()).hexdigest()
-    assert digest == ("ed4c7f3e7a44d537cfb823bb6c78ab19"
-                      "17b224f755253bc692952743e8a79ab8")
+    assert digest == ("178766ece87222dc5e7e9913388fa2a4"
+                      "b50122f58bd253c8a74811003da1b57b")
 
 
 def test_config_rejections(tmp_path):

@@ -323,17 +323,18 @@ def test_b_action_matches_dense_generator(sign):
     P = Tu @ Tu.conj().T
     core = Tu @ Tdu.conj().T - Tdu @ Tu.conj().T
     want = ((core if sign == "focusing" else -core) + 1j * (P @ P)) @ F
-    kernels = _kernels(u.coeffs)
-    got = _apply_b_cols(kernels, F.T, check_sign(sign), _FFTWorkspace(3, (3, K))).T
+    kernels = _kernels(u.coeffs, check_sign(sign))
+    got = _apply_b_cols(kernels, F.T, _FFTWorkspace(3, (3, K))).T
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_stepper_fft_call_counts(monkeypatch):
     """Shared spectra: the nonlinearity makes 4 FFT calls, the kernel
-    spectra 1 and the B action 8; evolve_basis makes 32 per step plus 13
-    per block of 8 steps (12 for the stacked stages, 1 for their kernels),
-    and the identity check 1 + 8 * 3 at every K, so it runs the same B
-    action (three calls on probe rows, ``lax._b_displacement``).
+    spectra 5 and the B action 4 (its three generator pairs share each
+    call); evolve_basis makes 16 per step plus 17 per block of 8 steps (12
+    for the stacked stages, 5 for their kernels), and the identity check
+    5 + 4 * 3 at every K, so it runs the same B action (three calls on
+    probe rows, ``lax._b_displacement``).
     Every transform goes through ``hardy._fft`` or ``hardy._ifft``, looked
     up on the module, so patching the two counts them all."""
     calls = []
@@ -347,85 +348,89 @@ def test_stepper_fft_call_counts(monkeypatch):
     u = random_decaying(11, 64, rho=0.8)
     dec = spectral_decompose(build_lax(u, "focusing"))
     traj = _defocusing_wave_trajectory()
-    kern_ws, act_ws = _FFTWorkspace(4, (64,)), _FFTWorkspace(3, (2, 64))
+    kern_ws, act_ws = _FFTWorkspace(6, (64,)), _FFTWorkspace(3, (2, 64))
     kern_ws.slots[0] = u.coeffs
     for name in ("_fft", "_ifft"):
         monkeypatch.setattr(hardy, name, counted(getattr(hardy, name)))
     nonlinearity(u.coeffs)
     assert len(calls) == 4
     calls.clear()
-    kernels = _b_kernels(kern_ws)
-    assert len(calls) == 1
+    kernels = _b_kernels(kern_ws, 1.0)
+    assert len(calls) == 5
     calls.clear()
-    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), 1.0, act_ws)
-    assert len(calls) == 8
+    _apply_b_cols(kernels, np.eye(2, 64, dtype=complex), act_ws)
+    assert len(calls) == 4
     calls.clear()
     evolve_basis(traj, np.eye(64, 2, dtype=complex))
-    assert len(calls) == 32 * 10 + 13 * 2  # 10 steps, blocks of 8 and 2
+    assert len(calls) == 16 * 10 + 17 * 2  # 10 steps, blocks of 8 and 2
     calls.clear()
     check_spectral_identities(u, dec)
-    assert len(calls) == 1 + 8 * 3  # probes, their basis Q, fresh probes
+    assert len(calls) == 5 + 4 * 3  # probes, their basis Q, fresh probes
 
 
-def _kernels(U, ws=None):
-    """``_b_kernels`` of the states U, on ``ws`` or a fresh workspace."""
-    ws = _FFTWorkspace(4, U.shape) if ws is None else ws
+def _kernels(U, sigma, ws=None):
+    """``_b_kernels`` of the states U for the sign sigma, on ``ws`` or a
+    fresh workspace."""
+    ws = _FFTWorkspace(6, U.shape) if ws is None else ws
     ws.slots[0] = U
-    return _b_kernels(ws)
+    return _b_kernels(ws, sigma)
 
 
-def _b_kernels_allocating(U):
-    """The allocating forms the workspace replaced: np.stack and n=L padding
-    inside np.fft, fresh arrays from every call."""
+def _b_kernels_allocating(U, sigma):
+    """The kernel spectra with fresh arrays from every call: np.stack and
+    n=L padding inside np.fft, each product in the workspace form's order."""
     K = U.shape[-1]
-    dU = 1j * np.arange(K) * U
-    return np.fft.fft(np.stack([U, dU, np.conj(U[..., ::-1]), np.conj(dU[..., ::-1])],
-                               axis=-2), _conv_length(K))
-
-
-def _apply_b_cols_allocating(kernels, G, sign):
-    """The B action in its first form: a branch on the sign's name, and the
-    defocusing sum written -first + second + quad."""
-    K = G.shape[-1]
-    k_u, k_du, k_ub, k_dub = kernels
-    L = k_u.shape[-1]
+    L = _conv_length(K)
     spec = lambda X: np.fft.fft(X, L)  # noqa: E731
-    head = lambda S: np.fft.ifft(S)[..., :K]  # noqa: E731
-    tail = lambda S: np.fft.ifft(S)[..., K - 1:2 * K - 1]  # noqa: E731
-    fG = spec(G)
-    bar_du, bar_u = spec(tail(np.stack([k_dub * fG, k_ub * fG])))
-    first, second, PF = head(np.stack([k_u * bar_du, k_du * bar_u, k_u * bar_u]))
-    quad = 1j * head(k_u * spec(tail(k_ub * spec(PF))))
-    if sign == "focusing":
-        return first - second + quad
-    return -first + second + quad
+    k_u, k_ub = spec(np.stack([U, np.conj(U[..., ::-1])]))
+    conv = np.fft.ifft(k_u * k_ub)           # heads P e_{K-1}, tails Pi(|u|^2)
+    Pu = np.fft.ifft(k_u * spec(conv[..., K - 1:2 * K - 1]))[..., :K]
+    sdU = 1j * sigma * np.arange(K) * U
+    norm2 = conv[..., K - 1:K].real          # Pi(|u|^2)[0]
+    miw = np.zeros_like(U)
+    miw[..., 1:] = -1j * conv[..., :K - 1]   # -i w, w = S P e_{K-1}
+    a1 = (1j * Pu - 1j * norm2 * U) - sdU
+    b2 = sdU - 1j * Pu
+    k_a1, k_miw, k_b2b = spec(np.stack([a1, miw, np.conj(b2[..., ::-1])]))
+    turn = np.exp(-2j * np.pi / L * ((K - 1) * np.arange(L) % L))
+    return np.stack([k_u, k_a1, k_miw, k_b2b, k_ub, -1j * turn * np.conj(k_miw)])
+
+
+def _apply_b_cols_allocating(kernels, G):
+    """B G^T as the sum of T_x T_y^H over the three generator pairs, with
+    fresh arrays: the correlations read as tails, the products summed in
+    frequency space and read as heads."""
+    K = G.shape[-1]
+    L = kernels.shape[-1]
+    tails = np.fft.ifft(kernels[3:, None] * np.fft.fft(G, L))[..., K - 1:2 * K - 1]
+    prods = kernels[:3, None] * np.fft.fft(tails, L)
+    return np.fft.ifft(prods[0] + prods[1] + prods[2])[..., :K]
 
 
 @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
-@pytest.mark.parametrize("K", [37, 64, 128, 256])
+@pytest.mark.parametrize("K", [1, 2, 37, 64, 128, 256])
 def test_b_action_workspace_matches_allocating_form(sign, K):
     """Kernel spectra and B action on workspaces are bit-identical to the
     allocating forms: one state and (4, B, K) stage stacks, m = 1 and 3
-    rows, fresh workspaces and reused ones.  The workspace puts the kernel
-    axis first, the allocating form next to last."""
+    rows, fresh workspaces and reused ones."""
     rng = np.random.default_rng(K)
-    kern_ws = _FFTWorkspace(4, (4, 5, K))
+    sigma = check_sign(sign)
+    kern_ws = _FFTWorkspace(6, (4, 5, K))
     act_ws = {m: _FFTWorkspace(3, (m, K)) for m in (1, 3)}
     for _ in range(2):  # the second round reuses every workspace
         U = rng.standard_normal((4, 5, K)) + 1j * rng.standard_normal((4, 5, K))
-        want = _b_kernels_allocating(U)
-        assert np.array_equal(_kernels(U[0, 0]), want[0, 0])
-        assert np.array_equal(np.moveaxis(_kernels(U), 0, -2), want)
-        kern = _kernels(U, kern_ws)
-        assert np.array_equal(np.moveaxis(kern, 0, -2), want)
+        want = _b_kernels_allocating(U, sigma)
+        assert np.array_equal(_kernels(U[0, 0], sigma), want[:, 0, 0])
+        assert np.array_equal(_kernels(U, sigma), want)
+        kern = _kernels(U, sigma, kern_ws)
+        assert np.array_equal(kern, want)
         for m in (1, 3):
             G = rng.standard_normal((m, K)) + 1j * rng.standard_normal((m, K))
             for s, j in ((0, 0), (3, 4)):
-                expect = _apply_b_cols_allocating(want[s, j], G, sign)
+                expect = _apply_b_cols_allocating(want[:, s, j], G)
                 fresh = _FFTWorkspace(3, G.shape)
-                sigma = check_sign(sign)
-                assert np.array_equal(_apply_b_cols(want[s, j], G, sigma, fresh), expect)
-                assert np.array_equal(_apply_b_cols(kern[:, s, j], G, sigma, act_ws[m]), expect)
+                assert np.array_equal(_apply_b_cols(want[:, s, j], G, fresh), expect)
+                assert np.array_equal(_apply_b_cols(kern[:, s, j], G, act_ws[m]), expect)
 
 
 def test_integrator_results_do_not_alias_the_workspace():
@@ -443,11 +448,11 @@ def test_integrator_results_do_not_alias_the_workspace():
     _lawson_stages(b, h, s2i, E1, E2, ws)
     assert all(np.array_equal(x, y) for x, y in zip(first, kept))
 
-    kern = _kernels(a)
+    kern = _kernels(a, 1.0)
     act = _FFTWorkspace(3, (2, K))
-    first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), 1.0, act)
+    first_b = _apply_b_cols(kern, np.eye(2, K, dtype=complex), act)
     kept_b = first_b.copy()
-    _apply_b_cols(kern, np.eye(2, K, 3, dtype=complex), 1.0, act)
+    _apply_b_cols(kern, np.eye(2, K, 3, dtype=complex), act)
     assert np.array_equal(first_b, kept_b)
 
     _, u0 = _wave_state("wave:defocusing:1:0.5:1", K)
@@ -485,15 +490,15 @@ def _evolve_basis_step_by_step(traj, F):
     G = F.T.copy()
     rows = [G]
     K = traj.cfg.K
-    conv, kern = _FFTWorkspace(2, (K,)), _FFTWorkspace(4, (K,))
+    conv, kern = _FFTWorkspace(2, (K,)), _FFTWorkspace(6, (K,))
     act = _FFTWorkspace(3, G.shape)
     for i in range(n_steps):
         u1 = traj.coeffs[i]
         u2, u3, u4 = _lawson_stages(u1, h, s2i, E1, E2, conv)[0]
-        l1 = _apply_b_cols(_kernels(u1, kern), G, sigma, act)
-        l2 = _apply_b_cols(_kernels(u2, kern), G + (h / 2.0) * l1, sigma, act)
-        l3 = _apply_b_cols(_kernels(u3, kern), G + (h / 2.0) * l2, sigma, act)
-        l4 = _apply_b_cols(_kernels(u4, kern), G + h * l3, sigma, act)
+        l1 = _apply_b_cols(_kernels(u1, sigma, kern), G, act)
+        l2 = _apply_b_cols(_kernels(u2, sigma, kern), G + (h / 2.0) * l1, act)
+        l3 = _apply_b_cols(_kernels(u3, sigma, kern), G + (h / 2.0) * l2, act)
+        l4 = _apply_b_cols(_kernels(u4, sigma, kern), G + h * l3, act)
         G = G + (h / 6.0) * (l1 + 2.0 * l2 + 2.0 * l3 + l4)
         rows.append(G)
     return np.stack(rows)

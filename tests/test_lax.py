@@ -76,10 +76,10 @@ def test_constant_potential_spectrum_both_signs():
 def _fft_b(u, sign):
     """The K x K matrix of B from the FFT action on the unit rows e_j."""
     K = u.K
-    ws = _FFTWorkspace(4, (K,))
+    ws = _FFTWorkspace(6, (K,))
     ws.slots[0] = u.coeffs
     E = np.eye(K, dtype=complex)
-    return _apply_b_cols(_b_kernels(ws), E, check_sign(sign), _FFTWorkspace(3, (K, K))).T
+    return _apply_b_cols(_b_kernels(ws, check_sign(sign)), E, _FFTWorkspace(3, (K, K))).T
 
 
 def _toeplitz(c):
@@ -411,6 +411,34 @@ def test_b_displacement_has_rank_four(u, sign):
     assert np.abs(delta - want).max() <= tol
 
 
+@pytest.mark.parametrize("u,sign", list(_displacement_cases()))
+def test_b_is_three_generator_pairs(u, sign):
+    """The lemma the B action rests on.  S is nilpotent on C^K, so
+    B = sum_t S^t Delta S*^t, and Delta = a1 u^H + u b2^H - i w w^H with
+    a1 = -sigma du + i (Pu - ||u||^2 u) and b2 = sigma du - i Pu: hence
+    B = T_{a1} T_u^H + T_u T_{b2}^H - i T_w T_w^H, three Toeplitz pairs.
+    The dense B of the FFT action matches that sum of plain K x K blocks
+    within eps K max|B|, and Delta has at most 3 singular values above
+    1e-12 sigma_1."""
+    K, c = u.K, u.coeffs
+    s = check_sign(sign)
+    B = _fft_b(u, sign)
+    Tu = _toeplitz(c)
+    P = Tu @ Tu.conj().T
+    du, Pu = 1j * np.arange(K) * c, P @ c
+    w = np.zeros(K, dtype=np.complex128)
+    w[1:] = P[:-1, -1]                        # S P e_{K-1}
+    a1 = -s * du + 1j * (Pu - np.vdot(c, c).real * c)
+    b2 = s * du - 1j * Pu
+    Tw = _toeplitz(w)
+    want = (_toeplitz(a1) @ Tu.conj().T + Tu @ _toeplitz(b2).conj().T
+            - 1j * Tw @ Tw.conj().T)
+    assert np.abs(B - want).max() <= np.finfo(float).eps * K * np.abs(B).max()
+    S = np.eye(K, k=-1, dtype=np.complex128)
+    sv = np.linalg.svd(B - S @ B @ S.T, compute_uv=False)
+    assert np.count_nonzero(sv > 1e-12 * sv[0]) <= 3
+
+
 @pytest.mark.parametrize("sign", ["focusing", "defocusing"])
 def test_identity_check_guards_the_b_action(monkeypatch, sign):
     """The probes see an action whose displacement is not low rank: adding
@@ -428,13 +456,13 @@ def test_identity_check_guards_the_b_action(monkeypatch, sign):
     lax = sys.modules["cslab.lax"]
     real = lax._apply_b_cols
     monkeypatch.setattr(lax, "_apply_b_cols",
-                        lambda kernels, G, sigma, ws: real(kernels, G, sigma, ws) + 1e-6 * G @ E.T)
+                        lambda kernels, G, ws: real(kernels, G, ws) + 1e-6 * G @ E.T)
     bad = check_spectral_identities(u, dec)
     assert bad.commutator_sb > 1e-8
     # the fresh probes alone see it: their residual r is part of commutator_sb
-    ws = _FFTWorkspace(4, (K,))
+    ws = _FFTWorkspace(6, (K,))
     ws.slots[0] = u.coeffs
-    assert lax._b_displacement(_b_kernels(ws), check_sign(sign), K)[2] > 1e-8
+    assert lax._b_displacement(_b_kernels(ws, check_sign(sign)), K)[2] > 1e-8
     assert (bad.mean_identity, bad.shift_identity, bad.commutator_ls) == \
         (rep.mean_identity, rep.shift_identity, rep.commutator_ls)
 
